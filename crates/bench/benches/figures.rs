@@ -1,6 +1,5 @@
 //! `cargo bench` entry point that regenerates every table and figure of the
-//! paper at quick scale (full-scale runs: the `fig*` binaries; results are
-//! recorded in `EXPERIMENTS.md`).
+//! paper at quick scale (full-scale runs: the `fig*` binaries).
 
 use ce_bench::figures::{fig6, fig7, fig8, fig9, table1_text, Fig9Axis};
 use ce_bench::Scale;
@@ -23,5 +22,5 @@ fn main() {
     for a in Fig9Axis::ALL {
         println!("{}", fig9(scale, a));
     }
-    println!("figures complete; see EXPERIMENTS.md for full-scale numbers");
+    println!("figures complete; run the fig* binaries for full-scale numbers");
 }

@@ -63,9 +63,8 @@ fn bench_merge_fanin(c: &mut Criterion) {
 }
 
 fn bench_parallel_sort(c: &mut Criterion) {
-    // The {1, N}-thread wall delta on one big sort — the micro-scale twin
-    // of the bench_par grid (logical I/O is identical by construction; only
-    // wall time may move).
+    // The {1, N}-thread wall delta on one big sort (logical I/O is
+    // identical by construction; only wall time may move).
     let mut g = c.benchmark_group("parallel_sort");
     g.sample_size(10);
     let n = 200_000usize;

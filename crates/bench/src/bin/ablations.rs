@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in `DESIGN.md` §6:
+//! Ablation studies for six design choices of this implementation:
 //!
 //! 1. `>` operator: Definition 5.1 vs 7.1 — bypass-edge volume per level;
 //! 2. Type-1/Type-2 node reductions on/off — iterations and total I/Os;

@@ -1,4 +1,4 @@
-//! One function per paper figure/table. See `EXPERIMENTS.md` for the mapping
+//! One function per paper figure/table. [`table1_text`] prints the mapping
 //! between the paper's axes and the scaled axes used here.
 
 use std::time::Duration;

@@ -2,7 +2,7 @@
 //! Section VIII at laptop scale.
 //!
 //! Each `fig*` module mirrors one figure: it builds the paper's workload
-//! (scaled — see `EXPERIMENTS.md`), sweeps the same x-axis, runs the same
+//! (scaled — see [`figures::table1_text`]), sweeps the same x-axis, runs the same
 //! algorithms, and prints two series per figure (wall time and counted block
 //! I/Os) the way the paper plots Figures 6–9. Entries that exceed the run's
 //! I/O or time budget print as `INF`, matching the paper's 24-hour cutoff;
@@ -15,6 +15,5 @@
 
 pub mod figures;
 pub mod runner;
-pub mod trajectory;
 
 pub use runner::{human_count, Measurement, Outcome, RunBudget, Scale, SweepTable};

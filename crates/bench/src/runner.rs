@@ -18,7 +18,7 @@ use ce_graph::EdgeListGraph;
 pub enum Scale {
     /// Seconds-scale runs used by `cargo bench` and CI.
     Quick,
-    /// The defaults recorded in `EXPERIMENTS.md`.
+    /// The scaled paper defaults printed by [`crate::figures::table1_text`].
     Full,
 }
 

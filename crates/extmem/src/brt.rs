@@ -8,7 +8,7 @@
 //! `O(log₂(N/B))` I/Os plus the output scan.
 //!
 //! We implement the same interface and bounds with a **log-structured**
-//! organisation (documented as a substitution in `DESIGN.md`):
+//! organisation in place of the (2,4)-tree:
 //!
 //! * inserts go to a block-sized in-memory buffer; full buffers are sorted and
 //!   written as a level-0 run; equal-sized runs merge into the next level —

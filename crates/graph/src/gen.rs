@@ -10,7 +10,7 @@
 //!   nodes and edges");
 //! * [`web_like`] — a bow-tie web graph (large core SCC, IN and OUT regions,
 //!   tendrils, heavy-tailed out-degrees) standing in for WEBSPAM-UK2007,
-//!   which is not redistributable at reproduction time (see `DESIGN.md`);
+//!   which is not redistributable at reproduction time;
 //! * structured graphs used by unit tests and ablations: [`random_gnm`],
 //!   [`dag_layered`], [`cycle`], [`path`], [`complete`], [`disjoint_cycles`];
 //! * [`edge_fraction`] — random edge subsampling, the x-axis of Figure 6.
@@ -82,7 +82,7 @@ pub struct SyntheticSpec {
 impl SyntheticSpec {
     /// The paper's Table-I defaults, rescaled from `|V| = 100M` to `n_nodes`.
     ///
-    /// Scaling policy (documented in `EXPERIMENTS.md`): the massive and large
+    /// Scaling policy: the massive and large
     /// datasets keep the paper's component *count* (1 and 50) and scale the
     /// component *size* with `n/100M`; the small dataset keeps the component
     /// size (40) and scales the count. This preserves the qualitative regime

@@ -198,6 +198,9 @@ pub struct DeltaRow {
     /// rebuild rewrites wholesale; `max_metadata_write_ios` must not
     /// scale with it).
     pub label_pages: u64,
+    /// Logical I/Os of every [`DeltaEngine::apply`] in the stream, summed —
+    /// deterministic for a given family, step count and seed.
+    pub total_ios: u64,
     /// First divergence from the scratch labeling, if any.
     pub mismatch: Option<String>,
 }
@@ -265,6 +268,7 @@ pub fn run_delta_stream(family: DeltaFamily, steps: usize, seed: u64) -> io::Res
         final_generation: 0,
         max_metadata_write_ios: 0,
         label_pages: (n * 4).div_ceil(BLOCK as u64),
+        total_ios: 0,
         mismatch: None,
     };
 
@@ -285,6 +289,7 @@ pub fn run_delta_stream(family: DeltaFamily, steps: usize, seed: u64) -> io::Res
         };
         row.merges += report.merges;
         row.dirty_marked += report.dirty_marked;
+        row.total_ios += report.ios.total_ios();
         if report.merges == 0 {
             let writes = report.ios.seq_writes + report.ios.rand_writes;
             row.max_metadata_write_ios = row.max_metadata_write_ios.max(writes);
@@ -359,5 +364,17 @@ mod tests {
         assert!(merges > 0, "no family exercised a merge");
         assert!(dirty > 0, "no family exercised dirty-marking");
         assert!(removes > 0, "no family exercised deletions");
+
+        // Logical I/O is a deterministic function of the stream: replaying
+        // the same matrix must charge every family exactly the same total.
+        let again = run_delta_matrix(40, 0xd1f).unwrap();
+        for (a, b) in rows.iter().zip(&again) {
+            assert!(a.total_ios > 0, "{a}");
+            assert_eq!(
+                a.total_ios, b.total_ios,
+                "{}: delta I/O must repeat exactly",
+                a.family
+            );
+        }
     }
 }

@@ -329,11 +329,10 @@ struct Workload {
 /// builder)` with the *exact* generator parameters the conformance matrix
 /// (and therefore the golden `verify_smoke.txt`) runs at smoke scale.
 ///
-/// This is the single source of truth shared with the `ce-bench`
-/// `bench_json` emitter and the root `tests/io_model.rs` I/O-regression
-/// test, so the committed `BENCH_*.json` baselines always describe the same
-/// scenario the matrix grades — tune a generator here and every consumer
-/// moves in lockstep.
+/// This is the single source of truth shared with the root
+/// `tests/io_model.rs` I/O-regression test, so its pinned baseline always
+/// describes the scenario the matrix grades — tune a generator here and
+/// every consumer moves in lockstep.
 pub fn smoke_workloads() -> Vec<SmokeWorkload> {
     vec![
         ("web", SMOKE_WEB_N, |env| {
@@ -355,7 +354,7 @@ pub fn smoke_workloads() -> Vec<SmokeWorkload> {
 pub type SmokeWorkload = (&'static str, u64, fn(&DiskEnv) -> io::Result<EdgeListGraph>);
 
 /// Builds the deterministic query-serving smoke index shared by `scc serve
-/// --self-test`, the `bench_qps` emitter and the threaded stress test:
+/// --self-test` and the threaded stress test in `tests/serve.rs`:
 /// a `gen::web_like(n_nodes, 4.0, seed)` graph labeled by the in-memory
 /// Tarjan oracle and materialized at `path` (page size = the environment's
 /// block size). Returns the oracle's canonical representative per node —
@@ -479,7 +478,7 @@ fn budget_for(nodes: u64) -> usize {
 /// The tight memory regime's budget in bytes for an `n_nodes`-node graph:
 /// semi-external state for ~|V|/3 nodes, so Ext-SCC must genuinely contract
 /// (the regime the paper's figures sweep). Shared between the matrix's
-/// tight scenarios and the `ce-bench` emitter / I/O-regression tests.
+/// tight scenarios and the I/O-regression test in `tests/io_model.rs`.
 pub fn tight_budget(n_nodes: u64) -> usize {
     budget_for(n_nodes / 3)
 }

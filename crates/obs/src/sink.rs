@@ -166,23 +166,6 @@ impl MemSink {
             out.push('\n');
         }
     }
-
-    /// Aggregates the *self* share of counter `key` by span name over the
-    /// whole forest — the per-phase breakdown used by `bench_json`. Returns
-    /// name-sorted `(span name, total self delta)` pairs.
-    pub fn self_by_name(roots: &[SpanNode], key: &str) -> Vec<(&'static str, u64)> {
-        let mut acc: BTreeMap<&'static str, u64> = BTreeMap::new();
-        fn walk(n: &SpanNode, key: &str, acc: &mut BTreeMap<&'static str, u64>) {
-            *acc.entry(n.name).or_insert(0) += n.self_counter(key);
-            for c in &n.children {
-                walk(c, key, acc);
-            }
-        }
-        for root in roots {
-            walk(root, key, &mut acc);
-        }
-        acc.into_iter().collect()
-    }
 }
 
 impl Sink for MemSink {
@@ -355,23 +338,6 @@ mod tests {
         );
         // Leaves (incl. the synthetic self leaf) sum exactly to the root.
         assert_eq!(30 + 20 + 10, roots[0].counter("ios").unwrap());
-    }
-
-    #[test]
-    fn self_by_name_aggregates_over_forest() {
-        let sink = Rc::new(MemSink::new());
-        let _g = install(sink.clone());
-        for total in [10u64, 14] {
-            let p = span!("phase");
-            {
-                let c = span!("sort");
-                c.close(&[("ios", 4)], 0);
-            }
-            p.close(&[("ios", total)], 0);
-        }
-        let roots = sink.take();
-        let agg = MemSink::self_by_name(&roots, "ios");
-        assert_eq!(agg, vec![("phase", 16), ("sort", 8)]);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! algorithm of Zhang et al. (SIGMOD'13) as the base case of Ext-SCC once
 //! contraction has shrunk the node set enough to fit.
 //!
-//! This crate provides two interchangeable implementations of that contract
-//! (see `DESIGN.md` for the substitution rationale):
+//! This crate provides two interchangeable implementations of that contract:
 //!
 //! * [`coloring`] — forward–backward coloring with peeling: per round,
 //!   propagate maximum node ids forward along edges to a fixpoint, pick the

@@ -80,8 +80,8 @@
 //! leaf deltas summing to the run totals. The disabled path (no sink, or
 //! [`obs::NullSink`]) costs one thread-local branch and zero allocations.
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for the
-//! reproduction of every table and figure in the paper's evaluation.
+//! The `ce-bench` crate reproduces every table and figure of the paper's
+//! evaluation; `perfbench/` measures the system end to end.
 
 pub use ce_core as core;
 pub use ce_dfs_scc as dfs_scc;

@@ -59,16 +59,16 @@ fn more_memory_means_fewer_ios_and_iterations() {
 
 #[test]
 fn streaming_pipeline_beats_pr4_baseline_by_15_percent() {
-    // The PR 4 tree (before the streaming sorted-run pipeline: every sort
-    // materialized its final merge, every join re-read it) measured **3608**
-    // logical I/Os for Ext-SCC-Op on this exact scenario — the conformance
-    // matrix's smoke `web` workload under the tight budget, as recorded in
-    // `BENCH_pr4-baseline.json`. Last-merge-pass elision plus fused
+    // Before the streaming sorted-run pipeline (every sort materialized its
+    // final merge, every join re-read it), Ext-SCC-Op spent **3608** logical
+    // I/Os on this exact scenario — the conformance matrix's smoke `web`
+    // workload under the tight budget. Last-merge-pass elision plus fused
     // sort→join chains must keep at least a 15% logical-I/O win over that
-    // baseline (BENCH_pr5.json recorded 2672, a 26% cut). The scenario is
+    // baseline; the exact count today, 2360, is pinned by the golden
+    // `tests/golden/verify_smoke.txt`. The scenario is
     // `ce_harness::smoke_workloads` under `ce_harness::tight_budget` — the
-    // exact environment the conformance matrix and the `bench_json` emitter
-    // run — so the committed baselines and this test cannot drift apart.
+    // exact environment the conformance matrix runs — so the golden and this
+    // test cannot drift apart.
     // The gate runs at every thread count: logical I/O must be identical
     // at threads 1, 2 and 4 (the PR 10 invariant), so the 15% win holds —
     // bit for bit — no matter how many workers the environment grants.
@@ -103,55 +103,6 @@ fn streaming_pipeline_beats_pr4_baseline_by_15_percent() {
     assert!(
         ios_by_threads.windows(2).all(|w| w[0] == w[1]),
         "logical I/O must be thread-count-invariant: {ios_by_threads:?}"
-    );
-}
-
-#[test]
-fn pr6_wall_time_beats_pr4_baseline_on_every_cell() {
-    // The PR 6 acceptance gate: the committed `BENCH_pr6.json` (median
-    // wall_ms over repeated runs, see the bench_json emitter) must be
-    // strictly faster than the PR 4 baseline on every engine × workload
-    // cell the baseline finished — the batched-pull work must claw back
-    // the wall-clock the PR 5 streaming pipeline spent, on every cell,
-    // not on average. Cells the baseline did not finish (EM-SCC DNFs)
-    // measure the abort budget, not the engine, and are skipped.
-    //
-    // This compares two committed artifacts rather than timing live code:
-    // `cargo test` runs unoptimized builds on shared machines, where live
-    // wall-clock assertions flake. CI separately re-measures and diffs
-    // against BENCH_pr6.json with a generous tolerance.
-    use ce_bench::trajectory::parse_cells;
-    let base = parse_cells(include_str!("../BENCH_pr4-baseline.json"));
-    let cand = parse_cells(include_str!("../BENCH_pr6.json"));
-    assert!(!base.is_empty() && !cand.is_empty(), "BENCH files must parse");
-
-    let mut checked = 0;
-    for b in base.iter().filter(|c| c.outcome == "ok") {
-        let c = cand
-            .iter()
-            .find(|c| c.key() == b.key())
-            .unwrap_or_else(|| panic!("{} missing from BENCH_pr6.json", b.key()));
-        assert_eq!(c.outcome, "ok", "{} must still finish", b.key());
-        assert!(
-            c.wall_ms < b.wall_ms,
-            "{}: PR 6 wall {:.3} ms must beat the PR 4 baseline {:.3} ms",
-            b.key(),
-            c.wall_ms,
-            b.wall_ms
-        );
-        checked += 1;
-    }
-    assert!(checked >= 16, "expected 4 engines x 4 workloads, got {checked}");
-
-    // And the logical-I/O floor the PR 5 test pins must still hold in the
-    // committed trajectory itself.
-    let b = base.iter().find(|c| c.key() == "web/Ext-SCC-Op").unwrap();
-    let c = cand.iter().find(|c| c.key() == "web/Ext-SCC-Op").unwrap();
-    assert!(
-        c.logical_ios * 100 <= b.logical_ios * 85,
-        "Ext-SCC-Op web logical I/Os {} must stay <= 85% of PR 4's {}",
-        c.logical_ios,
-        b.logical_ios
     );
 }
 
