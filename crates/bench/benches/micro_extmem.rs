@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::{Rng, SeedableRng};
 
 use ce_extmem::brt::Brt;
-use ce_extmem::{semi_join, sort_by_key, DiskEnv, EnvOptions, ExtFile, IoConfig};
+use ce_extmem::{semi_join, sort_by_key, DiskEnv, ExtFile, IoConfig};
 
 fn env_small() -> DiskEnv {
     // Small budget so sorts take multiple merge passes, as in the real runs.
@@ -44,8 +44,7 @@ fn bench_merge_fanin(c: &mut Criterion) {
     // runs), 16384 records form exactly two runs — the dedicated two-run
     // merge loop — while 65536 records form eight and go through the
     // monomorphized k-way heap. A regression in either inner loop shows up
-    // as a per-element throughput delta here before it shows up in the
-    // BENCH wall grid.
+    // here as a per-element throughput delta.
     let mut g = c.benchmark_group("merge_fanin");
     g.sample_size(10);
     for (label, n) in [("2_runs", 16_384usize), ("8_runs", 65_536)] {
@@ -55,30 +54,6 @@ fn bench_merge_fanin(c: &mut Criterion) {
             let input = random_pairs(&env, n, 11);
             b.iter(|| {
                 let sorted = sort_by_key(&env, &input, "bench-merge", |r| *r).unwrap();
-                std::hint::black_box(sorted.len())
-            });
-        });
-    }
-    g.finish();
-}
-
-fn bench_parallel_sort(c: &mut Criterion) {
-    // The {1, N}-thread wall delta on one big sort (logical I/O is
-    // identical by construction; only wall time may move).
-    let mut g = c.benchmark_group("parallel_sort");
-    g.sample_size(10);
-    let n = 200_000usize;
-    for &threads in &[1usize, 4] {
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let env = DiskEnv::new_temp_with(
-                IoConfig::new(4 << 10, 64 << 10),
-                EnvOptions::default().with_threads(t),
-            )
-            .expect("env");
-            let input = random_pairs(&env, n, 7);
-            b.iter(|| {
-                let sorted = sort_by_key(&env, &input, "bench-par", |r| *r).unwrap();
                 std::hint::black_box(sorted.len())
             });
         });
@@ -140,7 +115,6 @@ criterion_group!(
     benches,
     bench_external_sort,
     bench_merge_fanin,
-    bench_parallel_sort,
     bench_semi_join,
     bench_brt
 );

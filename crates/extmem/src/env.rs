@@ -14,17 +14,17 @@ use crate::record::Record;
 use crate::stats::IoStats;
 use crate::stream::RecordWriter;
 
-/// Worker-thread budget for the parallel execution layer (run formation,
-/// fenced k-way merges, the contraction operators' independent join chains).
+/// Worker-thread budget of `ce_core`'s `run_pair`, which runs the
+/// contraction operators' independent sort and join chains side by side.
 ///
-/// The knob changes **wall-clock only**: every parallel path prices its
-/// transfers so the logical [`IoStats`] — and the computed partition — are
-/// bit-identical to the single-threaded schedule for every thread count.
-/// The default is 1 (fully sequential, the seed behaviour).
+/// The knob changes **wall-clock only**: each chain charges the logical
+/// [`IoStats`] through its own handles, so the counters — and the computed
+/// partition — are bit-identical to the single-threaded schedule for every
+/// thread count. The default is 1 (fully sequential, the seed behaviour).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Maximum worker threads a parallel phase may spawn (clamped to at
-    /// least 1; phases use fewer when the work does not split that far).
+    /// Maximum worker threads `run_pair` may use (clamped to at least 1;
+    /// any value above 1 runs its two jobs on two threads).
     pub threads: usize,
 }
 
@@ -48,8 +48,8 @@ pub struct EnvOptions {
     /// a physical transfer — plus a read-modify-write read for writes that
     /// only partially cover a live block).
     pub cache_blocks: usize,
-    /// Worker-thread budget for the parallel hot paths (wall-clock only;
-    /// logical I/O is thread-count-invariant by construction).
+    /// Worker-thread budget of `run_pair` (wall-clock only; logical I/O is
+    /// the same at every thread count).
     pub par: Parallelism,
 }
 
@@ -161,7 +161,7 @@ struct EnvInner {
     cfg: IoConfig,
     opts: EnvOptions,
     pager: Pager,
-    stats: Arc<IoStats>,
+    stats: IoStats,
     next_id: AtomicU64,
     owns_dir: bool,
 }
@@ -211,7 +211,7 @@ impl DiskEnv {
                 pager: Pager::new(cfg.block_size, opts.cache_blocks, opts.backend),
                 cfg,
                 opts,
-                stats: Arc::new(IoStats::new()),
+                stats: IoStats::new(),
                 next_id: AtomicU64::new(0),
                 owns_dir,
             }),
@@ -234,13 +234,7 @@ impl DiskEnv {
         &self.inner.stats
     }
 
-    /// Owning handle on the shared logical counters, for routed
-    /// [`crate::file::CountedFile`]s that price into a per-worker ledger.
-    pub(crate) fn stats_arc(&self) -> Arc<IoStats> {
-        Arc::clone(&self.inner.stats)
-    }
-
-    /// Worker-thread budget of the parallel hot paths (≥ 1; 1 = sequential).
+    /// Worker-thread budget of `run_pair` (≥ 1; 1 = sequential).
     pub fn threads(&self) -> usize {
         self.inner.opts.par.threads.max(1)
     }

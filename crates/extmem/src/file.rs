@@ -11,22 +11,15 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use ce_pager::FileId;
 
 use crate::env::DiskEnv;
-use crate::stats::IoStats;
 
 /// A file whose logical block transfers are counted and classified.
 pub struct CountedFile {
     id: FileId,
     env: DiskEnv,
-    /// Where the logical charges go — the environment's shared counters by
-    /// default, or a private per-worker ledger after
-    /// [`CountedFile::route_stats`] (the parallel executors fold worker
-    /// ledgers back into the shared counters in partition order).
-    stats: Arc<IoStats>,
     block: u64,
     last_read_end: u64,
     last_write_end: u64,
@@ -63,18 +56,11 @@ impl CountedFile {
     fn wrap(env: &DiskEnv, id: FileId) -> CountedFile {
         CountedFile {
             id,
-            stats: env.stats_arc(),
             env: env.clone(),
             block: env.config().block_size as u64,
             last_read_end: u64::MAX, // first access counts as random
             last_write_end: 0,       // writes usually start at 0: treat as sequential
         }
-    }
-
-    /// Redirects this handle's logical charges into `stats` instead of the
-    /// environment's shared counters (physical accounting is unaffected).
-    pub(crate) fn route_stats(&mut self, stats: Arc<IoStats>) {
-        self.stats = stats;
     }
 
     fn blocks(&self, len: usize) -> u64 {
@@ -90,31 +76,10 @@ impl CountedFile {
         let done = self.env.pager().read_at(self.id, offset, buf)?;
         let sequential = offset == self.last_read_end;
         self.last_read_end = offset + done as u64;
-        self.stats
+        self.env
+            .stats()
             .record_read(self.blocks(done.max(1)), done as u64, sequential);
         Ok(done)
-    }
-
-    /// Reads like [`CountedFile::read_at`] but prices **nothing**: no
-    /// logical charge, no sequential/random bookkeeping. Physical transfers
-    /// (pool fills, fault-injection countdowns) still happen. Used by the
-    /// parallel executors, which read raw and charge the sequential
-    /// schedule's refills arithmetically instead.
-    pub(crate) fn read_at_raw(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        self.env.pager().read_at(self.id, offset, buf)
-    }
-
-    /// Writes like [`CountedFile::write_at`] but prices nothing — the raw
-    /// counterpart of [`CountedFile::read_at_raw`] for pre-assigned output
-    /// extents whose flushes are charged arithmetically.
-    pub(crate) fn write_at_raw(&self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        if buf.is_empty() {
-            return Ok(());
-        }
-        self.env.pager().write_at(self.id, offset, buf)
     }
 
     /// Writes all of `buf` at `offset`.
@@ -125,7 +90,8 @@ impl CountedFile {
         self.env.pager().write_at(self.id, offset, buf)?;
         let sequential = offset == self.last_write_end;
         self.last_write_end = offset + buf.len() as u64;
-        self.stats
+        self.env
+            .stats()
             .record_write(self.blocks(buf.len()), buf.len() as u64, sequential);
         Ok(())
     }

@@ -45,51 +45,24 @@
 //! [`MergeStream::next_batch`]); yield order — including the run-index
 //! tie-break on equal keys — and refill schedule are unchanged.
 //!
-//! # Parallel execution: deterministic pricing, opportunistic speedup
+//! # Threads
 //!
-//! When the environment grants more than one thread
-//! ([`crate::Parallelism`], `DiskEnv::threads()`), both phases go
-//! multi-core **without perturbing the logical I/O model**:
-//!
-//! * **Run formation** splits a file-backed input into the *same* `M`-byte
-//!   chunks the sequential pass would form (geometry untouched — see
-//!   `form_runs` for why that matters) and hands contiguous bands of
-//!   chunks to `std::thread::scope` workers. Workers read **raw** (unpriced)
-//!   through the shared pager and charge the sequential schedule's refills
-//!   arithmetically into a private per-worker [`IoStats`] ledger; writers
-//!   route their organic charges into the same ledger.
-//! * **Merge passes** dispatch independent fan-in groups to workers; each
-//!   group's charges are a deterministic function of its own run contents
-//!   and the counters are relaxed atomics, so concurrent organic pricing
-//!   commutes to the sequential totals.
-//! * The **final materializing merge** fences the key space by sampling the
-//!   largest run, binary-searches every run's fence boundaries, and merges
-//!   each key partition on its own worker into a pre-assigned extent of the
-//!   output file — raw reads/writes, priced arithmetically per partition.
-//!
-//! **The partition-ordered stats-merge rule**: every worker ledger is folded
-//! into the environment's shared counters with [`IoStats::add`] *after* the
-//! scope joins, in partition (chunk-band / key-range) order. Since each
-//! ledger holds exactly the charges the sequential schedule assigns to that
-//! partition, the fold reproduces the sequential totals **bit for bit** for
-//! any thread count — wall-clock parallelism never leaks into the model.
-//! Physical counters ([`DiskEnv::phys`]) may legitimately diverge across
-//! thread counts (pool hit patterns change); only logical counters carry
-//! the invariant. Peak memory scales to ~`threads × M` during parallel run
-//! formation — the knob buys wall-clock with RAM, never with model I/Os.
+//! The sort is sequential, and every logical charge is a
+//! [`CountedFile`](crate::file::CountedFile) transfer priced when it
+//! happens. Threads live one layer up, in `ce_core`'s `run_pair`, which runs
+//! two independent sorts or join chains side by side; each job's charges
+//! depend only on its own handles, so logical I/O is the same at every
+//! thread count.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::io;
-use std::sync::Arc;
 
 use crate::env::DiskEnv;
-use crate::file::CountedFile;
 use crate::record::Record;
 use crate::sorted::{stream_is_source, SortedSource, SortedStream, DEFAULT_BATCH};
-use crate::stats::{IoSnapshot, IoStats};
-use crate::stream::{ExtFile, RecordReader, RecordWriter};
+use crate::stream::{ExtFile, RecordReader};
 
 /// Sorts `input` by `key`, producing a new file. Stable order between equal
 /// keys is *not* guaranteed (runs are sorted with an unstable in-memory sort).
@@ -101,7 +74,7 @@ pub fn sort_by_key<T, K, F, S>(env: &DiskEnv, input: S, label: &str, key: F) -> 
 where
     T: Record,
     K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
+    F: Fn(&T) -> K + Copy,
     S: SortedSource<T>,
 {
     sort_streaming_by_key(env, input, label, key)?.materialize(label)
@@ -121,7 +94,7 @@ pub fn sort_dedup_by_key<T, K, F, S>(
 where
     T: Record,
     K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
+    F: Fn(&T) -> K + Copy,
     S: SortedSource<T>,
 {
     sort_dedup_streaming_by_key(env, input, label, key)?.materialize(label)
@@ -139,7 +112,7 @@ pub fn sort_streaming_by_key<T, K, F, S>(
 where
     T: Record,
     K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
+    F: Fn(&T) -> K + Copy,
     S: SortedSource<T>,
 {
     sort_runs(env, input, label, key, false)
@@ -157,7 +130,7 @@ pub fn sort_dedup_streaming_by_key<T, K, F, S>(
 where
     T: Record,
     K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
+    F: Fn(&T) -> K + Copy,
     S: SortedSource<T>,
 {
     sort_runs(env, input, label, key, true)
@@ -207,36 +180,16 @@ where
     pub fn count(self) -> io::Result<u64> {
         self.into_stream()?.count()
     }
-}
 
-impl<T, K, F> SortedRuns<T, K, F>
-where
-    T: Record,
-    K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
-{
     /// Performs the final merge into a file — the classical materializing
     /// sort. A single remaining run is returned as-is (runs are always
     /// individually sorted and deduplicated, so no extra pass is needed).
-    ///
-    /// With more than one environment thread and no dedup, the merge is
-    /// **fenced**: the key space is split into per-thread partitions and
-    /// each partition merges into its pre-assigned extent of the output
-    /// file on its own worker, with the sequential schedule's logical I/O
-    /// priced arithmetically per partition (see the module docs). Output
-    /// bytes and logical counters are identical to the sequential merge for
-    /// every thread count.
     pub fn materialize(mut self, label: &str) -> io::Result<ExtFile<T>> {
         match self.runs.len() {
             0 => ExtFile::empty(&self.env, label),
             1 => Ok(self.runs.pop().expect("one run")),
             _ => {
                 let env = self.env.clone();
-                if !self.dedup {
-                    if let Some(out) = merge_fenced_parallel(&env, &self.runs, self.key, label)? {
-                        return Ok(out);
-                    }
-                }
                 self.into_stream()?.materialize(&env, label)
             }
         }
@@ -266,24 +219,10 @@ fn sort_runs<T, K, F, S>(
 where
     T: Record,
     K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
+    F: Fn(&T) -> K + Copy,
     S: SortedSource<T>,
 {
-    // Parallel run formation needs positioned access to disjoint record
-    // ranges, so it only applies to file-backed inputs with at least two
-    // chunks to hand out; everything else takes the sequential path.
-    let file_hint = input.as_sorted_file();
-    let mut runs = match par_formation_chunks::<T>(env, file_hint.as_ref()) {
-        Some(n_chunks) => form_runs_parallel(
-            env,
-            file_hint.as_ref().expect("chunk plan implies file hint"),
-            label,
-            key,
-            dedup,
-            n_chunks,
-        )?,
-        None => form_runs(env, input.open_sorted()?, label, key, dedup)?,
-    };
+    let mut runs = form_runs(env, input.open_sorted()?, label, key, dedup)?;
 
     // Merge passes until the remaining runs fit one merge — the consumer's.
     let fan_in = env.config().sort_fan_in().max(2);
@@ -292,27 +231,20 @@ where
         let _sp = crate::io_span!(env, "merge_pass", pass = pass, runs_in = runs.len());
         // Taking the groups by value lets MergeStream delete each run the
         // moment it is exhausted, keeping peak scratch space O(input).
-        let mut groups: Vec<Vec<ExtFile<T>>> = Vec::with_capacity(runs.len().div_ceil(fan_in));
+        let mut next = Vec::with_capacity(runs.len().div_ceil(fan_in));
         let mut it = runs.into_iter();
         loop {
             let group: Vec<ExtFile<T>> = it.by_ref().take(fan_in).collect();
             if group.is_empty() {
                 break;
             }
-            groups.push(group);
+            let gi = next.len();
+            next.push(
+                MergeStream::new(group, key, dedup)?
+                    .materialize(env, &format!("{label}-p{pass}g{gi}"))?,
+            );
         }
-        let workers = env.threads().min(groups.len());
-        runs = if workers > 1 {
-            merge_groups_parallel(env, groups, key, dedup, label, pass, workers)?
-        } else {
-            let mut next = Vec::with_capacity(groups.len());
-            for (gi, group) in groups.into_iter().enumerate() {
-                let merged = MergeStream::new(group, key, dedup)?
-                    .materialize(env, &format!("{label}-p{pass}g{gi}"))?;
-                next.push(merged);
-            }
-            next
-        };
+        runs = next;
         pass += 1;
     }
 
@@ -323,559 +255,6 @@ where
         dedup,
         _marker: std::marker::PhantomData,
     })
-}
-
-/// Decides whether parallel run formation applies: `Some(n_chunks)` when the
-/// input is file-backed, the environment grants more than one thread, and
-/// the file spans at least two `M`-byte chunks.
-fn par_formation_chunks<T: Record>(env: &DiskEnv, file: Option<&ExtFile<T>>) -> Option<u64> {
-    let file = file?;
-    if env.threads() <= 1 {
-        return None;
-    }
-    let run_records = (env.config().mem_budget / T::SIZE).max(1) as u64;
-    let n_chunks = file.len().div_ceil(run_records);
-    (n_chunks >= 2).then_some(n_chunks)
-}
-
-/// Maps a scoped worker's result out, converting a panic into an I/O error
-/// (worker panics otherwise abort the whole process via scope re-raise).
-fn join_worker<R>(h: std::thread::ScopedJoinHandle<'_, io::Result<R>>) -> io::Result<R> {
-    h.join()
-        .unwrap_or_else(|_| Err(io::Error::other("parallel sort worker panicked")))
-}
-
-/// Charges into `stats` exactly the refills the sequential one-buffer reader
-/// schedule assigns to the record range `[lo, hi)` of a `total`-record file:
-/// refill `j` (buffer `per_block` records) belongs to the range containing
-/// its first record `j·per_block`, reads `min(bufsize, (total − j·pb)·rec)`
-/// bytes, and is random only for `j = 0`. Tiling `[0, total)` with disjoint
-/// ranges therefore reproduces the sequential scan's charges exactly.
-fn price_reader_refills(
-    stats: &IoStats,
-    block: u64,
-    per_block: u64,
-    rec: u64,
-    total: u64,
-    lo: u64,
-    hi: u64,
-) {
-    if lo >= hi {
-        return;
-    }
-    let bufsize = per_block * rec;
-    for j in lo.div_ceil(per_block)..hi.div_ceil(per_block) {
-        let want = bufsize.min((total - j * per_block) * rec);
-        stats.record_read(want.div_ceil(block), want, j > 0);
-    }
-}
-
-/// The write-side counterpart of [`price_reader_refills`]: flush `j` of the
-/// sequential one-buffer writer covers records `[j·pb, min((j+1)·pb, total))`
-/// and is always sequential (writers start at offset 0).
-fn price_writer_flushes(
-    stats: &IoStats,
-    block: u64,
-    per_block: u64,
-    rec: u64,
-    total: u64,
-    lo: u64,
-    hi: u64,
-) {
-    if lo >= hi {
-        return;
-    }
-    let bufsize = per_block * rec;
-    for j in lo.div_ceil(per_block)..hi.div_ceil(per_block) {
-        let want = bufsize.min((total - j * per_block) * rec);
-        stats.record_write(want.div_ceil(block), want, true);
-    }
-}
-
-/// Parallel phase 1: the same `M`-byte chunks as [`form_runs`] — geometry,
-/// in-chunk unstable sort, labels and per-run dedup all identical — but with
-/// contiguous bands of chunks farmed out to scoped workers. Workers read
-/// their byte ranges raw and charge the sequential refill schedule into a
-/// private ledger ([`price_reader_refills`]); run writers route their
-/// organic charges into the same ledger. Ledgers are folded into the shared
-/// counters in band order after the join, so the logical totals are
-/// bit-identical to the sequential pass (see the module docs).
-fn form_runs_parallel<T, K, F>(
-    env: &DiskEnv,
-    input: &ExtFile<T>,
-    label: &str,
-    key: F,
-    dedup: bool,
-    n_chunks: u64,
-) -> io::Result<Vec<ExtFile<T>>>
-where
-    T: Record,
-    K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
-{
-    let _sp = crate::io_span!(env, "run_formation");
-    let total = input.len();
-    let run_records = (env.config().mem_budget / T::SIZE).max(1) as u64;
-    let block = env.config().block_size as u64;
-    let per_block = (env.config().block_size / T::SIZE).max(1) as u64;
-    let rec = T::SIZE as u64;
-    let workers = (env.threads() as u64).min(n_chunks);
-
-    // Contiguous bands of whole chunks, as level as the chunk count allows.
-    let base = n_chunks / workers;
-    let rem = n_chunks % workers;
-    let mut bands: Vec<(u64, u64)> = Vec::with_capacity(workers as usize);
-    let mut at = 0u64;
-    for w in 0..workers {
-        let cnt = base + u64::from(w < rem);
-        bands.push((at, at + cnt));
-        at += cnt;
-    }
-
-    struct BandOut<T: Record> {
-        ledger: IoSnapshot,
-        runs: Vec<(u64, ExtFile<T>)>,
-        chunk_lens: Vec<u64>,
-    }
-
-    let results: Vec<io::Result<BandOut<T>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = bands
-            .iter()
-            .map(|&(c0, c1)| {
-                let envc = env.clone();
-                let path = input.path().to_path_buf();
-                s.spawn(move || -> io::Result<BandOut<T>> {
-                    let ledger = Arc::new(IoStats::new());
-                    let raw = CountedFile::open_read(&envc, &path)?;
-                    let lo = c0 * run_records;
-                    let hi = (c1 * run_records).min(total);
-                    price_reader_refills(&ledger, block, per_block, rec, total, lo, hi);
-                    let mut buf = vec![0u8; (per_block * rec) as usize];
-                    let mut chunk: Vec<(K, T)> =
-                        Vec::with_capacity(run_records.min(hi - lo) as usize);
-                    let mut runs = Vec::with_capacity((c1 - c0) as usize);
-                    let mut chunk_lens = Vec::with_capacity((c1 - c0) as usize);
-                    for c in c0..c1 {
-                        let start = c * run_records;
-                        let end = ((c + 1) * run_records).min(total) * rec;
-                        chunk.clear();
-                        let mut pos = start * rec;
-                        while pos < end {
-                            let want = (buf.len() as u64).min(end - pos) as usize;
-                            let n = raw.read_at_raw(pos, &mut buf[..want])?;
-                            let usable = n - n % T::SIZE;
-                            if usable == 0 {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::UnexpectedEof,
-                                    "record file truncated under parallel run formation",
-                                ));
-                            }
-                            for off in (0..usable).step_by(T::SIZE) {
-                                let v = T::decode(&buf[off..off + T::SIZE]);
-                                chunk.push((key(&v), v));
-                            }
-                            pos += usable as u64;
-                        }
-                        chunk.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                        let mut w = RecordWriter::<T>::create_routed(
-                            envc.clone(),
-                            &format!("{label}-run{c}"),
-                            Arc::clone(&ledger),
-                        )?;
-                        let mut last: Option<&K> = None;
-                        for (k, v) in &chunk {
-                            if !dedup || last != Some(k) {
-                                w.push(*v)?;
-                            }
-                            last = Some(k);
-                        }
-                        chunk_lens.push(chunk.len() as u64);
-                        runs.push((c, w.finish()?));
-                    }
-                    Ok(BandOut {
-                        ledger: ledger.snapshot(),
-                        runs,
-                        chunk_lens,
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-
-    // Fold ledgers and run-length observations back in band order, then
-    // order runs by their global chunk index: totals, metrics and the run
-    // list all match the sequential pass.
-    let mut runs: Vec<(u64, ExtFile<T>)> = Vec::with_capacity(n_chunks as usize);
-    for r in results {
-        let band = r?;
-        env.stats().add(&band.ledger);
-        for len in band.chunk_lens {
-            ce_obs::metrics::observe("sort.run_records", len);
-        }
-        runs.extend(band.runs);
-    }
-    runs.sort_by_key(|&(c, _)| c);
-    Ok(runs.into_iter().map(|(_, f)| f).collect())
-}
-
-/// Merged group outputs tagged with their group index, so the dispatching
-/// pass can reassemble them in group order.
-type IndexedFiles<T> = Vec<(usize, ExtFile<T>)>;
-
-/// Dispatches one merge pass's fan-in groups to scoped workers. Each group's
-/// merge charges the environment's shared counters organically: per-handle
-/// charges are a deterministic function of that group's run contents, and
-/// the counters are relaxed atomics, so concurrent charging commutes to the
-/// sequential pass's totals exactly. Outputs are reassembled in group order.
-fn merge_groups_parallel<T, K, F>(
-    env: &DiskEnv,
-    groups: Vec<Vec<ExtFile<T>>>,
-    key: F,
-    dedup: bool,
-    label: &str,
-    pass: usize,
-    workers: usize,
-) -> io::Result<Vec<ExtFile<T>>>
-where
-    T: Record,
-    K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
-{
-    let n = groups.len();
-    let mut work: Vec<Vec<(usize, Vec<ExtFile<T>>)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (gi, g) in groups.into_iter().enumerate() {
-        work[gi % workers].push((gi, g));
-    }
-    let results: Vec<io::Result<IndexedFiles<T>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = work
-            .into_iter()
-            .map(|list| {
-                let envc = env.clone();
-                s.spawn(move || -> io::Result<IndexedFiles<T>> {
-                    let mut out = Vec::with_capacity(list.len());
-                    for (gi, group) in list {
-                        let merged = MergeStream::new(group, key, dedup)?
-                            .materialize(&envc, &format!("{label}-p{pass}g{gi}"))?;
-                        out.push((gi, merged));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    let mut merged: Vec<Option<ExtFile<T>>> = (0..n).map(|_| None).collect();
-    for r in results {
-        for (gi, f) in r? {
-            merged[gi] = Some(f);
-        }
-    }
-    Ok(merged
-        .into_iter()
-        .map(|f| f.expect("every group merged"))
-        .collect())
-}
-
-/// Buffered raw reader over the record range `[lo, hi)` of a run file: same
-/// buffer geometry as [`RecordReader`], but unpriced — the fenced merge
-/// charges the sequential schedule arithmetically instead.
-struct RawSliceReader<T: Record> {
-    file: CountedFile,
-    buf: Vec<u8>,
-    buf_len: usize,
-    buf_pos: usize,
-    /// Byte offset of the next unread byte.
-    pos: u64,
-    /// Byte offset one past the slice end.
-    end: u64,
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<T: Record> RawSliceReader<T> {
-    fn open(
-        env: &DiskEnv,
-        path: &std::path::Path,
-        lo_rec: u64,
-        hi_rec: u64,
-        per_block: u64,
-    ) -> io::Result<RawSliceReader<T>> {
-        Ok(RawSliceReader {
-            file: CountedFile::open_read(env, path)?,
-            buf: vec![0u8; (per_block * T::SIZE as u64) as usize],
-            buf_len: 0,
-            buf_pos: 0,
-            pos: lo_rec * T::SIZE as u64,
-            end: hi_rec * T::SIZE as u64,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    fn next(&mut self) -> io::Result<Option<T>> {
-        if self.buf_pos == self.buf_len {
-            if self.pos >= self.end {
-                return Ok(None);
-            }
-            let want = (self.buf.len() as u64).min(self.end - self.pos) as usize;
-            let n = self.file.read_at_raw(self.pos, &mut self.buf[..want])?;
-            let usable = n - n % T::SIZE;
-            if usable == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "run file truncated under fenced merge",
-                ));
-            }
-            self.buf_len = usable;
-            self.buf_pos = 0;
-            self.pos += usable as u64;
-        }
-        let v = T::decode(&self.buf[self.buf_pos..self.buf_pos + T::SIZE]);
-        self.buf_pos += T::SIZE;
-        Ok(Some(v))
-    }
-}
-
-/// Buffered raw writer into a pre-assigned extent of the shared output file
-/// (flushes at the worker's own offsets; the fenced merge prices the
-/// sequential writer's flush schedule arithmetically instead).
-struct RawExtentWriter<T: Record> {
-    file: CountedFile,
-    buf: Vec<u8>,
-    filled: usize,
-    /// Absolute byte offset of the next flush.
-    pos: u64,
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<T: Record> RawExtentWriter<T> {
-    fn open(
-        env: &DiskEnv,
-        path: &std::path::Path,
-        start_rec: u64,
-        per_block: u64,
-    ) -> io::Result<RawExtentWriter<T>> {
-        Ok(RawExtentWriter {
-            file: CountedFile::open_rw(env, path)?,
-            buf: vec![0u8; (per_block * T::SIZE as u64) as usize],
-            filled: 0,
-            pos: start_rec * T::SIZE as u64,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    fn push(&mut self, v: &T) -> io::Result<()> {
-        if self.filled == self.buf.len() {
-            self.flush()?;
-        }
-        v.encode(&mut self.buf[self.filled..self.filled + T::SIZE]);
-        self.filled += T::SIZE;
-        Ok(())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.filled > 0 {
-            self.file.write_at_raw(self.pos, &self.buf[..self.filled])?;
-            self.pos += self.filled as u64;
-            self.filled = 0;
-        }
-        Ok(())
-    }
-}
-
-/// The fenced parallel final merge (no-dedup only: with dedup the surviving
-/// record count — and therefore every extent boundary — is unknowable
-/// without doing the merge). Returns `Ok(None)` when it does not apply and
-/// the caller should fall back to the sequential materializing merge.
-///
-/// Fence keys are sampled from the largest run, every run's fence
-/// boundaries are found by raw binary search, and each key partition merges
-/// on its own worker into its pre-assigned extent of one output file.
-/// Per-partition heaps keep the `(key, run_index)` tie-break of
-/// [`MergeStream`], so output bytes are identical to the sequential merge;
-/// per-partition arithmetic pricing ([`price_reader_refills`] /
-/// [`price_writer_flushes`]) folded in partition order keeps the logical
-/// counters bit-identical.
-fn merge_fenced_parallel<T, K, F>(
-    env: &DiskEnv,
-    runs: &[ExtFile<T>],
-    key: F,
-    label: &str,
-) -> io::Result<Option<ExtFile<T>>>
-where
-    T: Record,
-    K: Ord,
-    F: Fn(&T) -> K + Copy + Send,
-{
-    let threads = env.threads() as u64;
-    let rec = T::SIZE as u64;
-    let block = env.config().block_size as u64;
-    let per_block = (env.config().block_size / T::SIZE).max(1) as u64;
-    let total: u64 = runs.iter().map(|r| r.len()).sum();
-    // Worth fencing only with real parallelism and at least a couple of
-    // buffer refills per partition to amortize the boundary searches.
-    if threads <= 1 || total < threads * per_block * 2 {
-        return Ok(None);
-    }
-
-    let raws: Vec<CountedFile> = runs
-        .iter()
-        .map(|r| CountedFile::open_read(env, r.path()))
-        .collect::<io::Result<_>>()?;
-    let mut rb = vec![0u8; T::SIZE];
-    let mut read_rec = |r: usize, idx: u64| -> io::Result<T> {
-        let n = raws[r].read_at_raw(idx * rec, &mut rb)?;
-        if n < T::SIZE {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "run file truncated while sampling fences",
-            ));
-        }
-        Ok(T::decode(&rb[..T::SIZE]))
-    };
-
-    // Fence keys: evenly spaced samples of the largest run. Heavily skewed
-    // key spaces may collapse to no usable fence — fall back.
-    let (mi, _) = runs
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, r)| r.len())
-        .expect("fenced merge requires runs");
-    let ml = runs[mi].len();
-    let mut fences: Vec<K> = Vec::new();
-    for p in 1..threads {
-        let k = key(&read_rec(mi, p * ml / threads)?);
-        if fences.last().is_none_or(|f| *f < k) {
-            fences.push(k);
-        }
-    }
-    if fences.is_empty() {
-        return Ok(None);
-    }
-
-    // bounds[r] = [0, b_1, …, L_r]: per run, the first index whose key is
-    // ≥ each fence (raw binary search — equal keys never straddle a fence).
-    let n_parts = fences.len() + 1;
-    let mut bounds: Vec<Vec<u64>> = Vec::with_capacity(runs.len());
-    for (r, run) in runs.iter().enumerate() {
-        let mut bs = Vec::with_capacity(n_parts + 1);
-        bs.push(0);
-        for f in &fences {
-            let (mut lo, mut hi) = (0u64, run.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if key(&read_rec(r, mid)?) < *f {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            bs.push(lo);
-        }
-        bs.push(run.len());
-        bounds.push(bs);
-    }
-    drop(raws);
-
-    // Output extents: partition p writes records [starts[p], starts[p+1]).
-    let mut starts = vec![0u64; n_parts + 1];
-    for p in 0..n_parts {
-        let sz: u64 = bounds.iter().map(|bs| bs[p + 1] - bs[p]).sum();
-        starts[p + 1] = starts[p] + sz;
-    }
-    debug_assert_eq!(starts[n_parts], total);
-
-    let _sp = crate::io_span!(env, "materialize");
-    let out_path = env.fresh_path(label);
-    CountedFile::create(env, &out_path)?;
-
-    let results: Vec<io::Result<IoSnapshot>> = std::thread::scope(|s| {
-        let bounds = &bounds;
-        let starts = &starts;
-        let out_path = &out_path;
-        let handles: Vec<_> = (0..n_parts)
-            .map(|p| {
-                let envc = env.clone();
-                s.spawn(move || -> io::Result<IoSnapshot> {
-                    let ledger = IoStats::new();
-                    // Price the sequential merge's charges that belong to
-                    // this partition: per run, the refills of its slice; for
-                    // the output, the flushes of its extent.
-                    for (r, run) in runs.iter().enumerate() {
-                        price_reader_refills(
-                            &ledger,
-                            block,
-                            per_block,
-                            rec,
-                            run.len(),
-                            bounds[r][p],
-                            bounds[r][p + 1],
-                        );
-                    }
-                    price_writer_flushes(
-                        &ledger, block, per_block, rec, total, starts[p], starts[p + 1],
-                    );
-
-                    // The merge itself, raw. Readers keep ascending run
-                    // order so the (key, index) tie-break matches the
-                    // sequential heap's.
-                    let mut readers: Vec<RawSliceReader<T>> = Vec::new();
-                    for (r, run) in runs.iter().enumerate() {
-                        let (lo, hi) = (bounds[r][p], bounds[r][p + 1]);
-                        if lo < hi {
-                            readers.push(RawSliceReader::open(
-                                &envc,
-                                run.path(),
-                                lo,
-                                hi,
-                                per_block,
-                            )?);
-                        }
-                    }
-                    let mut writer =
-                        RawExtentWriter::<T>::open(&envc, out_path, starts[p], per_block)?;
-                    let mut heap: BinaryHeap<Reverse<(K, usize)>> =
-                        BinaryHeap::with_capacity(readers.len());
-                    let mut pending: Vec<Option<T>> = Vec::with_capacity(readers.len());
-                    for (i, rd) in readers.iter_mut().enumerate() {
-                        match rd.next()? {
-                            Some(v) => {
-                                heap.push(Reverse((key(&v), i)));
-                                pending.push(Some(v));
-                            }
-                            None => pending.push(None),
-                        }
-                    }
-                    while let Some(&Reverse((_, i))) = heap.peek() {
-                        let v = pending[i].take().expect("heap entry implies pending value");
-                        match readers[i].next()? {
-                            Some(nv) => {
-                                let nk = key(&nv);
-                                pending[i] = Some(nv);
-                                let mut top = heap.peek_mut().expect("heap peeked above");
-                                *top = Reverse((nk, i));
-                            }
-                            None => {
-                                let top = heap.peek_mut().expect("heap peeked above");
-                                PeekMut::pop(top);
-                            }
-                        }
-                        writer.push(&v)?;
-                    }
-                    writer.flush()?;
-                    Ok(ledger.snapshot())
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    for r in results {
-        env.stats().add(&r?);
-    }
-    Ok(Some(ExtFile::from_finished_parts(
-        env.clone(),
-        out_path,
-        total,
-    )))
 }
 
 /// Phase 1: read `M`-byte chunks, sort each with cached keys, spill sorted
@@ -1357,16 +736,14 @@ mod tests {
         // records -> 64 runs, fan-in 3 -> several
         // passes. Track the peak number of live scratch files and bytes
         // during the merge via the key function, which runs constantly.
-        // (Atomics, not Cells: sort key functions are `Send` since the
-        // parallel executors landed.)
-        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::cell::Cell;
         let env = env();
         let items: Vec<u32> = (0..4096).rev().collect();
         let f = env.file_from_slice("in", &items).unwrap();
         let input_bytes = f.bytes();
         let root = env.root().to_path_buf();
-        let peak_bytes = AtomicU64::new(0);
-        let calls = AtomicU64::new(0);
+        let peak_bytes = Cell::new(0u64);
+        let calls = Cell::new(0u64);
         let live_bytes = |root: &std::path::Path| -> u64 {
             std::fs::read_dir(root)
                 .unwrap()
@@ -1376,14 +753,14 @@ mod tests {
         };
         let sorted = sort_by_key(&env, &f, "out", |&x| {
             // Sample occasionally; a full dir listing per comparison is slow.
-            if calls.fetch_add(1, Ordering::Relaxed).is_multiple_of(512) {
-                peak_bytes.fetch_max(live_bytes(&root), Ordering::Relaxed);
+            if calls.replace(calls.get() + 1).is_multiple_of(512) {
+                peak_bytes.set(peak_bytes.get().max(live_bytes(&root)));
             }
             x
         })
         .unwrap();
         assert_eq!(sorted.len(), 4096);
-        assert!(peak_bytes.load(Ordering::Relaxed) > 0, "sampling never fired");
+        assert!(peak_bytes.get() > 0, "sampling never fired");
         // Any single merge inherently holds its input runs plus its output
         // plus the source file (≈ 3× input at the final merge); eager
         // per-run deletion guarantees nothing *beyond* that accumulates.
@@ -1391,9 +768,9 @@ mod tests {
         // this sort would stack up to ≈ 6× input — the regression this
         // bound catches.
         assert!(
-            peak_bytes.load(Ordering::Relaxed) <= input_bytes * 17 / 5,
+            peak_bytes.get() <= input_bytes * 17 / 5,
             "peak scratch {} B exceeds ~3.4x input {} B — eager run deletion broken?",
-            peak_bytes.load(Ordering::Relaxed),
+            peak_bytes.get(),
             input_bytes
         );
     }
@@ -1453,122 +830,5 @@ mod tests {
         assert!(is_sorted_by_key(&f, |&x| x).unwrap());
         let g = env.file_from_slice("b", &[1u32, 3, 2]).unwrap();
         assert!(!is_sorted_by_key(&g, |&x| x).unwrap());
-    }
-
-    fn par_env(threads: usize) -> DiskEnv {
-        DiskEnv::new_temp_with(
-            IoConfig::new(64, 256),
-            crate::env::EnvOptions::default().with_threads(threads),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn parallel_sort_matches_sequential_bytes_and_stats() {
-        // 4096 records, 64 runs, several merge passes plus a fenced final
-        // merge: every parallel code path fires. Output bytes and the full
-        // six-counter logical delta must match threads=1 bit for bit.
-        let items: Vec<u32> = (0..4096u64).map(|i| (i * 2654435761 % 4093) as u32).collect();
-        let mut baseline: Option<(Vec<u32>, crate::stats::IoSnapshot)> = None;
-        for threads in [1usize, 2, 3, 4] {
-            let env = par_env(threads);
-            let f = env.file_from_slice("in", &items).unwrap();
-            let before = env.stats().snapshot();
-            let sorted = sort_by_key(&env, &f, "out", |&x| x).unwrap();
-            let delta = env.stats().snapshot().since(&before);
-            let all = sorted.read_all().unwrap();
-            match &baseline {
-                None => baseline = Some((all, delta)),
-                Some((b_all, b_delta)) => {
-                    assert_eq!(&all, b_all, "output differs at threads={threads}");
-                    assert_eq!(&delta, b_delta, "logical I/O differs at threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_dedup_sort_matches_sequential() {
-        // Dedup skips the fenced final merge but still exercises parallel
-        // run formation and parallel merge passes.
-        let items: Vec<u32> = (0..3000u64).map(|i| (i * 48271 % 97) as u32).collect();
-        let mut baseline: Option<(Vec<u32>, crate::stats::IoSnapshot)> = None;
-        for threads in [1usize, 2, 4] {
-            let env = par_env(threads);
-            let f = env.file_from_slice("in", &items).unwrap();
-            let before = env.stats().snapshot();
-            let sorted = sort_dedup_by_key(&env, &f, "out", |&x| x).unwrap();
-            let delta = env.stats().snapshot().since(&before);
-            let all = sorted.read_all().unwrap();
-            assert_eq!(all, (0..97).collect::<Vec<u32>>());
-            match &baseline {
-                None => baseline = Some((all, delta)),
-                Some((_, b_delta)) => {
-                    assert_eq!(&delta, b_delta, "logical I/O differs at threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fenced_merge_falls_back_on_degenerate_key_space() {
-        // All-equal keys leave no usable fence; the fenced merge must bow
-        // out and the sequential fallback must still be priced identically.
-        let items = vec![7u32; 2048];
-        let mut baseline: Option<crate::stats::IoSnapshot> = None;
-        for threads in [1usize, 4] {
-            let env = par_env(threads);
-            let f = env.file_from_slice("in", &items).unwrap();
-            let before = env.stats().snapshot();
-            let sorted = sort_by_key(&env, &f, "out", |&x| x).unwrap();
-            let delta = env.stats().snapshot().since(&before);
-            assert_eq!(sorted.read_all().unwrap(), items);
-            match &baseline {
-                None => baseline = Some(delta),
-                Some(b) => assert_eq!(&delta, b, "stats differ at threads={threads}"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_sort_of_a_stream_input_falls_back_to_sequential_formation() {
-        // Stream inputs have no file hint, so formation is sequential even
-        // with threads granted; the fenced final merge still applies.
-        let env = par_env(4);
-        let items: Vec<u32> = (0..2000).rev().collect();
-        let f = env.file_from_slice("in", &items).unwrap();
-        let odd = f.stream().unwrap().filter(|&x| x % 2 == 1);
-        let sorted = sort_by_key(&env, odd, "odd", |&x| x).unwrap();
-        let all = sorted.read_all().unwrap();
-        assert_eq!(all.len(), 1000);
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn pricing_helpers_reproduce_the_organic_schedules() {
-        // Tiling [0, L) with arbitrary partitions must charge exactly what
-        // a real sequential reader/writer charges organically.
-        let env = DiskEnv::new_temp(IoConfig::new(64, 4096)).unwrap();
-        let items: Vec<u32> = (0..500).collect();
-
-        let before = env.stats().snapshot();
-        let f = env.file_from_slice("w", &items).unwrap();
-        let organic_w = env.stats().snapshot().since(&before);
-        let before = env.stats().snapshot();
-        let _ = f.read_all().unwrap();
-        let organic_r = env.stats().snapshot().since(&before);
-
-        let (block, rec) = (64u64, 4u64);
-        let per_block = block / rec; // 16 records per buffer
-        for cuts in [vec![0u64, 500], vec![0, 1, 17, 250, 499, 500]] {
-            let priced_r = IoStats::new();
-            let priced_w = IoStats::new();
-            for lohi in cuts.windows(2) {
-                price_reader_refills(&priced_r, block, per_block, rec, 500, lohi[0], lohi[1]);
-                price_writer_flushes(&priced_w, block, per_block, rec, 500, lohi[0], lohi[1]);
-            }
-            assert_eq!(priced_r.snapshot(), organic_r, "reader pricing, cuts {cuts:?}");
-            assert_eq!(priced_w.snapshot(), organic_w, "writer pricing, cuts {cuts:?}");
-        }
     }
 }

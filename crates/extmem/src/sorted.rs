@@ -39,19 +39,12 @@
 //! require sorted inputs document the key they expect, exactly as the
 //! file-based operators always did.
 //!
-//! # Parallel execution
+//! # Threads
 //!
-//! The pipeline is orthogonal to the multi-core layer in [`crate::sort`]:
-//! when a source is file-backed ([`SortedSource::as_sorted_file`]), run
-//! formation and the materializing merge may fan out across
-//! `DiskEnv::threads()` workers, but every worker charges the *sequential*
-//! schedule's refills and flushes into a private ledger that is folded into
-//! the environment's counters in partition order after the join — the
-//! **partition-ordered stats-merge rule** (see the `crate::sort` module
-//! docs). Stream consumers therefore observe bit-identical logical I/O at
-//! every thread count; in-flight (non-file) sources simply take the
-//! sequential path, since a one-way stream cannot hand disjoint record
-//! ranges to independent workers.
+//! Streams are single-threaded. The only multi-core execution is `ce_core`'s
+//! `run_pair`, which drives two independent chains on two threads; each
+//! chain's charges depend only on its own handles, so logical I/O is the
+//! same at every thread count.
 //!
 //! # Batched pull & buffer reuse
 //!
@@ -225,16 +218,6 @@ pub trait SortedSource<T: Record> {
 
     /// Opens the stream (for files: positions a reader at the first record).
     fn open_sorted(self) -> io::Result<Self::Stream>;
-
-    /// The materialized file behind this source, when it is one (`None` for
-    /// in-flight streams). The parallel run formation only applies to
-    /// file-backed inputs — workers need independent positioned access to
-    /// disjoint record ranges, which a one-way stream cannot provide — so
-    /// [`crate::sort_by_key`] consults this hook and falls back to the
-    /// sequential path whenever it returns `None`.
-    fn as_sorted_file(&self) -> Option<ExtFile<T>> {
-        None
-    }
 }
 
 /// Implements [`SortedSource`] as the identity for a stream type.
@@ -255,10 +238,6 @@ impl<T: Record> SortedSource<T> for &ExtFile<T> {
 
     fn open_sorted(self) -> io::Result<FileStream<T>> {
         self.stream()
-    }
-
-    fn as_sorted_file(&self) -> Option<ExtFile<T>> {
-        Some((*self).clone())
     }
 }
 

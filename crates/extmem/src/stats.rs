@@ -61,21 +61,6 @@ impl IoStats {
     pub fn total_ios(&self) -> u64 {
         self.snapshot().total_ios()
     }
-
-    /// Adds every counter of `delta` to this instance — the merge step of
-    /// the parallel executors, which price each worker's transfers into a
-    /// private `IoStats` and fold the snapshots back into the environment's
-    /// shared counters **in partition order** once the workers have joined.
-    /// Addition is commutative, so the merged totals are bit-identical to
-    /// the sequential schedule whatever the workers' real interleaving was.
-    pub fn add(&self, delta: &IoSnapshot) {
-        self.seq_reads.fetch_add(delta.seq_reads, Ordering::Relaxed);
-        self.rand_reads.fetch_add(delta.rand_reads, Ordering::Relaxed);
-        self.seq_writes.fetch_add(delta.seq_writes, Ordering::Relaxed);
-        self.rand_writes.fetch_add(delta.rand_writes, Ordering::Relaxed);
-        self.bytes_read.fetch_add(delta.bytes_read, Ordering::Relaxed);
-        self.bytes_written.fetch_add(delta.bytes_written, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of [`IoStats`]; supports differencing so callers can
@@ -188,27 +173,6 @@ mod tests {
         let b = a.plus(&a);
         assert_eq!(b.total_ios(), 20);
         assert_eq!(b.bytes_read, 10);
-    }
-
-    #[test]
-    fn add_merges_a_snapshot_into_live_counters() {
-        let s = IoStats::new();
-        s.record_read(3, 3000, true);
-        s.add(&IoSnapshot {
-            seq_reads: 1,
-            rand_reads: 2,
-            seq_writes: 3,
-            rand_writes: 4,
-            bytes_read: 5,
-            bytes_written: 6,
-        });
-        let snap = s.snapshot();
-        assert_eq!(snap.seq_reads, 4);
-        assert_eq!(snap.rand_reads, 2);
-        assert_eq!(snap.seq_writes, 3);
-        assert_eq!(snap.rand_writes, 4);
-        assert_eq!(snap.bytes_read, 3005);
-        assert_eq!(snap.bytes_written, 6);
     }
 
     #[test]

@@ -112,18 +112,6 @@ impl<T: Record> ExtFile<T> {
     pub fn empty(env: &DiskEnv, label: &str) -> io::Result<ExtFile<T>> {
         env.writer::<T>(label)?.finish()
     }
-
-    /// Wraps an already-written scratch file (at a path allocated via
-    /// `env.fresh_path`) holding exactly `len` records. Used by the fenced
-    /// parallel merge, whose workers write disjoint extents of one output
-    /// file through raw handles instead of a single [`RecordWriter`].
-    pub(crate) fn from_finished_parts(env: DiskEnv, path: PathBuf, len: u64) -> ExtFile<T> {
-        ExtFile {
-            inner: Arc::new(FileInner { path, env }),
-            len,
-            _marker: PhantomData,
-        }
-    }
 }
 
 /// Streaming writer producing an [`ExtFile<T>`].
@@ -158,22 +146,6 @@ impl<T: Record> RecordWriter<T> {
             finished: false,
             _marker: PhantomData,
         })
-    }
-
-    /// Like [`RecordWriter::create`], but routes the writer's logical
-    /// charges into `stats` instead of the environment's shared counters.
-    /// The parallel run formation gives each worker a private ledger this
-    /// way, then folds the ledgers back in partition order — a fresh writer
-    /// charges a deterministic function of what it writes, so the totals
-    /// match the sequential schedule bit for bit.
-    pub(crate) fn create_routed(
-        env: DiskEnv,
-        label: &str,
-        stats: std::sync::Arc<crate::stats::IoStats>,
-    ) -> io::Result<RecordWriter<T>> {
-        let mut w = RecordWriter::create(env, label)?;
-        w.file.route_stats(stats);
-        Ok(w)
     }
 
     /// Appends one record.

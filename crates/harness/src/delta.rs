@@ -157,7 +157,7 @@ enum Op {
 }
 
 /// Deterministic xorshift64 (seeds must be nonzero).
-fn xorshift(x: &mut u64) -> u64 {
+pub(crate) fn xorshift(x: &mut u64) -> u64 {
     *x ^= *x << 13;
     *x ^= *x >> 7;
     *x ^= *x << 17;

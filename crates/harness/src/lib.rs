@@ -378,6 +378,138 @@ pub fn build_query_index(
     Ok(reps)
 }
 
+/// One query of the `scc serve` line protocol.
+#[derive(Debug)]
+pub enum ServeQuery {
+    /// `c u` — `component_of(u)`.
+    Point(u32),
+    /// `s u v` — `same_component(u, v)`.
+    Same(u32, u32),
+    /// `z u` — `component_size(u)`.
+    Size(u32),
+    /// `b u1 u2 ...` — `component_of_many(&[u1, u2, ...])`.
+    Batch(Vec<u32>),
+}
+
+/// Draws one query of the mixed serve workload from the xorshift state `x`
+/// (which must be nonzero): 60% point lookups, 20% pair checks, 10% size
+/// lookups and 10% batches of `batch` nodes, every node uniform over
+/// `0..n_nodes`. The state fully determines the sequence.
+pub fn gen_query(x: &mut u64, n_nodes: u32, batch: usize) -> ServeQuery {
+    let node = |x: &mut u64| (delta::xorshift(x) % u64::from(n_nodes)) as u32;
+    match delta::xorshift(x) % 10 {
+        0..=5 => ServeQuery::Point(node(x)),
+        6 | 7 => ServeQuery::Same(node(x), node(x)),
+        8 => ServeQuery::Size(node(x)),
+        _ => ServeQuery::Batch((0..batch).map(|_| node(x)).collect()),
+    }
+}
+
+/// The concurrent serve check behind `scc serve --self-test` and
+/// `tests/serve.rs`. Generates `n_queries` queries from `seed` over the
+/// index at `path`, built by [`build_query_index`] with oracle
+/// representatives `reps`. It replays them once through an owned
+/// [`SccIndex`] in `env`, recording each query's logical I/O, then on
+/// `threads` concurrent clones of one shared reader with a 64-block pool.
+/// Every shared answer must match the oracle, and every per-query logical
+/// delta must equal the owned one; the first mismatch is the error.
+pub fn check_serve(
+    env: &DiskEnv,
+    path: &std::path::Path,
+    reps: &[u32],
+    seed: u64,
+    n_queries: usize,
+    threads: usize,
+) -> io::Result<()> {
+    let n_nodes = u32::try_from(reps.len()).map_err(|_| io::Error::other("too many nodes"))?;
+    let mut sizes = HashMap::<u32, u64>::new();
+    for &r in reps {
+        *sizes.entry(r).or_default() += 1;
+    }
+    let mut x = (seed ^ 0x9e37_79b9_7f4a_7c15) | 1;
+    let workload: Vec<ServeQuery> = (0..n_queries)
+        .map(|_| gen_query(&mut x, n_nodes, 8))
+        .collect();
+
+    let mut owned = SccIndex::open(env, path)?;
+    let mut owned_deltas = Vec::with_capacity(workload.len());
+    let mut last = env.stats().snapshot();
+    for q in &workload {
+        match q {
+            ServeQuery::Point(u) => drop(owned.component_of(*u)?),
+            ServeQuery::Same(u, v) => drop(owned.same_component(*u, *v)?),
+            ServeQuery::Size(u) => drop(owned.component_size(*u)?),
+            ServeQuery::Batch(us) => drop(owned.component_of_many(us)?),
+        }
+        let now = env.stats().snapshot();
+        owned_deltas.push(now.since(&last));
+        last = now;
+    }
+
+    // Answers flattened to numbers (`same_component` as 0/1).
+    let oracle = |q: &ServeQuery| -> Vec<u64> {
+        let rep = |u: &u32| u64::from(reps[*u as usize]);
+        match q {
+            ServeQuery::Point(u) => vec![rep(u)],
+            ServeQuery::Same(u, v) => vec![u64::from(rep(u) == rep(v))],
+            ServeQuery::Size(u) => vec![sizes[&reps[*u as usize]]],
+            ServeQuery::Batch(us) => us.iter().map(rep).collect(),
+        }
+    };
+    let shared = |idx: &ce_graph::SccIndexReader, q: &ServeQuery| -> io::Result<Vec<u64>> {
+        Ok(match q {
+            ServeQuery::Point(u) => vec![u64::from(idx.component_of(*u)?)],
+            ServeQuery::Same(u, v) => vec![u64::from(idx.same_component(*u, *v)?)],
+            ServeQuery::Size(u) => vec![idx.component_size(*u)?],
+            ServeQuery::Batch(us) => idx
+                .component_of_many(us)?
+                .into_iter()
+                .map(u64::from)
+                .collect(),
+        })
+    };
+
+    let reader = SccIndex::open_shared(path, 64)?;
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let handle = reader.clone();
+                let (workload, owned_deltas, oracle, shared) =
+                    (&workload, &owned_deltas, &oracle, &shared);
+                s.spawn(move || -> Result<(), String> {
+                    let mut last = handle.stats();
+                    for (i, q) in workload.iter().enumerate() {
+                        let err = |what: String| format!("thread {t}, query {i} {q:?}: {what}");
+                        let got = shared(&handle, q).map_err(|e| err(e.to_string()))?;
+                        let want = oracle(q);
+                        if got != want {
+                            return Err(err(format!("answered {got:?}, oracle says {want:?}")));
+                        }
+                        let now = handle.stats();
+                        let delta = now.since(&last);
+                        last = now;
+                        if delta != owned_deltas[i] {
+                            return Err(err(format!(
+                                "logical I/O {delta:?} != owned {:?}",
+                                owned_deltas[i]
+                            )));
+                        }
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("serve check worker panicked").err())
+            .collect()
+    });
+    match failures.into_iter().next() {
+        Some(first) => Err(io::Error::other(first)),
+        None => Ok(()),
+    }
+}
+
 /// Node counts of the four bench-scenario families at each scale (shared
 /// between [`smoke_workloads`], the matrix's `n_nodes` closures and its
 /// full-scale `build` arms, so sizes cannot drift from the budgets computed
@@ -818,13 +950,14 @@ pub fn run_matrix(scale: HarnessScale) -> io::Result<MatrixReport> {
     run_matrix_with(scale, 2)
 }
 
-/// The thread-count invariance axis: every external engine that exercises
-/// the parallel hot paths (Ext-SCC, Ext-SCC-Op, Semi-SCC) is run per
-/// (family × budget) on the unpooled file backend at `threads = 1` and
-/// `threads = par`, and both the normalized partition and the full
-/// six-counter logical [`ce_extmem::IoSnapshot`] must match bit for bit —
-/// the contract that worker threads may only change wall time, never what
-/// the I/O model charges.
+/// The thread-count invariance axis: Ext-SCC, Ext-SCC-Op and Semi-SCC are
+/// each run per (family × budget) on the unpooled file backend at
+/// `threads = 1` and `threads = par`, and both the normalized partition and
+/// the full six-counter logical [`ce_extmem::IoSnapshot`] must match bit for
+/// bit — the contract that worker threads may only change wall time, never
+/// what the I/O model charges. Both Ext-SCC modes put Get-E's paired chains
+/// on `ce_core`'s `run_pair` threads (baseline mode its edge orders too);
+/// Semi-SCC spawns no threads and is the sequential control.
 fn run_thread_axis_checks(
     scale: HarnessScale,
     budgets: &[BudgetKind],
@@ -1137,6 +1270,24 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), full.len(), "duplicate algorithm names");
+    }
+
+    #[test]
+    fn serve_workload_draws_every_query_kind() {
+        let mut x = 7u64;
+        let mut seen = [false; 4];
+        for _ in 0..200 {
+            seen[match gen_query(&mut x, 100, 3) {
+                ServeQuery::Point(_) => 0,
+                ServeQuery::Same(..) => 1,
+                ServeQuery::Size(_) => 2,
+                ServeQuery::Batch(us) => {
+                    assert_eq!(us.len(), 3);
+                    3
+                }
+            }] = true;
+        }
+        assert_eq!(seen, [true; 4], "point, same, size, batch");
     }
 
     #[test]

@@ -114,6 +114,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use contract_expand::graph::labels::condense_external;
+use contract_expand::harness::{gen_query, ServeQuery};
 use contract_expand::prelude::*;
 use contract_expand::util::{parse_size, storage_stats};
 
@@ -660,11 +661,10 @@ fn run_index_query(args: &[String]) -> Result<ExitCode, String> {
 
     let query_it = || -> Result<(), Box<dyn std::error::Error>> {
         // Queries need O(1) memory: a minimal unpooled environment keeps the
-        // logical counters honest (every block read is visible).
-        let env = DiskEnv::new_temp_with(
-            IoConfig::new(4 << 10, 8 << 10),
-            EnvOptions::unpooled(),
-        )?;
+        // logical counters honest (every block read is visible). Its block
+        // is the artifact's page, so one page read is one logical I/O.
+        let page = contract_expand::graph::index::sniff_page_size(&index)? as usize;
+        let env = DiskEnv::new_temp_with(IoConfig::new(page, 2 * page), EnvOptions::unpooled())?;
         let mut idx = SccIndex::open(&env, &index)?;
         let open_ios = env.stats().snapshot();
         // Validate every requested node up front: a failing query must be
@@ -932,35 +932,6 @@ fn run_index_compact(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// One parsed query of the serve protocol.
-enum ServeQuery {
-    Point(u32),
-    Same(u32, u32),
-    Size(u32),
-    Batch(Vec<u32>),
-}
-
-/// Deterministic xorshift64 step shared by the generated workload and the
-/// self-test (seeds must never be 0; callers mix a nonzero constant in).
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
-/// Draws one query of the mixed generated workload: mostly point lookups,
-/// some pair checks, some batches (the ratio is arbitrary but fixed, so a
-/// seed fully determines the workload).
-fn gen_query(x: &mut u64, n_nodes: u32, batch: usize) -> ServeQuery {
-    let node = |x: &mut u64| (xorshift(x) % n_nodes as u64) as u32;
-    match xorshift(x) % 10 {
-        0..=6 => ServeQuery::Point(node(x)),
-        7 | 8 => ServeQuery::Same(node(x), node(x)),
-        _ => ServeQuery::Batch((0..batch).map(|_| node(x)).collect()),
-    }
-}
-
 /// Parses one protocol line (`c U` | `s U V` | `z U` | `b U1 U2 ...`).
 fn parse_query(line: &str) -> Result<ServeQuery, String> {
     let mut it = line.split_whitespace();
@@ -1218,130 +1189,26 @@ fn serve_generated(
     Ok((queries, total))
 }
 
-/// `scc serve --self-test`: builds a scratch index from a generated graph,
-/// then replays one deterministic mixed workload on every thread against
-/// the in-memory Tarjan oracle — checking answers *and* that each thread's
-/// per-query logical I/O is bit-identical to the owned single-reader path.
+/// `scc serve --self-test`: builds a scratch index from a generated graph
+/// and runs [`contract_expand::harness::check_serve`] on it — answers
+/// against the Tarjan oracle, per-query logical I/O against the owned path.
 fn serve_self_test(
     threads: usize,
     n_nodes: u32,
     seed: u64,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    const BLOCK: usize = 1024;
     const QUERIES: usize = 1500;
-    let env = DiskEnv::new_temp(IoConfig::new(BLOCK, 4 << 20))?;
+    let env = DiskEnv::new_temp(IoConfig::new(1024, 4 << 20))?;
     let path = env.root().join("self-test.sccidx");
     let reps = contract_expand::harness::build_query_index(&env, &path, n_nodes, seed)?;
-    let mut sizes = std::collections::HashMap::<u32, u64>::new();
-    for &r in &reps {
-        *sizes.entry(r).or_default() += 1;
-    }
-
-    // The workload every thread (and the owned baseline) replays.
-    let mut x = seed ^ 0x9e37_79b9_7f4a_7c15;
-    let workload: Vec<ServeQuery> =
-        (0..QUERIES).map(|_| gen_query(&mut x, n_nodes, 8)).collect();
-
-    // Owned single-reader baseline: per-query logical deltas.
-    let mut owned = SccIndex::open(&env, &path)?;
-    let mut owned_deltas = Vec::with_capacity(workload.len());
-    let mut last = env.stats().snapshot();
-    for q in &workload {
-        match q {
-            ServeQuery::Point(u) => drop(owned.component_of(*u)?),
-            ServeQuery::Same(u, v) => drop(owned.same_component(*u, *v)?),
-            ServeQuery::Size(u) => drop(owned.component_size(*u)?),
-            ServeQuery::Batch(us) => drop(owned.component_of_many(us)?),
-        }
-        let now = env.stats().snapshot();
-        owned_deltas.push(now.since(&last));
-        last = now;
-    }
-
-    let reader = SccIndex::open_shared(&path, 256)?;
-    let failures: Vec<String> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let handle = reader.clone();
-                let (workload, reps, sizes, owned_deltas) =
-                    (&workload, &reps, &sizes, &owned_deltas);
-                s.spawn(move || -> Result<(), String> {
-                    let mut last = handle.stats();
-                    for (i, q) in workload.iter().enumerate() {
-                        let err = |what: String| format!("thread {t}, query {i}: {what}");
-                        match q {
-                            ServeQuery::Point(u) => {
-                                let got = handle
-                                    .component_of(*u)
-                                    .map_err(|e| err(e.to_string()))?;
-                                if got != reps[*u as usize] {
-                                    return Err(err(format!(
-                                        "component_of({u}) = {got}, oracle says {}",
-                                        reps[*u as usize]
-                                    )));
-                                }
-                            }
-                            ServeQuery::Same(u, v) => {
-                                let got = handle
-                                    .same_component(*u, *v)
-                                    .map_err(|e| err(e.to_string()))?;
-                                let want = reps[*u as usize] == reps[*v as usize];
-                                if got != want {
-                                    return Err(err(format!(
-                                        "same_component({u}, {v}) = {got}, oracle says {want}"
-                                    )));
-                                }
-                            }
-                            ServeQuery::Size(u) => {
-                                let got = handle
-                                    .component_size(*u)
-                                    .map_err(|e| err(e.to_string()))?;
-                                let want = sizes[&reps[*u as usize]];
-                                if got != want {
-                                    return Err(err(format!(
-                                        "component_size({u}) = {got}, oracle says {want}"
-                                    )));
-                                }
-                            }
-                            ServeQuery::Batch(us) => {
-                                let got = handle
-                                    .component_of_many(us)
-                                    .map_err(|e| err(e.to_string()))?;
-                                let want: Vec<u32> =
-                                    us.iter().map(|&u| reps[u as usize]).collect();
-                                if got != want {
-                                    return Err(err("batch answers diverge".into()));
-                                }
-                            }
-                        }
-                        let now = handle.stats();
-                        let delta = now.since(&last);
-                        last = now;
-                        if delta != owned_deltas[i] {
-                            return Err(err(format!(
-                                "logical I/O {delta:?} != owned {:?}",
-                                owned_deltas[i]
-                            )));
-                        }
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("worker panicked").err())
-            .collect()
-    });
-    if let Some(first) = failures.first() {
-        return Err(format!("self-test failed: {first}").into());
-    }
+    contract_expand::harness::check_serve(&env, &path, &reps, seed, QUERIES, threads)
+        .map_err(|e| format!("self-test failed: {e}"))?;
+    // Canonical representatives are minimum members: one per component.
+    let n_sccs = reps.iter().enumerate().filter(|&(v, &r)| r as usize == v).count();
     println!(
-        "self-test ok: {} queries x {threads} threads over {n_nodes} nodes \
-         ({} components); answers match the oracle, per-query logical I/O \
-         identical to the owned path",
-        workload.len(),
-        reader.n_sccs()
+        "self-test ok: {QUERIES} queries x {threads} threads over {n_nodes} nodes \
+         ({n_sccs} components); answers match the oracle, per-query logical I/O \
+         identical to the owned path"
     );
     Ok(())
 }

@@ -244,50 +244,85 @@ fn index_build_then_query_answers_without_recomputing() {
     let input = dir.join("g.txt");
     // {0,1,2} and {3,4} strongly connected, 2 -> 3 between them.
     std::fs::write(&input, "0 1\n1 2\n2 0\n2 3\n3 4\n4 3\n").unwrap();
-    let idx = dir.join("g.sccidx");
-
-    let build = scc_bin()
-        .args(["index", "build", "--input"])
-        .arg(&input)
-        .arg("--out")
-        .arg(&idx)
-        .args(["--mem", "1M", "--block", "4K", "--condense"])
-        .output()
-        .unwrap();
-    assert!(build.status.success(), "{}", String::from_utf8_lossy(&build.stderr));
-    let stderr = String::from_utf8_lossy(&build.stderr);
-    assert!(stderr.contains("plan: engine="), "{stderr}");
-    assert!(stderr.contains("index written to"), "{stderr}");
-    assert!(stderr.contains("2 components"), "{stderr}");
-    assert!(stderr.contains("condensation edges"), "{stderr}");
-    assert!(idx.is_file(), "artifact persisted");
+    // One artifact at 4 KiB pages, one at the default 64 KiB.
+    let blocks: [&[&str]; 2] = [&["--block", "4K"], &[]];
+    let mut artifacts = Vec::new();
+    for (i, block) in blocks.iter().enumerate() {
+        let idx = dir.join(format!("g{i}.sccidx"));
+        let build = scc_bin()
+            .args(["index", "build", "--input"])
+            .arg(&input)
+            .arg("--out")
+            .arg(&idx)
+            .args(["--mem", "1M", "--condense"])
+            .args(*block)
+            .output()
+            .unwrap();
+        assert!(
+            build.status.success(),
+            "{}",
+            String::from_utf8_lossy(&build.stderr)
+        );
+        let stderr = String::from_utf8_lossy(&build.stderr);
+        assert!(stderr.contains("plan: engine="), "{stderr}");
+        assert!(stderr.contains("index written to"), "{stderr}");
+        assert!(stderr.contains("2 components"), "{stderr}");
+        assert!(stderr.contains("condensation edges"), "{stderr}");
+        assert!(idx.is_file(), "artifact persisted");
+        artifacts.push(idx);
+    }
 
     // Delete the input: queries must be answered from the artifact alone.
     std::fs::remove_file(&input).unwrap();
 
-    let query = scc_bin()
-        .args(["index", "query", "--index"])
-        .arg(&idx)
-        .args(["-u", "0", "-v", "1", "--stats"])
-        .output()
-        .unwrap();
-    assert!(query.status.success(), "{}", String::from_utf8_lossy(&query.stderr));
-    let out = String::from_utf8_lossy(&query.stdout);
-    assert!(out.contains("component_of(0) = 0"), "{out}");
-    assert!(out.contains("component_size(0) = 3"), "{out}");
-    assert!(out.contains("same_component(0, 1) = true"), "{out}");
-    let stderr = String::from_utf8_lossy(&query.stderr);
-    assert!(stderr.contains("query I/O: "), "--stats must report logical query I/O: {stderr}");
-    assert!(stderr.contains("open I/O: "), "{stderr}");
-    // The storage line shared with `scc run --stats`: physical counters
-    // plus the pool hit rate.
-    assert!(stderr.contains("storage: "), "{stderr}");
-    assert!(stderr.contains("physical transfers"), "{stderr}");
-    assert!(stderr.contains("hit rate"), "{stderr}");
+    // Queries are priced in pages of the artifact, so the logical block
+    // counts must not depend on the page size it was built with (the byte
+    // totals after ';' legitimately do).
+    let mut block_counts = Vec::new();
+    for idx in &artifacts {
+        let query = scc_bin()
+            .args(["index", "query", "--index"])
+            .arg(idx)
+            .args(["-u", "0", "-v", "1", "--stats"])
+            .output()
+            .unwrap();
+        assert!(
+            query.status.success(),
+            "{}",
+            String::from_utf8_lossy(&query.stderr)
+        );
+        let out = String::from_utf8_lossy(&query.stdout);
+        assert!(out.contains("component_of(0) = 0"), "{out}");
+        assert!(out.contains("component_size(0) = 3"), "{out}");
+        assert!(out.contains("same_component(0, 1) = true"), "{out}");
+        let stderr = String::from_utf8_lossy(&query.stderr);
+        assert!(
+            stderr.contains("query I/O: "),
+            "--stats must report logical query I/O: {stderr}"
+        );
+        assert!(stderr.contains("open I/O: "), "{stderr}");
+        // The storage line shared with `scc run --stats`: physical counters
+        // plus the pool hit rate.
+        assert!(stderr.contains("storage: "), "{stderr}");
+        assert!(stderr.contains("physical transfers"), "{stderr}");
+        assert!(stderr.contains("hit rate"), "{stderr}");
+        let counts: Vec<String> = stderr
+            .lines()
+            .filter(|l| l.starts_with("open I/O: ") || l.starts_with("query I/O: "))
+            .map(|l| l.split(';').next().unwrap().to_string())
+            .collect();
+        assert_eq!(counts.len(), 2, "{stderr}");
+        block_counts.push(counts);
+    }
+    assert_eq!(
+        block_counts[0], block_counts[1],
+        "query pricing depends on the page size"
+    );
+    let idx = &artifacts[0];
 
     let cross = scc_bin()
         .args(["index", "query", "--index"])
-        .arg(&idx)
+        .arg(idx)
         .args(["-u", "0", "-v", "3"])
         .output()
         .unwrap();
@@ -297,20 +332,20 @@ fn index_build_then_query_answers_without_recomputing() {
     // Out-of-range nodes and corrupt artifacts fail cleanly.
     let oob = scc_bin()
         .args(["index", "query", "--index"])
-        .arg(&idx)
+        .arg(idx)
         .args(["-u", "99"])
         .output()
         .unwrap();
     assert_eq!(oob.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&oob.stderr).contains("out of range"));
 
-    let mut bytes = std::fs::read(&idx).unwrap();
+    let mut bytes = std::fs::read(idx).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
-    std::fs::write(&idx, &bytes).unwrap();
+    std::fs::write(idx, &bytes).unwrap();
     let corrupt = scc_bin()
         .args(["index", "query", "--index"])
-        .arg(&idx)
+        .arg(idx)
         .args(["-u", "0"])
         .output()
         .unwrap();

@@ -126,38 +126,6 @@ proptest! {
         prop_assert_eq!(&deduped, &items);
     }
 
-    /// Parallel sort is invisible to the I/O model: on any input, any block
-    /// geometry, and any worker-thread count, the sorted bytes AND the full
-    /// six-counter logical `IoSnapshot` are bit-identical to the sequential
-    /// run — workers may only change wall time, never what the model
-    /// charges.
-    #[test]
-    fn parallel_sort_equals_sequential_sort(
-        items in prop::collection::vec(any::<u32>(), 0..1500),
-        block_pow in 6u32..9,          // 64..256-byte blocks
-        budget_blocks in 4usize..16,   // 256 B .. 4 KiB budgets
-        threads in 2usize..5,
-    ) {
-        let block = 1usize << block_pow;
-        let cfg = IoConfig::new(block, block * budget_blocks);
-        let mut outputs = Vec::new();
-        for t in [1usize, threads] {
-            let env = DiskEnv::new_temp_with(
-                cfg,
-                EnvOptions::default().with_threads(t),
-            ).unwrap();
-            let f = env.file_from_slice("in", &items).unwrap();
-            let before = env.stats().snapshot();
-            let sorted = sort_by_key(&env, &f, "s", |&x| x).unwrap();
-            let delta = env.stats().snapshot().since(&before);
-            outputs.push((sorted.read_all().unwrap(), delta));
-        }
-        let (seq_bytes, seq_stats) = &outputs[0];
-        let (par_bytes, par_stats) = &outputs[1];
-        prop_assert_eq!(seq_bytes, par_bytes, "output differs at threads={}", threads);
-        prop_assert_eq!(seq_stats, par_stats, "logical I/O differs at threads={}", threads);
-    }
-
     /// The persistent `SccIndex` round-trips: build from any multigraph's
     /// Tarjan labeling, close, reopen in a fresh environment, and every
     /// `component_of` / `component_size` / `same_component` answer matches

@@ -9,7 +9,7 @@
 //! the pool, or the model's numbers would stop being reproducible the
 //! moment serving went concurrent.
 
-use contract_expand::harness::build_query_index;
+use contract_expand::harness::{build_query_index, check_serve};
 use contract_expand::prelude::*;
 
 /// Small blocks so the label section spans many pages and batches
@@ -19,35 +19,6 @@ const N_NODES: u32 = 2000;
 const THREADS: usize = 4;
 const QUERIES: usize = 800;
 
-/// One deterministic mixed query; mirrors the xorshift workload the
-/// `scc serve` self-test replays.
-enum Q {
-    Point(u32),
-    Same(u32, u32),
-    Size(u32),
-    Batch(Vec<u32>),
-}
-
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
-fn workload(seed: u64, n: usize) -> Vec<Q> {
-    let mut x = seed | 1;
-    let node = |x: &mut u64| (xorshift(x) % N_NODES as u64) as u32;
-    (0..n)
-        .map(|_| match xorshift(&mut x) % 10 {
-            0..=5 => Q::Point(node(&mut x)),
-            6 | 7 => Q::Same(node(&mut x), node(&mut x)),
-            8 => Q::Size(node(&mut x)),
-            _ => Q::Batch((0..12).map(|_| node(&mut x)).collect()),
-        })
-        .collect()
-}
-
 /// Builds the scratch index + oracle the tests share.
 fn fixture(env: &DiskEnv) -> (std::path::PathBuf, Vec<u32>) {
     let path = env.root().join("serve-stress.sccidx");
@@ -55,78 +26,15 @@ fn fixture(env: &DiskEnv) -> (std::path::PathBuf, Vec<u32>) {
     (path, reps)
 }
 
+/// Every thread replays the same mixed workload (all four query kinds) on
+/// its own clone concurrently. Logical counters are per-handle, so each
+/// thread must observe exactly the owned path's per-query deltas even while
+/// the physical pool is shared and contended by the others.
 #[test]
 fn concurrent_readers_match_oracle_and_owned_logical_costs() {
     let env = DiskEnv::new_temp(IoConfig::new(BLOCK, 4 << 20)).unwrap();
     let (path, reps) = fixture(&env);
-    let mut sizes = std::collections::HashMap::<u32, u64>::new();
-    for &r in &reps {
-        *sizes.entry(r).or_default() += 1;
-    }
-    let queries = workload(0xCE11, QUERIES);
-
-    // Owned baseline: replay the workload once, recording each query's
-    // logical delta from the environment's counters.
-    let mut owned = SccIndex::open(&env, &path).unwrap();
-    let mut owned_deltas = Vec::with_capacity(queries.len());
-    let mut last = env.stats().snapshot();
-    for q in &queries {
-        match q {
-            Q::Point(u) => drop(owned.component_of(*u).unwrap()),
-            Q::Same(u, v) => drop(owned.same_component(*u, *v).unwrap()),
-            Q::Size(u) => drop(owned.component_size(*u).unwrap()),
-            Q::Batch(us) => drop(owned.component_of_many(us).unwrap()),
-        }
-        let now = env.stats().snapshot();
-        owned_deltas.push(now.since(&last));
-        last = now;
-    }
-
-    // Shared path: every thread replays the *same* workload on its own
-    // clone concurrently. Logical counters are per-handle, so each thread
-    // must observe exactly the owned deltas even while the physical pool
-    // is being shared (and contended) by the others.
-    let reader = SccIndex::open_shared(&path, 64).unwrap();
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let handle = reader.clone();
-            let (queries, reps, sizes, owned_deltas) = (&queries, &reps, &sizes, &owned_deltas);
-            s.spawn(move || {
-                let mut last = handle.stats();
-                for (i, q) in queries.iter().enumerate() {
-                    match q {
-                        Q::Point(u) => assert_eq!(
-                            handle.component_of(*u).unwrap(),
-                            reps[*u as usize],
-                            "thread {t} query {i}: component_of({u})"
-                        ),
-                        Q::Same(u, v) => assert_eq!(
-                            handle.same_component(*u, *v).unwrap(),
-                            reps[*u as usize] == reps[*v as usize],
-                            "thread {t} query {i}: same_component({u}, {v})"
-                        ),
-                        Q::Size(u) => assert_eq!(
-                            handle.component_size(*u).unwrap(),
-                            sizes[&reps[*u as usize]],
-                            "thread {t} query {i}: component_size({u})"
-                        ),
-                        Q::Batch(us) => assert_eq!(
-                            handle.component_of_many(us).unwrap(),
-                            us.iter().map(|&u| reps[u as usize]).collect::<Vec<_>>(),
-                            "thread {t} query {i}: batch"
-                        ),
-                    }
-                    let now = handle.stats();
-                    assert_eq!(
-                        now.since(&last),
-                        owned_deltas[i],
-                        "thread {t} query {i}: logical I/O diverges from the owned path"
-                    );
-                    last = now;
-                }
-            });
-        }
-    });
+    check_serve(&env, &path, &reps, 0xCE11, QUERIES, THREADS).unwrap();
 }
 
 #[test]
