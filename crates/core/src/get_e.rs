@@ -28,7 +28,7 @@ use ce_extmem::{
 };
 use ce_graph::types::Edge;
 
-use crate::ops::{run_pair, EdgeOrders};
+use crate::ops::EdgeOrders;
 
 /// Options controlling edge construction.
 #[derive(Debug, Clone, Copy, Default)]
@@ -69,33 +69,20 @@ pub fn get_e(
 ) -> io::Result<GetEResult> {
     let _sp = ce_extmem::io_span!(env, "get_e");
     // Lines 3-4: incoming edges of removed nodes, out-edges of removed nodes.
-    // The two anti-joins touch disjoint inputs and outputs — run them as a
-    // pair when the environment grants extra workers.
-    let (mut edel_in, mut odel) = run_pair(
-        env,
-        || anti_join(env, "edel-in", &orders.ein, |e| e.dst, cover, |&v| v),
-        || anti_join(env, "odel", &orders.eout, |e| e.src, cover, |&v| v),
-    )?;
+    let mut edel_in = anti_join(env, "edel-in", &orders.ein, |e| e.dst, cover, |&v| v)?;
+    let mut odel = anti_join(env, "odel", &orders.eout, |e| e.src, cover, |&v| v)?;
 
     if opts.filter_endpoints {
         // Keep only bypass endpoints that survive in the cover (Type-1
         // mode). Fully fused: re-sort streams into the semi-join, whose
         // survivors stream into the restoring sort's run formation — only
-        // the final (multi-reader) files materialize. The two chains are
-        // independent and dispatch as a pair like the anti-joins above.
-        let (ein2, out2) = run_pair(
-            env,
-            || {
-                let tmp = sort_streaming_by_key(env, &edel_in, "edel-by-src", Edge::by_src)?;
-                let kept = semi_join_stream(tmp, |e| e.src, cover, |&v| v)?;
-                sort_by_key(env, kept, "edel-final", Edge::by_dst)
-            },
-            || {
-                let tmp = sort_streaming_by_key(env, &odel, "odel-by-dst", Edge::by_dst)?;
-                let kept = semi_join_stream(tmp, |e| e.dst, cover, |&v| v)?;
-                sort_by_key(env, kept, "odel-final", Edge::by_src)
-            },
-        )?;
+        // the final (multi-reader) files materialize.
+        let tmp = sort_streaming_by_key(env, &edel_in, "edel-by-src", Edge::by_src)?;
+        let kept = semi_join_stream(tmp, |e| e.src, cover, |&v| v)?;
+        let ein2 = sort_by_key(env, kept, "edel-final", Edge::by_dst)?;
+        let tmp = sort_streaming_by_key(env, &odel, "odel-by-dst", Edge::by_dst)?;
+        let kept = semi_join_stream(tmp, |e| e.dst, cover, |&v| v)?;
+        let out2 = sort_by_key(env, kept, "odel-final", Edge::by_src)?;
         edel_in = ein2;
         odel = out2;
     }
@@ -300,42 +287,6 @@ mod tests {
             },
         );
         assert!(filtered.0.is_empty(), "filter keeps E_{{i+1}} inside cover");
-    }
-
-    #[test]
-    fn parallel_dispatch_matches_sequential_output_and_stats() {
-        // The paired anti-joins and filter chains must leave output bytes
-        // AND the six logical counters bit-identical for any thread count.
-        let edges: Vec<Edge> = (0..400u32)
-            .map(|i| Edge::new(i % 37, (i * 7 + 1) % 37))
-            .collect();
-        let cover: Vec<u32> = (0..37).filter(|v| v % 3 != 0).collect();
-        let opts = GetEOptions {
-            filter_endpoints: true,
-            ..Default::default()
-        };
-        let mut baseline: Option<(Vec<Edge>, ce_extmem::IoSnapshot)> = None;
-        for threads in [1usize, 2, 4] {
-            let env = DiskEnv::new_temp_with(
-                IoConfig::new(256, 4096),
-                ce_extmem::EnvOptions::default().with_threads(threads),
-            )
-            .unwrap();
-            let es = env.file_from_slice("e", &edges).unwrap();
-            let cov = env.file_from_slice("c", &cover).unwrap();
-            let before = env.stats().snapshot();
-            let orders = build_orders(&env, &es, false).unwrap();
-            let res = get_e(&env, &orders, &cov, &opts).unwrap();
-            let delta = env.stats().snapshot().since(&before);
-            let out = res.edges.read_all().unwrap();
-            match &baseline {
-                None => baseline = Some((out, delta)),
-                Some((b_out, b_delta)) => {
-                    assert_eq!(&out, b_out, "edges differ at threads={threads}");
-                    assert_eq!(&delta, b_delta, "logical I/O differs at threads={threads}");
-                }
-            }
-        }
     }
 
     #[test]

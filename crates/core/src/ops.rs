@@ -14,34 +14,6 @@ use std::io;
 use ce_extmem::{sort_by_key, sort_dedup_by_key, DiskEnv, ExtFile};
 use ce_graph::types::Edge;
 
-/// Runs two independent external-memory jobs, on scoped threads when the
-/// environment grants more than one worker ([`DiskEnv::threads`]), otherwise
-/// back to back. Safe for the logical-I/O invariant because each job's
-/// charges are a deterministic function of its own handles' access patterns
-/// (sequential/random classification is per handle) and the shared counters
-/// are relaxed atomic adds, which commute — the totals are bit-identical to
-/// the sequential order for any thread count.
-pub(crate) fn run_pair<'e, A, B, RA, RB>(env: &DiskEnv, a: A, b: B) -> io::Result<(RA, RB)>
-where
-    A: FnOnce() -> io::Result<RA> + Send + 'e,
-    B: FnOnce() -> io::Result<RB> + Send + 'e,
-    RA: Send + 'e,
-    RB: Send + 'e,
-{
-    if env.threads() > 1 {
-        std::thread::scope(|s| {
-            let hb = s.spawn(b);
-            let ra = a();
-            let rb = hb
-                .join()
-                .map_err(|_| io::Error::other("parallel operator worker panicked"))?;
-            Ok((ra?, rb?))
-        })
-    } else {
-        Ok((a()?, b()?))
-    }
-}
-
 /// The two sorted orders of one iteration's edge set.
 #[derive(Debug)]
 pub struct EdgeOrders {
@@ -64,13 +36,8 @@ pub fn build_orders(env: &DiskEnv, edges: &ExtFile<Edge>, lazy_dedup: bool) -> i
         let n_edges = ein.len();
         Ok(EdgeOrders { ein, eout, n_edges })
     } else {
-        // The two orders are independent sorts of the same input — dispatch
-        // them as a pair when the environment grants extra workers.
-        let (ein, eout) = run_pair(
-            env,
-            || sort_by_key(env, edges, "ein", Edge::by_dst),
-            || sort_by_key(env, edges, "eout", Edge::by_src),
-        )?;
+        let ein = sort_by_key(env, edges, "ein", Edge::by_dst)?;
+        let eout = sort_by_key(env, edges, "eout", Edge::by_src)?;
         let n_edges = edges.len();
         Ok(EdgeOrders { ein, eout, n_edges })
     }

@@ -14,26 +14,6 @@ use crate::record::Record;
 use crate::stats::IoStats;
 use crate::stream::RecordWriter;
 
-/// Worker-thread budget of `ce_core`'s `run_pair`, which runs the
-/// contraction operators' independent sort and join chains side by side.
-///
-/// The knob changes **wall-clock only**: each chain charges the logical
-/// [`IoStats`] through its own handles, so the counters — and the computed
-/// partition — are bit-identical to the single-threaded schedule for every
-/// thread count. The default is 1 (fully sequential, the seed behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Parallelism {
-    /// Maximum worker threads `run_pair` may use (clamped to at least 1;
-    /// any value above 1 runs its two jobs on two threads).
-    pub threads: usize,
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Parallelism { threads: 1 }
-    }
-}
-
 /// Storage options of a [`DiskEnv`]: which [`BackendKind`] stores scratch
 /// blocks and how many block frames the buffer pool holds.
 ///
@@ -48,9 +28,6 @@ pub struct EnvOptions {
     /// a physical transfer — plus a read-modify-write read for writes that
     /// only partially cover a live block).
     pub cache_blocks: usize,
-    /// Worker-thread budget of `run_pair` (wall-clock only; logical I/O is
-    /// the same at every thread count).
-    pub par: Parallelism,
 }
 
 impl EnvOptions {
@@ -66,7 +43,6 @@ impl EnvOptions {
         EnvOptions {
             backend: BackendKind::File,
             cache_blocks: cfg.blocks_in_memory(),
-            ..EnvOptions::default()
         }
     }
 
@@ -76,7 +52,6 @@ impl EnvOptions {
         EnvOptions {
             backend: BackendKind::Mem,
             cache_blocks: cfg.blocks_in_memory(),
-            ..EnvOptions::default()
         }
     }
 
@@ -111,7 +86,6 @@ impl EnvOptions {
             EnvOptions {
                 backend: BackendKind::File,
                 cache_blocks: pool,
-                ..EnvOptions::default()
             },
         )
     }
@@ -125,15 +99,6 @@ impl EnvOptions {
     /// Replaces the pool capacity (0 disables the pool).
     pub fn with_cache_blocks(mut self, cache_blocks: usize) -> EnvOptions {
         self.cache_blocks = cache_blocks;
-        self
-    }
-
-    /// Replaces the worker-thread budget (0 is clamped to 1 — callers that
-    /// must *reject* 0 validate before building options).
-    pub fn with_threads(mut self, threads: usize) -> EnvOptions {
-        self.par = Parallelism {
-            threads: threads.max(1),
-        };
         self
     }
 }
@@ -232,11 +197,6 @@ impl DiskEnv {
     /// everything created in this environment.
     pub fn stats(&self) -> &IoStats {
         &self.inner.stats
-    }
-
-    /// Worker-thread budget of `run_pair` (≥ 1; 1 = sequential).
-    pub fn threads(&self) -> usize {
-        self.inner.opts.par.threads.max(1)
     }
 
     /// **Physical** transfer counters of the underlying pager: blocks that

@@ -19,8 +19,8 @@
 //! How the bytes actually move is a separate concern, delegated to a
 //! [pager](ce_pager) chosen per [`DiskEnv`] via [`EnvOptions`]: blocks live
 //! on disk ([`BackendKind::File`]) or in memory ([`BackendKind::Mem`]),
-//! optionally behind a fixed-capacity buffer pool with LRU eviction, pin
-//! counts and dirty write-back. The pool's **physical** counters
+//! optionally behind a fixed-capacity buffer pool with LRU eviction and
+//! dirty write-back. The pool's **physical** counters
 //! ([`DiskEnv::phys`]) record backend transfers plus cache hits/misses.
 //!
 //! The figures stay faithful because the logical counters are recorded in
@@ -82,7 +82,7 @@ pub mod trace;
 pub use ce_obs as obs;
 pub use ce_pager::{BackendKind, PhysSnapshot};
 pub use config::IoConfig;
-pub use env::{DiskEnv, EnvOptions, Parallelism};
+pub use env::{DiskEnv, EnvOptions};
 pub use join::{
     anti_join, anti_join_stream, left_lookup_join, left_lookup_join_stream, lookup_join,
     lookup_join_stream, merge_union, merge_union_stream, semi_join, semi_join_stream, GroupCursor,

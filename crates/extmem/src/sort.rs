@@ -44,15 +44,6 @@
 //! monomorphizes to a tight branch instead of a sift (see
 //! [`MergeStream::next_batch`]); yield order — including the run-index
 //! tie-break on equal keys — and refill schedule are unchanged.
-//!
-//! # Threads
-//!
-//! The sort is sequential, and every logical charge is a
-//! [`CountedFile`](crate::file::CountedFile) transfer priced when it
-//! happens. Threads live one layer up, in `ce_core`'s `run_pair`, which runs
-//! two independent sorts or join chains side by side; each job's charges
-//! depend only on its own handles, so logical I/O is the same at every
-//! thread count.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;

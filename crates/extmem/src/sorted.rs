@@ -39,13 +39,6 @@
 //! require sorted inputs document the key they expect, exactly as the
 //! file-based operators always did.
 //!
-//! # Threads
-//!
-//! Streams are single-threaded. The only multi-core execution is `ce_core`'s
-//! `run_pair`, which drives two independent chains on two threads; each
-//! chain's charges depend only on its own handles, so logical I/O is the
-//! same at every thread count.
-//!
 //! # Batched pull & buffer reuse
 //!
 //! Pulling one record per [`SortedStream::next`] call through a deep

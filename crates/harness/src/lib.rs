@@ -28,12 +28,7 @@
 //!    every `component_of` / size query exactly as the oracle does;
 //! 7. **strict budget accounting** — one extra scenario runs under
 //!    [`EnvOptions::strict`], where the buffer pool's frames come *out of*
-//!    the `M`-byte budget instead of on top of it;
-//! 8. **thread-count invariance** — per (family × budget), the external
-//!    engines are rerun at `threads = 1` and `threads = N` and both the
-//!    partition and the full six-counter logical I/O snapshot must be
-//!    bit-identical (worker threads may change wall time, never the model's
-//!    charges).
+//!    the `M`-byte budget instead of on top of it.
 //!
 //! Algorithms whose [`may_stall`](ce_graph::algo::SccAlgorithm::may_stall)
 //! is true (EM-SCC) may record a DNF instead of a labeling, as in the
@@ -780,14 +775,6 @@ pub struct MatrixReport {
     /// Number of (family × budget × algorithm) groups checked for identical
     /// logical I/Os across storage modes.
     pub determinism_groups: usize,
-    /// Worker-thread count the thread-invariance axis compared against 1.
-    pub threads_axis: usize,
-    /// Number of (family × budget × engine) groups checked for identical
-    /// partitions and bit-identical six-counter logical I/O between
-    /// `threads = 1` and `threads = threads_axis`.
-    pub threads_groups: usize,
-    /// Thread-count invariance violations (empty = pass).
-    pub threads_violations: Vec<String>,
     /// Planner decision per (family × budget).
     pub planner_rows: Vec<PlannerRow>,
     /// Planner disagreements — fit-boundary mismatches or planned engines
@@ -809,7 +796,6 @@ impl MatrixReport {
     pub fn all_ok(&self) -> bool {
         self.rows.iter().all(|r| r.cells.iter().all(|c| c.ok()))
             && self.determinism_violations.is_empty()
-            && self.threads_violations.is_empty()
             && self.planner_violations.is_empty()
             && self.index_violations.is_empty()
             && self.faults.iter().all(|f| f.outcome != "FAIL")
@@ -850,7 +836,6 @@ impl MatrixReport {
             }
         }
         out.extend(self.determinism_violations.iter().cloned());
-        out.extend(self.threads_violations.iter().cloned());
         out.extend(self.planner_violations.iter().cloned());
         out.extend(self.index_violations.iter().cloned());
         for f in &self.faults {
@@ -919,18 +904,6 @@ impl fmt::Display for MatrixReport {
                 writeln!(f, "  {v}")?;
             }
         }
-        if self.threads_violations.is_empty() {
-            writeln!(
-                f,
-                "thread-count invariance: OK — {} (family x budget x engine) groups identical between threads=1 and threads={}",
-                self.threads_groups, self.threads_axis
-            )?;
-        } else {
-            writeln!(f, "thread-count invariance: FAILED")?;
-            for v in &self.threads_violations {
-                writeln!(f, "  {v}")?;
-            }
-        }
         writeln!(f, "fault injection (unpooled file backend):")?;
         for fr in &self.faults {
             writeln!(f, "  {:<14} after {:>3} transfers: {}", fr.algo, fr.point, fr.outcome)?;
@@ -944,79 +917,8 @@ impl fmt::Display for MatrixReport {
     }
 }
 
-/// Runs the full scenario matrix at the given scale, comparing the
-/// thread-invariance axis at `threads = 2` (see [`run_matrix_with`]).
+/// Runs the full scenario matrix at the given scale.
 pub fn run_matrix(scale: HarnessScale) -> io::Result<MatrixReport> {
-    run_matrix_with(scale, 2)
-}
-
-/// The thread-count invariance axis: Ext-SCC, Ext-SCC-Op and Semi-SCC are
-/// each run per (family × budget) on the unpooled file backend at
-/// `threads = 1` and `threads = par`, and both the normalized partition and
-/// the full six-counter logical [`ce_extmem::IoSnapshot`] must match bit for
-/// bit — the contract that worker threads may only change wall time, never
-/// what the I/O model charges. Both Ext-SCC modes put Get-E's paired chains
-/// on `ce_core`'s `run_pair` threads (baseline mode its edge orders too);
-/// Semi-SCC spawns no threads and is the sequential control.
-fn run_thread_axis_checks(
-    scale: HarnessScale,
-    budgets: &[BudgetKind],
-    par: usize,
-) -> io::Result<(usize, Vec<String>)> {
-    let engines: Vec<Box<dyn SccAlgorithm>> = vec![
-        Box::new(ExtSccAlgo::baseline()),
-        Box::new(ExtSccAlgo::optimized()),
-        Box::new(SemiSccAlgo::new(SemiSccKind::Coloring)),
-    ];
-    let mut groups = 0usize;
-    let mut violations = Vec::new();
-    for family in &workloads() {
-        let n = (family.n_nodes)(scale);
-        for budget in budgets {
-            let cfg = IoConfig::new(MATRIX_BLOCK, budget.bytes(n));
-            let mut base: Vec<Option<(Vec<u32>, ce_extmem::IoSnapshot)>> =
-                vec![None; engines.len()];
-            for t in [1usize, par] {
-                let env = DiskEnv::new_temp_with(cfg, EnvOptions::default().with_threads(t))?;
-                let g = (family.build)(&env, scale)?;
-                for (i, algo) in engines.iter().enumerate() {
-                    let scenario =
-                        format!("{} x {} x {}", family.name, budget.name(), algo.name());
-                    let run = algo.run(&env, &g).map_err(|e| {
-                        io::Error::other(format!("{scenario} failed at threads={t}: {e}"))
-                    })?;
-                    let norm = normalize_partition(&run.labeling(g.n_nodes())?.rep);
-                    match &base[i] {
-                        None => base[i] = Some((norm, run.ios)),
-                        Some((b_norm, b_ios)) => {
-                            groups += 1;
-                            if &norm != b_norm {
-                                violations.push(format!(
-                                    "{scenario}: partition differs between threads=1 and threads={t}"
-                                ));
-                            }
-                            if b_ios != &run.ios {
-                                violations.push(format!(
-                                    "{scenario}: logical I/O differs between threads=1 and threads={t}: {b_ios:?} vs {:?}",
-                                    run.ios
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok((groups, violations))
-}
-
-/// Runs the full scenario matrix at the given scale. `threads` sets the
-/// parallel side of the thread-invariance axis (values below 2 are raised
-/// to 2 so the axis always compares against a genuinely parallel run); the
-/// main matrix cells stay at `threads = 1` so their logical I/Os — already
-/// proven thread-invariant by the axis — keep the historical golden output.
-pub fn run_matrix_with(scale: HarnessScale, threads: usize) -> io::Result<MatrixReport> {
-    let threads_axis = threads.max(2);
     let algos = match scale {
         HarnessScale::Smoke => registry(),
         HarnessScale::Full => full_registry(),
@@ -1179,18 +1081,12 @@ pub fn run_matrix_with(scale: HarnessScale, threads: usize) -> io::Result<Matrix
         }
     }
 
-    let (threads_groups, threads_violations) =
-        run_thread_axis_checks(scale, budgets, threads_axis)?;
-
     Ok(MatrixReport {
         scale,
         algos: algo_names,
         rows,
         determinism_violations,
         determinism_groups,
-        threads_axis,
-        threads_groups,
-        threads_violations,
         planner_rows,
         planner_violations,
         index_scenarios,

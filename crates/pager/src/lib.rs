@@ -11,8 +11,8 @@
 //!   file, the faithful on-disk path) and [`MemBackend`] (a growable byte
 //!   vector, for serving-style workloads and fast tests);
 //! * [`Pager`] multiplexes every scratch file of one environment over one
-//!   fixed-capacity [buffer pool](Pager) with LRU eviction, pin counts and
-//!   dirty-page write-back. With capacity 0 the pager degenerates to a
+//!   fixed-capacity [buffer pool](Pager) with LRU eviction and dirty-page
+//!   write-back. With capacity 0 the pager degenerates to a
 //!   pass-through in which every block access is a physical transfer.
 //! * [`SharedPager`] is the concurrent complement for *finished* artifacts:
 //!   a read-only striped-lock LRU pool over one immutable file whose

@@ -3,12 +3,10 @@
 //!
 //! * Frames are block-sized; a frame is keyed by `(file, block_no)`.
 //! * Lookups are LRU: every access stamps the frame with a monotone tick and
-//!   eviction picks the unpinned frame with the smallest stamp.
+//!   eviction picks the frame with the smallest stamp.
 //! * Writes are write-back: a dirty frame reaches its [`BlockBackend`] only
 //!   on eviction, [`Pager::sync`], or drop. Write-back clips the tail block
 //!   to the file's logical length so flushed files are byte-exact.
-//! * Pinned frames (`pin` / `unpin`) are never evicted; if every frame is
-//!   pinned, a miss fails with an error instead of evicting under a pin.
 //! * With `cache_frames == 0` the pager is a pass-through: every block of
 //!   every request is a physical transfer (the unpooled, seed-faithful
 //!   mode).
@@ -31,8 +29,7 @@ use crate::stats::{PhysSnapshot, PhysStats};
 pub struct FileId(u32);
 
 /// Sentinel owner for frames whose file has been removed; such frames are
-/// clean, unpinned, and stamped older than any live frame, so they are
-/// recycled first.
+/// clean and stamped older than any live frame, so they are recycled first.
 const NO_FILE: u32 = u32::MAX;
 
 struct FileState {
@@ -50,7 +47,6 @@ struct Frame {
     block: u64,
     data: Box<[u8]>,
     dirty: bool,
-    pins: u32,
     last_used: u64,
 }
 
@@ -62,8 +58,8 @@ struct PagerInner {
     frames: Vec<Frame>,
     map: HashMap<(u32, u64), usize>,
     /// `(last_used, frame index)` for every frame — the eviction order.
-    /// Kept in lockstep with `Frame::last_used` so eviction is a front scan
-    /// (skipping pins) instead of an O(capacity) min-search per miss.
+    /// Kept in lockstep with `Frame::last_used` so eviction takes the front
+    /// entry instead of an O(capacity) min-search per miss.
     lru: BTreeSet<(u64, usize)>,
     tick: u64,
     scratch: Vec<u8>,
@@ -160,13 +156,12 @@ impl PagerInner {
         self.lru.remove(&(self.frames[fi].last_used, fi));
         self.frames[fi].file = NO_FILE;
         self.frames[fi].dirty = false;
-        self.frames[fi].pins = 0;
         self.frames[fi].last_used = 0;
         self.lru.insert((0, fi));
     }
 
     /// Finds a free frame, growing the pool up to capacity or evicting the
-    /// least-recently-used unpinned frame (writing it back first if dirty).
+    /// least-recently-used frame (writing it back first if dirty).
     ///
     /// The returned frame is always in the detached `NO_FILE` state: callers
     /// claim it only *after* their fallible fill succeeded, so an error can
@@ -180,20 +175,13 @@ impl PagerInner {
                 block: 0,
                 data: vec![0u8; self.block_size].into_boxed_slice(),
                 dirty: false,
-                pins: 0,
                 last_used: 0,
             });
             self.lru.insert((0, fi));
             return Ok(fi);
         }
-        let victim = self
-            .lru
-            .iter()
-            .map(|&(_, fi)| fi)
-            .find(|&fi| self.frames[fi].pins == 0)
-            .ok_or_else(|| {
-                io::Error::other("buffer pool exhausted: every frame is pinned")
-            })?;
+        // The pool is full and has capacity > 0, so the LRU set is non-empty.
+        let &(_, victim) = self.lru.first().expect("a full pool has a frame");
         if self.frames[victim].dirty {
             self.write_back(victim)?;
         }
@@ -571,30 +559,6 @@ impl Pager {
         inner.ids.clear();
     }
 
-    /// Pins block `block_no` of `id` into the pool (loading it if absent):
-    /// a pinned frame is never evicted. Errors in pass-through mode.
-    pub fn pin(&self, id: FileId, block_no: u64) -> io::Result<()> {
-        if self.capacity == 0 {
-            return Err(io::Error::other("cannot pin: pager is in pass-through mode"));
-        }
-        let mut inner = self.lock();
-        let flen = inner.state(id)?.len;
-        let block_start = block_no * self.block_size as u64;
-        let live = flen.saturating_sub(block_start).min(self.block_size as u64) as usize;
-        let fi = inner.frame_for(id, block_no, live, None)?;
-        inner.frames[fi].pins += 1;
-        Ok(())
-    }
-
-    /// Releases one pin on block `block_no` of `id`. A no-op if the block is
-    /// not resident or not pinned.
-    pub fn unpin(&self, id: FileId, block_no: u64) {
-        let mut inner = self.lock();
-        if let Some(&fi) = inner.map.get(&(id.0, block_no)) {
-            inner.frames[fi].pins = inner.frames[fi].pins.saturating_sub(1);
-        }
-    }
-
     /// Number of live blocks currently resident in the pool.
     pub fn resident_blocks(&self) -> usize {
         self.lock().map.len()
@@ -697,36 +661,6 @@ mod tests {
         let mut buf = [0u8; 64];
         p.read_at(f, 64, &mut buf).unwrap();
         assert_eq!(buf, [1u8; 64]);
-    }
-
-    #[test]
-    fn pinned_frames_are_not_evicted() {
-        let p = mem_pager(2);
-        let f = p.create(&path("a")).unwrap();
-        p.write_at(f, 0, &[1u8; 64]).unwrap();
-        p.write_at(f, 64, &[2u8; 64]).unwrap();
-        p.pin(f, 0).unwrap();
-        // Block 0 is pinned and older, but block 1 must be the victim.
-        p.write_at(f, 128, &[3u8; 64]).unwrap();
-        let resident: Vec<u64> = p.lru_order().iter().map(|&(_, b)| b).collect();
-        assert!(resident.contains(&0), "pinned block evicted: {resident:?}");
-        assert!(!resident.contains(&1));
-        // Pin the remaining frame too: the next miss cannot evict anything.
-        p.pin(f, 2).unwrap();
-        let mut buf = [0u8; 1];
-        let err = p.read_at(f, 64, &mut buf).unwrap_err();
-        assert!(err.to_string().contains("pinned"), "{err}");
-        // Unpinning makes the pool usable again.
-        p.unpin(f, 0);
-        assert_eq!(p.read_at(f, 64, &mut buf).unwrap(), 1);
-        assert_eq!(buf[0], 2);
-    }
-
-    #[test]
-    fn pin_requires_a_pool() {
-        let p = mem_pager(0);
-        let f = p.create(&path("a")).unwrap();
-        assert!(p.pin(f, 0).is_err());
     }
 
     #[test]

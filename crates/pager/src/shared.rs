@@ -2,7 +2,7 @@
 //!
 //! The owned [`Pager`](crate::Pager) serializes every access through a
 //! single mutex because it multiplexes many mutable scratch files with
-//! pins, dirty frames and write-back. A query server needs none of that:
+//! dirty frames and write-back. A query server needs none of that:
 //! it reads one immutable artifact from many threads at once, and the only
 //! thing worth sharing is the cache itself — a hot node→rep page faulted
 //! in by one reader should be a hit for every other reader.

@@ -109,7 +109,7 @@
 //! Both are deterministic — wall-clock times appear only under
 //! `--trace-wall`. Tracing never changes the logical I/O counts.
 
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -145,7 +145,6 @@ struct Options {
     block: usize,
     backend: BackendKind,
     cache_blocks: Option<usize>,
-    threads: usize,
     baseline: bool,
     stats: bool,
     trace: Option<TraceMode>,
@@ -154,7 +153,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: scc run --input graph.txt|graph.ceg [--mem 64M] [--block 64K] [--baseline]\n\
-     \x20              [--backend file|mem] [--cache-blocks N] [--threads N]\n\
+     \x20              [--backend file|mem] [--cache-blocks N]\n\
      \x20              [--out labels.txt] [--condense dag.txt] [--export-binary g.ceg]\n\
      \x20              [--scratch DIR] [--stats] [--trace human|json] [--trace-wall]\n\
      \x20      scc plan --input graph.txt|graph.ceg [--mem 64M] [--block 64K]\n\
@@ -162,8 +161,7 @@ fn usage() -> &'static str {
      \x20      scc index build --input graph.txt|graph.ceg --out graph.sccidx\n\
      \x20              [--mem 64M] [--block 64K] [--backend file|mem] [--cache-blocks N]\n\
      \x20              [--scratch DIR] [--engine auto|semi-scc|ext-scc|ext-scc-op]\n\
-     \x20              [--with-condensation (embed the condensation DAG)] [--threads N]\n\
-     \x20              [--stats]\n\
+     \x20              [--with-condensation (embed the condensation DAG)] [--stats]\n\
      \x20      scc index query --index graph.sccidx -u NODE [-v NODE] [--stats]\n\
      \x20      scc index apply --index graph.sccidx --input graph.txt|graph.ceg\n\
      \x20              [--add \"U V\"]... [--remove \"U V\"]... [--deltas FILE]\n\
@@ -174,18 +172,16 @@ fn usage() -> &'static str {
      \x20              [--threads N] [--cache-blocks N] [--stats]\n\
      \x20              [--queries K [--batch B] [--seed S]]\n\
      \x20      scc serve --self-test [--threads N] [--nodes N] [--seed S]\n\
-     \x20      scc verify [--scale smoke|full] [--threads N]\n\
+     \x20      scc verify [--scale smoke|full]\n\
      \x20      scc --version | -V\n\
      \x20 (flat `scc --input ...` stays a byte-compatible alias for `scc run`)"
 }
 
-/// `scc verify [--scale smoke|full] [--threads N]` — run the differential
-/// conformance matrix (every registered algorithm on every scenario) and
-/// print the summary table. `--threads` sets the parallel side of the
-/// thread-invariance axis (default 2). Exits 0 iff every check passed.
+/// `scc verify [--scale smoke|full]` — run the differential conformance
+/// matrix (every registered algorithm on every scenario) and print the
+/// summary table. Exits 0 iff every check passed.
 fn run_verify(args: &[String]) -> Result<ExitCode, String> {
     let mut scale = HarnessScale::Smoke;
-    let mut threads = 2usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -194,12 +190,6 @@ fn run_verify(args: &[String]) -> Result<ExitCode, String> {
                 scale = HarnessScale::parse(v)
                     .ok_or_else(|| format!("bad --scale {v:?}; use smoke|full"))?;
             }
-            "--threads" => {
-                let v = it.next().ok_or("--threads requires a value")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| format!("bad --threads {v:?}; expected a number"))?;
-            }
             "--help" | "-h" => {
                 println!("{}", usage());
                 return Ok(ExitCode::SUCCESS);
@@ -207,11 +197,7 @@ fn run_verify(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown verify argument {other:?}\n{}", usage())),
         }
     }
-    if threads == 0 {
-        eprintln!("error: --threads must be at least 1");
-        return Ok(ExitCode::FAILURE);
-    }
-    let report = contract_expand::harness::run_matrix_with(scale, threads)
+    let report = contract_expand::harness::run_matrix(scale)
         .map_err(|e| format!("conformance matrix failed to run: {e}"))?;
     print!("{report}");
     if report.all_ok() {
@@ -247,7 +233,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         block: 64 << 10,
         backend: BackendKind::File,
         cache_blocks: None,
-        threads: 1,
         baseline: false,
         stats: false,
         trace: None,
@@ -279,12 +264,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     v.parse::<usize>()
                         .map_err(|e| format!("bad --cache-blocks {v:?}: {e}"))?,
                 );
-            }
-            "--threads" => {
-                let v = value("--threads")?;
-                opts.threads = v
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --threads {v:?}: {e}"))?;
             }
             "--baseline" => opts.baseline = true,
             "--stats" => opts.stats = true,
@@ -320,9 +299,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let env_opts = EnvOptions {
         backend: opts.backend,
         cache_blocks: opts.cache_blocks.unwrap_or_else(|| cfg.blocks_in_memory()),
-        ..EnvOptions::default()
-    }
-    .with_threads(opts.threads);
+    };
     let env = match &opts.scratch {
         Some(dir) => DiskEnv::new_in_with(dir, cfg, env_opts)?,
         None => DiskEnv::new_temp_with(cfg, env_opts)?,
@@ -516,7 +493,6 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
     let mut block = 64usize << 10;
     let mut backend = BackendKind::File;
     let mut cache_blocks: Option<usize> = None;
-    let mut threads = 1usize;
     let mut engine: Option<Engine> = None;
     let mut condense = false;
     let mut stats = false;
@@ -540,12 +516,6 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
                         .map_err(|e| format!("bad --cache-blocks {v:?}: {e}"))?,
                 );
             }
-            "--threads" => {
-                let v = value("--threads")?;
-                threads = v
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --threads {v:?}: {e}"))?;
-            }
             "--engine" => engine = parse_engine(value("--engine")?)?,
             // `--condense` is the historical spelling; `--with-condensation`
             // is what the delta-engine error messages name.
@@ -561,17 +531,11 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
     let input = input.ok_or_else(|| format!("--input is required\n{}", usage()))?;
     let out = out.ok_or_else(|| format!("--out is required\n{}", usage()))?;
     check_model(mem, block)?;
-    if threads == 0 {
-        eprintln!("error: --threads must be at least 1");
-        return Ok(ExitCode::FAILURE);
-    }
     let cfg = IoConfig::new(block, mem);
     let env_opts = EnvOptions {
         backend,
         cache_blocks: cache_blocks.unwrap_or_else(|| cfg.blocks_in_memory()),
-        ..EnvOptions::default()
-    }
-    .with_threads(threads);
+    };
 
     let build_it = || -> Result<(), Box<dyn std::error::Error>> {
         let mut session = match &scratch {
@@ -1023,8 +987,9 @@ fn answer_run(
 
 /// The stdin serving loop: lines are consumed in chunks, runs of queries
 /// split across the worker threads (one cloned reader each), answers
-/// printed in input order. Parse errors are answered inline without
-/// reaching a worker.
+/// printed in input order. A chunk ends at 4096 lines or as soon as no
+/// further input is buffered, so a client that waits for each answer gets
+/// it at once. Parse errors are answered inline without reaching a worker.
 ///
 /// With a writer (`--input` gave the loop the base graph), `+U V` / `-U V`
 /// lines mutate the index: the writer classifies the edge through the
@@ -1042,29 +1007,35 @@ fn serve_stdin(
     mut writer: Option<DeltaEngine<'_>>,
 ) -> Result<(u64, u64), Box<dyn std::error::Error>> {
     const CHUNK: usize = 4096;
-    let stdin = std::io::stdin();
+    // Larger than std's 8 KiB stdin buffer, so every fill reads the pipe
+    // directly and `buffer()` shows exactly what the client has sent.
+    let mut input = BufReader::with_capacity(64 << 10, std::io::stdin().lock());
     let mut out = BufWriter::new(std::io::stdout().lock());
     let mut served = 0u64;
     let mut mutated = 0u64;
-    let mut lines = std::io::BufRead::lines(stdin.lock());
-    loop {
+    let mut line = String::new();
+    let mut eof = false;
+    while !eof {
         let mut chunk: Vec<ServeLine> = Vec::with_capacity(CHUNK);
-        for line in lines.by_ref().take(CHUNK) {
-            let line = line?;
-            let t = line.trim();
-            if t.is_empty() {
-                continue;
+        while chunk.len() < CHUNK {
+            line.clear();
+            if input.read_line(&mut line)? == 0 {
+                eof = true;
+                break;
             }
-            chunk.push(match t.as_bytes()[0] {
-                b'+' | b'-' => match parse_mutation(t) {
-                    Ok((add, u, v)) => ServeLine::Mutate(add, u, v),
-                    Err(msg) => ServeLine::Bad(msg),
-                },
-                _ => ServeLine::Query(parse_query(t)),
-            });
-        }
-        if chunk.is_empty() {
-            break;
+            let t = line.trim();
+            if !t.is_empty() {
+                chunk.push(match t.as_bytes()[0] {
+                    b'+' | b'-' => match parse_mutation(t) {
+                        Ok((add, u, v)) => ServeLine::Mutate(add, u, v),
+                        Err(msg) => ServeLine::Bad(msg),
+                    },
+                    _ => ServeLine::Query(parse_query(t)),
+                });
+            }
+            if input.buffer().is_empty() {
+                break;
+            }
         }
         let mut i = 0;
         while i < chunk.len() {
@@ -1419,12 +1390,6 @@ fn run_flat(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if opts.threads == 0 {
-        // A runtime rejection (exit 1), not the usage exit-2 path: one
-        // clean error line, no usage dump.
-        eprintln!("error: --threads must be at least 1");
-        return ExitCode::FAILURE;
-    }
     match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -91,6 +91,15 @@ fn rejects_bad_arguments() {
         .output()
         .unwrap();
     assert_eq!(bad_mem.status.code(), Some(2), "M < 2B must be rejected");
+
+    // Engines run on the calling thread; only `scc serve` takes `--threads`.
+    let threads = scc_bin()
+        .args(["run", "--input", "g.txt", "--threads", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(threads.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&threads.stderr);
+    assert!(stderr.contains("unknown argument \"--threads\""), "{stderr}");
 }
 
 #[test]
@@ -476,6 +485,63 @@ fn serve_answers_protocol_lines_in_order_and_survives_bad_queries() {
 }
 
 #[test]
+fn serve_answers_each_query_before_stdin_closes() {
+    // A closed-loop client writes one query and waits for its answer before
+    // sending the next, so the loop must answer without waiting for more
+    // input or for EOF.
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::process::Stdio;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let dir = std::env::temp_dir().join(format!("scc-cli-serve-live-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("g.txt");
+    std::fs::write(&input, "0 1\n1 2\n2 0\n3 4\n").unwrap();
+    let idx = dir.join("g.sccidx");
+    let build = scc_bin()
+        .args(["index", "build", "--block", "4K", "--mem", "64K", "--input"])
+        .arg(&input)
+        .arg("--out")
+        .arg(&idx)
+        .output()
+        .unwrap();
+    assert!(build.status.success(), "{}", String::from_utf8_lossy(&build.stderr));
+
+    let mut child = scc_bin()
+        .args(["serve", "--index"])
+        .arg(&idx)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines() {
+            if tx.send(line.unwrap()).is_err() {
+                break;
+            }
+        }
+    });
+    // On failure the unwind drops `stdin`, so the server still exits.
+    let exchanges = [("c 0", "component_of(0) = 0"), ("s 3 4", "same_component(3, 4) = false")];
+    for (query, answer) in exchanges {
+        writeln!(stdin, "{query}").unwrap();
+        stdin.flush().unwrap();
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(got.as_deref(), Ok(answer), "no answer to {query:?} while stdin is open");
+    }
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+    reader.join().unwrap();
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_generated_workload_reports_qps() {
     let dir = std::env::temp_dir().join(format!("scc-cli-serveq-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -516,8 +582,7 @@ fn serve_rejects_bad_usage_and_missing_index() {
     assert_eq!(r.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&r.stderr).contains("unknown serve argument"));
 
-    // `--threads 0` is rejected uniformly across run/index build/serve:
-    // one clean error line, exit 1 (PR 10).
+    // `--threads 0` is rejected with one clean error line, exit 1.
     let r = scc_bin().args(["serve", "--threads", "0"]).output().unwrap();
     assert_eq!(r.status.code(), Some(1));
     let err = String::from_utf8_lossy(&r.stderr);
@@ -552,6 +617,14 @@ fn index_subcommand_rejects_bad_usage() {
     let r = scc_bin().args(["index", "build", "--input", "g.txt"]).output().unwrap();
     assert_eq!(r.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&r.stderr).contains("--out is required"));
+
+    let r = scc_bin()
+        .args(["index", "build", "--input", "g.txt", "--out", "g.sccidx", "--threads", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(r.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert!(stderr.contains("unknown index build argument \"--threads\""), "{stderr}");
 
     let r = scc_bin().args(["index", "query", "--index", "x.sccidx"]).output().unwrap();
     assert_eq!(r.status.code(), Some(2));
@@ -782,6 +855,11 @@ fn verify_rejects_bad_arguments() {
     let r = scc_bin().args(["verify", "--frobnicate"]).output().unwrap();
     assert_eq!(r.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&r.stderr).contains("usage"));
+
+    let r = scc_bin().args(["verify", "--threads", "2"]).output().unwrap();
+    assert_eq!(r.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert!(stderr.contains("unknown verify argument \"--threads\""), "{stderr}");
 
     let r = scc_bin().args(["verify", "--help"]).output().unwrap();
     assert_eq!(r.status.code(), Some(0));
