@@ -31,7 +31,7 @@ fn bench_index(c: &mut Criterion) {
         });
     });
 
-    let mut idx = SccIndex::open(&env, &path).expect("open");
+    let idx = SccIndex::open(&env, &path).expect("open");
     let io0 = env.stats().snapshot();
     let mut u: u32 = 1;
     let mut queries = 0u64;

@@ -126,7 +126,7 @@ struct EnvInner {
     cfg: IoConfig,
     opts: EnvOptions,
     pager: Pager,
-    stats: IoStats,
+    stats: Arc<IoStats>,
     next_id: AtomicU64,
     owns_dir: bool,
 }
@@ -176,7 +176,7 @@ impl DiskEnv {
                 pager: Pager::new(cfg.block_size, opts.cache_blocks, opts.backend),
                 cfg,
                 opts,
-                stats: IoStats::new(),
+                stats: Arc::new(IoStats::new()),
                 next_id: AtomicU64::new(0),
                 owns_dir,
             }),
@@ -197,6 +197,12 @@ impl DiskEnv {
     /// everything created in this environment.
     pub fn stats(&self) -> &IoStats {
         &self.inner.stats
+    }
+
+    /// The logical ledger itself, for handles that charge it from outside
+    /// the pager ([`crate::SharedFile::open_in`]).
+    pub(crate) fn ledger(&self) -> Arc<IoStats> {
+        Arc::clone(&self.inner.stats)
     }
 
     /// **Physical** transfer counters of the underlying pager: blocks that

@@ -63,10 +63,6 @@ impl CountedFile {
         }
     }
 
-    fn blocks(&self, len: usize) -> u64 {
-        (len as u64).div_ceil(self.block)
-    }
-
     /// Reads exactly `buf.len()` bytes at `offset` unless EOF truncates the
     /// read; returns the number of bytes read.
     pub fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
@@ -74,11 +70,8 @@ impl CountedFile {
             return Ok(0);
         }
         let done = self.env.pager().read_at(self.id, offset, buf)?;
-        let sequential = offset == self.last_read_end;
-        self.last_read_end = offset + done as u64;
-        self.env
-            .stats()
-            .record_read(self.blocks(done.max(1)), done as u64, sequential);
+        let stats = self.env.stats();
+        self.last_read_end = stats.charge_read(self.block, self.last_read_end, offset, done);
         Ok(done)
     }
 
@@ -90,9 +83,10 @@ impl CountedFile {
         self.env.pager().write_at(self.id, offset, buf)?;
         let sequential = offset == self.last_write_end;
         self.last_write_end = offset + buf.len() as u64;
+        let blocks = (buf.len() as u64).div_ceil(self.block);
         self.env
             .stats()
-            .record_write(self.blocks(buf.len()), buf.len() as u64, sequential);
+            .record_write(blocks, buf.len() as u64, sequential);
         Ok(())
     }
 

@@ -6,6 +6,8 @@
 //! Aggarwal–Vitter model — `ceil(len / B)` block transfers, classified
 //! sequential (continuing exactly where this handle's previous read ended)
 //! or random — before the pool decides whether any bytes physically move.
+//! Both handles price through the one rule in `IoStats`, so a read costs
+//! the same logical I/O whichever handle performs it.
 //!
 //! The concurrency contract is the whole point:
 //!
@@ -16,8 +18,11 @@
 //!   [`IoStats`] and a reset cursor. A query measured on one handle is
 //!   therefore priced identically whether zero or a thousand other readers
 //!   are hammering the same pool — logical I/O stays deterministic per
-//!   query, which is what lets the concurrent read path assert bit-equal
-//!   [`IoSnapshot`]s against the single-owner path.
+//!   query.
+//!
+//! [`SharedFile::open_in`] is the single-reader form: no pool, and the
+//! logical counters are a [`DiskEnv`]'s own ledger, so the reads show up
+//! in [`DiskEnv::stats`] beside everything else the environment did.
 //!
 //! A handle is meant to be used by one thread at a time (one clone per
 //! worker). The methods still take `&self` and are safe to share, but the
@@ -31,6 +36,7 @@ use std::sync::Arc;
 
 use ce_pager::{PhysSnapshot, SharedPager};
 
+use crate::env::DiskEnv;
 use crate::stats::{IoSnapshot, IoStats};
 
 /// A cloneable read-only file handle with per-handle logical accounting
@@ -69,12 +75,24 @@ impl SharedFile {
     /// `cache_blocks` frames of `block_size` bytes (0 = pass-through).
     pub fn open(path: &Path, block_size: usize, cache_blocks: usize) -> io::Result<SharedFile> {
         let pager = SharedPager::open(path, block_size, cache_blocks)?;
-        Ok(SharedFile {
+        Ok(SharedFile::wrap(pager, Arc::new(IoStats::new())))
+    }
+
+    /// Opens `path` read-only without a pool, priced at `env`'s block size
+    /// in `env`'s logical ledger ([`DiskEnv::stats`]). Clones of the handle
+    /// still start with fresh counters of their own.
+    pub fn open_in(env: &DiskEnv, path: &Path) -> io::Result<SharedFile> {
+        let pager = SharedPager::open(path, env.config().block_size, 0)?;
+        Ok(SharedFile::wrap(pager, env.ledger()))
+    }
+
+    fn wrap(pager: SharedPager, stats: Arc<IoStats>) -> SharedFile {
+        SharedFile {
+            block: pager.block_size() as u64,
             pager: Arc::new(pager),
-            stats: Arc::new(IoStats::new()),
-            block: block_size as u64,
+            stats,
             last_read_end: AtomicU64::new(u64::MAX), // first read counts as random
-        })
+        }
     }
 
     /// Reads exactly `buf.len()` bytes at `offset` unless EOF truncates the
@@ -85,14 +103,14 @@ impl SharedFile {
             return Ok(0);
         }
         let done = self.pager.read_at(offset, buf)?;
-        let sequential = offset == self.last_read_end.load(Ordering::Relaxed);
-        self.last_read_end.store(offset + done as u64, Ordering::Relaxed);
-        self.stats
-            .record_read((done.max(1) as u64).div_ceil(self.block), done as u64, sequential);
+        let cursor = self.last_read_end.load(Ordering::Relaxed);
+        let end = self.stats.charge_read(self.block, cursor, offset, done);
+        self.last_read_end.store(end, Ordering::Relaxed);
         Ok(done)
     }
 
-    /// This handle's logical counters (zeroed at open/clone).
+    /// This handle's logical counters (zeroed at open/clone; the
+    /// environment's ledger for a handle from [`SharedFile::open_in`]).
     pub fn stats(&self) -> IoSnapshot {
         self.stats.snapshot()
     }
@@ -100,11 +118,6 @@ impl SharedFile {
     /// The pool's physical counters, aggregated across every clone.
     pub fn phys(&self) -> PhysSnapshot {
         self.pager.phys()
-    }
-
-    /// The shared pool behind this handle.
-    pub fn pager(&self) -> &Arc<SharedPager> {
-        &self.pager
     }
 
     /// File length in bytes (captured at open; the file is immutable by
@@ -117,7 +130,6 @@ impl SharedFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::DiskEnv;
     use crate::file::CountedFile;
     use crate::IoConfig;
 

@@ -36,6 +36,16 @@ impl IoStats {
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
     }
 
+    /// The one read-pricing rule, shared by every counted handle: a read of
+    /// `done` bytes at `offset` costs `ceil(max(done, 1) / block)` blocks,
+    /// sequential iff it starts exactly at `cursor`, where the handle's
+    /// previous read ended. Returns the handle's new cursor.
+    pub(crate) fn charge_read(&self, block: u64, cursor: u64, offset: u64, done: usize) -> u64 {
+        let blocks = (done.max(1) as u64).div_ceil(block);
+        self.record_read(blocks, done as u64, offset == cursor);
+        offset + done as u64
+    }
+
     pub(crate) fn record_write(&self, blocks: u64, bytes: u64, sequential: bool) {
         if sequential {
             self.seq_writes.fetch_add(blocks, Ordering::Relaxed);

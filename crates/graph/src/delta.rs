@@ -1,7 +1,8 @@
 //! Incremental SCC index maintenance — the delta engine.
 //!
 //! The batch pipeline computes a partition once; this module keeps a stored
-//! [`SccIndex`] **current under edge insertions and deletions** without
+//! index artifact ([`SccIndex`]) **current under edge insertions and
+//! deletions** without
 //! recomputing it, following the standard dynamic-SCC playbook (maintain
 //! the condensation, localize work to the part of the DAG an update can
 //! actually affect):
@@ -54,19 +55,24 @@
 //!
 //! ## Crash safety and generations
 //!
-//! An update never writes into the live artifact. [`DeltaEngine::apply`]
-//! journals the batch to the sidecar first (the old header ignores the new
-//! tail), then forks the artifact file with an OS-level copy (an uncounted
-//! metadata-ish clone, like `sync`; reflink-capable filesystems make it
+//! An update never writes into the live artifact. The engine reads the live
+//! generation through an [`SccIndexReader`] priced in the environment's
+//! ledger and writes only through the environment's pager, so fault
+//! injection covers every transfer of a commit. [`DeltaEngine::apply`]
+//! journals the batch to the sidecar and syncs it (the old header ignores
+//! the new tail), then forks the artifact file with an OS-level copy (an
+//! uncounted metadata-ish clone; reflink-capable filesystems make it
 //! cheap), patches the touched pages of the **copy** through the counted
-//! pager, writes the new header (generation + 1) last, syncs, and
-//! atomically renames over the path. A crash or injected I/O fault at any
-//! point leaves the previous generation fully readable at the path;
-//! concurrent [`SccIndexReader`](crate::index::SccIndexReader)s opened
-//! before the rename keep serving their generation from the old inode.
-//! The engine itself stays consistent too: all in-memory state is mutated
-//! on transaction-local copies that are only installed after the rename
-//! succeeds, so a failed `apply` can simply be retried.
+//! pager, writes the new header (generation + 1) last, syncs the copy, and
+//! atomically renames it over the path. Those syncs and the build's are the
+//! barriers that make a commit durable. A crash or injected I/O fault at
+//! any point leaves the previous generation fully readable at the path;
+//! readers opened before the rename keep serving their generation from the
+//! old inode. The engine itself stays consistent too: all in-memory state
+//! is mutated on transaction-local copies that are only installed after
+//! the rename succeeds, so a failed `apply` can simply be retried. After
+//! the rename it reads the new generation through a reader built from the
+//! header it just wrote, without re-validating the artifact.
 //!
 //! Logical I/O is priced end to end in the environment's
 //! [`IoStats`](ce_extmem::IoStats): classification pays the index point
@@ -85,12 +91,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use ce_extmem::file::CountedFile;
-use ce_extmem::{DiskEnv, IoSnapshot};
+use ce_extmem::{DiskEnv, IoSnapshot, SharedFile};
 
 use crate::csr::CsrGraph;
 use crate::edgelist::EdgeListGraph;
 use crate::index::{
-    align_up, bad, journal_path, lookup_rep, lookup_size, page_hash, Fnv, Header, SccIndex,
+    align_up, bad, journal_path, page_hash, read_exact_at, Fnv, Header, SccIndex, SccIndexReader,
     DAG_ENTRY, DIRTY_ENTRY, JOURNAL_ENTRY, SIZE_ENTRY,
 };
 use crate::tarjan::tarjan_scc;
@@ -439,11 +445,11 @@ fn journal_record(tag: u32, u: NodeId, v: NodeId) -> [u8; JOURNAL_ENTRY as usize
     rec
 }
 
-/// The write handle over a stored [`SccIndex`]: classifies and applies
+/// The write handle over a stored index artifact: classifies and applies
 /// [`DeltaBatch`]es, maintains the dirty set, and re-verifies lazily. One
 /// engine owns the artifact's write path; concurrent readers keep using
-/// [`SccIndexReader`](crate::index::SccIndexReader) handles and swap to the
-/// new generation whenever they choose to reopen.
+/// [`SccIndexReader`] handles and swap to the new generation whenever they
+/// choose to reopen.
 ///
 /// The engine holds the base graph the index was built from — deltas are
 /// journaled on top of it, so the current edge multiset is
@@ -453,8 +459,8 @@ pub struct DeltaEngine<'a> {
     env: &'a DiskEnv,
     base: &'a EdgeListGraph,
     path: PathBuf,
-    file: CountedFile,
-    hdr: Header,
+    /// The live generation, priced in `env`'s ledger.
+    index: SccIndexReader,
     dag: DagAdj,
     /// Record slot of every stored DAG record (tombstones included — a
     /// re-added edge reuses its tombstone's slot).
@@ -467,10 +473,10 @@ impl std::fmt::Debug for DeltaEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeltaEngine")
             .field("path", &self.path)
-            .field("generation", &self.hdr.generation)
-            .field("n_sccs", &self.hdr.n_sccs)
+            .field("generation", &self.index.generation())
+            .field("n_sccs", &self.index.n_sccs())
             .field("n_dirty", &(self.dirty.len() as u64))
-            .field("n_journal", &self.hdr.n_journal)
+            .field("n_journal", &self.index.hdr.n_journal)
             .finish()
     }
 }
@@ -486,8 +492,8 @@ impl<'a> DeltaEngine<'a> {
         base: &'a EdgeListGraph,
         path: &Path,
     ) -> io::Result<DeltaEngine<'a>> {
-        let idx = SccIndex::open(env, path)?;
-        if !idx.has_condensation() {
+        let index = SccIndex::open(env, path)?;
+        if !index.has_condensation() {
             return Err(bad(
                 "the index was built without the condensation DAG section, which the \
                  delta engine needs to classify updates; rebuild it with \
@@ -495,7 +501,7 @@ impl<'a> DeltaEngine<'a> {
                  (`SccSession::condensation(true)` from the API)",
             ));
         }
-        let (mut file, hdr) = idx.into_parts();
+        let hdr = index.hdr;
         let block = env.config().block_size as u64;
         if block != hdr.page_size {
             return Err(bad(&format!(
@@ -522,9 +528,8 @@ impl<'a> DeltaEngine<'a> {
         while at < hdr.n_dag_edges {
             let take = (hdr.n_dag_edges - at).min(chunk.len() as u64 / DAG_ENTRY);
             let bytes = (take * DAG_ENTRY) as usize;
-            if file.read_at(hdr.dag_off + at * DAG_ENTRY, &mut chunk[..bytes])? != bytes {
-                return Err(bad("dag section truncated"));
-            }
+            let off = hdr.dag_off + at * DAG_ENTRY;
+            read_exact_at(&index.file, off, &mut chunk[..bytes], "dag section")?;
             for i in 0..take as usize {
                 let raw = &chunk[i * DAG_ENTRY as usize..(i + 1) * DAG_ENTRY as usize];
                 let s = NodeId::from_le_bytes(raw[0..4].try_into().unwrap());
@@ -538,22 +543,7 @@ impl<'a> DeltaEngine<'a> {
             at += take;
         }
 
-        // Dirty set.
-        let mut dirty = BTreeSet::new();
-        let mut at = 0u64;
-        while at < hdr.n_dirty {
-            let take = (hdr.n_dirty - at).min(chunk.len() as u64 / DIRTY_ENTRY);
-            let bytes = (take * DIRTY_ENTRY) as usize;
-            if file.read_at(hdr.dirty_off + at * DIRTY_ENTRY, &mut chunk[..bytes])? != bytes {
-                return Err(bad("dirty section truncated"));
-            }
-            for i in 0..take as usize {
-                dirty.insert(NodeId::from_le_bytes(
-                    chunk[i * 4..i * 4 + 4].try_into().unwrap(),
-                ));
-            }
-            at += take;
-        }
+        let dirty = index.dirty_components().collect::<io::Result<BTreeSet<NodeId>>>()?;
 
         // Journal sidecar: open (create when this generation has no
         // entries), then validate exactly the authenticated prefix.
@@ -589,8 +579,7 @@ impl<'a> DeltaEngine<'a> {
             env,
             base,
             path: path.to_path_buf(),
-            file,
-            hdr,
+            index,
             dag,
             dag_pos,
             dirty,
@@ -600,18 +589,18 @@ impl<'a> DeltaEngine<'a> {
 
     /// Current index generation.
     pub fn generation(&self) -> u64 {
-        self.hdr.generation
+        self.index.generation()
     }
 
     /// Current number of stored components (dirty components count once —
     /// their possible splits are not yet materialized).
     pub fn n_sccs(&self) -> u64 {
-        self.hdr.n_sccs
+        self.index.n_sccs()
     }
 
     /// Nodes covered by the index (fixed at build).
     pub fn n_nodes(&self) -> u64 {
-        self.hdr.n_nodes
+        self.index.n_nodes()
     }
 
     /// Components currently marked dirty.
@@ -626,7 +615,7 @@ impl<'a> DeltaEngine<'a> {
 
     /// Journal entries accumulated since the build.
     pub fn n_journal(&self) -> u64 {
-        self.hdr.n_journal
+        self.index.hdr.n_journal
     }
 
     /// Live condensation edges, `(src, dst)` sorted, from memory (no I/O).
@@ -643,16 +632,16 @@ impl<'a> DeltaEngine<'a> {
         let before = self.env.stats().snapshot();
         if batch.is_empty() {
             return Ok(DeltaReport {
-                generation: self.hdr.generation,
+                generation: self.index.generation(),
                 ..DeltaReport::default()
             });
         }
         for &(u, v) in batch.edges_added.iter().chain(&batch.edges_removed) {
-            if u as u64 >= self.hdr.n_nodes || v as u64 >= self.hdr.n_nodes {
+            if u as u64 >= self.index.n_nodes() || v as u64 >= self.index.n_nodes() {
                 return Err(bad(&format!(
                     "edge ({u}, {v}) is outside the index's node universe (0..{}); \
                      delta maintenance never grows the node set",
-                    self.hdr.n_nodes
+                    self.index.n_nodes()
                 )));
             }
         }
@@ -677,8 +666,8 @@ impl<'a> DeltaEngine<'a> {
         let mut new_seen: HashSet<(NodeId, NodeId)> = HashSet::new();
 
         for &(u, v) in &batch.edges_added {
-            let ru = overlay.find(lookup_rep(&mut self.file, &self.hdr, u)?);
-            let rv = overlay.find(lookup_rep(&mut self.file, &self.hdr, v)?);
+            let ru = overlay.find(self.index.component_of(u)?);
+            let rv = overlay.find(self.index.component_of(v)?);
             plan.journal.push(journal_record(0, u, v));
             if ru == rv {
                 report.intra_added += 1;
@@ -753,8 +742,8 @@ impl<'a> DeltaEngine<'a> {
         }
 
         for &(u, v) in &batch.edges_removed {
-            let ru = overlay.find(lookup_rep(&mut self.file, &self.hdr, u)?);
-            let rv = overlay.find(lookup_rep(&mut self.file, &self.hdr, v)?);
+            let ru = overlay.find(self.index.component_of(u)?);
+            let rv = overlay.find(self.index.component_of(v)?);
             plan.journal.push(journal_record(1, u, v));
             if ru == rv {
                 // Intra-component: possibly splits — defer to lazy
@@ -806,7 +795,7 @@ impl<'a> DeltaEngine<'a> {
             // table through the final merge mapping.
             plan.rewrite_dag = true;
             let relabel = overlay.relabel_map();
-            let table = self.read_size_table()?;
+            let table: Vec<(NodeId, u64)> = self.index.components().collect::<io::Result<_>>()?;
             let by_rep: HashMap<NodeId, u64> = table.iter().copied().collect();
             for group in &merged_groups {
                 for &r in group {
@@ -830,7 +819,7 @@ impl<'a> DeltaEngine<'a> {
         );
         report.label_pages_rewritten = self.materialize(plan, dag, dirty)?;
         drop(sp);
-        report.generation = self.hdr.generation;
+        report.generation = self.index.generation();
         report.ios = self.env.stats().snapshot().since(&before);
         Ok(report)
     }
@@ -839,10 +828,10 @@ impl<'a> DeltaEngine<'a> {
     /// if `u`'s component is dirty it is re-verified first (the lazy path),
     /// so the answer is always exact.
     pub fn component_of(&mut self, u: NodeId) -> io::Result<NodeId> {
-        let r = lookup_rep(&mut self.file, &self.hdr, u)?;
+        let r = self.index.component_of(u)?;
         if self.dirty.contains(&r) {
             self.reverify(&[r])?;
-            return lookup_rep(&mut self.file, &self.hdr, u);
+            return self.index.component_of(u);
         }
         Ok(r)
     }
@@ -856,7 +845,7 @@ impl<'a> DeltaEngine<'a> {
     /// Exact component size against the current graph.
     pub fn component_size(&mut self, u: NodeId) -> io::Result<u64> {
         self.component_of(u)?;
-        lookup_size(&mut self.file, &self.hdr, u)
+        self.index.component_size(u)
     }
 
     /// Re-verifies **all** dirty components (span `delta_compact`),
@@ -889,7 +878,7 @@ impl<'a> DeltaEngine<'a> {
         };
         self.materialize(plan, self.dag.clone(), self.dirty.clone())?;
         drop(sp);
-        report.generation = self.hdr.generation;
+        report.generation = self.index.generation();
         report.dag_slots_reclaimed = tombstones;
         report.ios = self.env.stats().snapshot().since(&before);
         Ok(report)
@@ -900,7 +889,7 @@ impl<'a> DeltaEngine<'a> {
     /// from-scratch rebuild.
     pub fn labels_snapshot(&mut self) -> io::Result<Vec<NodeId>> {
         self.compact()?;
-        let mut labels = Vec::with_capacity(self.hdr.n_nodes as usize);
+        let mut labels = Vec::with_capacity(self.index.n_nodes() as usize);
         self.scan_labels(|_, rep| labels.push(rep))?;
         Ok(labels)
     }
@@ -916,7 +905,7 @@ impl<'a> DeltaEngine<'a> {
             reps.iter().copied().filter(|r| self.dirty.contains(r)).collect();
         if targets.is_empty() {
             return Ok(CompactReport {
-                generation: self.hdr.generation,
+                generation: self.index.generation(),
                 ..CompactReport::default()
             });
         }
@@ -947,8 +936,8 @@ impl<'a> DeltaEngine<'a> {
             }
         }
         {
-            let mut chunk = vec![0u8; self.hdr.page_size as usize];
-            let end = self.hdr.n_journal * JOURNAL_ENTRY;
+            let mut chunk = vec![0u8; self.index.page_size() as usize];
+            let end = self.index.hdr.n_journal * JOURNAL_ENTRY;
             let mut at = 0u64;
             let mut rec = Vec::new();
             while at < end {
@@ -1005,11 +994,8 @@ impl<'a> DeltaEngine<'a> {
         }
 
         // New size table: target entries out, the re-verified ones in.
-        let mut table: Vec<(NodeId, u64)> = self
-            .read_size_table()?
-            .into_iter()
-            .filter(|(rep, _)| !targets.contains(rep))
-            .collect();
+        let mut table: Vec<(NodeId, u64)> = self.index.components().collect::<io::Result<_>>()?;
+        table.retain(|(rep, _)| !targets.contains(rep));
         table.extend(new_comps.iter().copied());
         table.sort_unstable();
 
@@ -1028,7 +1014,7 @@ impl<'a> DeltaEngine<'a> {
                 None => match outside.get(&a) {
                     Some(&l) => l,
                     None => {
-                        let l = lookup_rep(&mut self.file, &self.hdr, a)?;
+                        let l = self.index.component_of(a)?;
                         outside.insert(a, l);
                         l
                     }
@@ -1039,7 +1025,7 @@ impl<'a> DeltaEngine<'a> {
                 None => match outside.get(&b) {
                     Some(&l) => l,
                     None => {
-                        let l = lookup_rep(&mut self.file, &self.hdr, b)?;
+                        let l = self.index.component_of(b)?;
                         outside.insert(b, l);
                         l
                     }
@@ -1082,25 +1068,23 @@ impl<'a> DeltaEngine<'a> {
         };
         self.materialize(plan, dag, dirty)?;
         drop(sp);
-        report.generation = self.hdr.generation;
+        report.generation = self.index.generation();
         report.ios = self.env.stats().snapshot().since(&before);
         Ok(report)
     }
 
     /// Streams every `(node, stored label)` pair sequentially.
-    fn scan_labels(&mut self, mut f: impl FnMut(NodeId, NodeId)) -> io::Result<()> {
-        let page = self.hdr.page_size;
+    fn scan_labels(&self, mut f: impl FnMut(NodeId, NodeId)) -> io::Result<()> {
+        let hdr = &self.index.hdr;
+        let page = hdr.page_size;
         let per = page / 4;
         let mut buf = vec![0u8; page as usize];
-        for p in 0..self.hdr.label_pages() {
-            if self.file.read_at(self.hdr.labels_off + p * page, &mut buf)?
-                != buf.len()
-            {
-                return Err(bad("labels section truncated"));
-            }
+        for p in 0..hdr.label_pages() {
+            let off = hdr.labels_off + p * page;
+            read_exact_at(&self.index.file, off, &mut buf, "labels section")?;
             for slot in 0..per {
                 let node = p * per + slot;
-                if node >= self.hdr.n_nodes {
+                if node >= hdr.n_nodes {
                     break;
                 }
                 let at = (slot * 4) as usize;
@@ -1111,31 +1095,6 @@ impl<'a> DeltaEngine<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Reads the whole size table with sequential page-sized reads.
-    fn read_size_table(&mut self) -> io::Result<Vec<(NodeId, u64)>> {
-        let mut out = Vec::with_capacity(self.hdr.n_sccs as usize);
-        let mut chunk = vec![0u8; self.hdr.page_size as usize];
-        let mut at = 0u64;
-        while at < self.hdr.n_sccs {
-            let take = (self.hdr.n_sccs - at).min(chunk.len() as u64 / SIZE_ENTRY);
-            let bytes = (take * SIZE_ENTRY) as usize;
-            if self.file.read_at(self.hdr.sizes_off + at * SIZE_ENTRY, &mut chunk[..bytes])?
-                != bytes
-            {
-                return Err(bad("size table truncated"));
-            }
-            for i in 0..take as usize {
-                let raw = &chunk[i * SIZE_ENTRY as usize..(i + 1) * SIZE_ENTRY as usize];
-                out.push((
-                    NodeId::from_le_bytes(raw[0..4].try_into().unwrap()),
-                    u64::from_le_bytes(raw[8..16].try_into().unwrap()),
-                ));
-            }
-            at += take;
-        }
-        Ok(out)
     }
 
     /// Commits a plan as generation `g + 1`: journal first (synced; the old
@@ -1150,7 +1109,7 @@ impl<'a> DeltaEngine<'a> {
         dag: DagAdj,
         dirty: BTreeSet<NodeId>,
     ) -> io::Result<u64> {
-        let hdr = self.hdr;
+        let hdr = self.index.hdr;
 
         // 1. Journal append. Bytes past the authenticated prefix are
         // ignored by every reader of the *current* header, so a fault
@@ -1168,11 +1127,9 @@ impl<'a> DeltaEngine<'a> {
         }
         let n_journal = hdr.n_journal + plan.journal.len() as u64;
 
-        // 2. Fork the artifact. Flush the pool first so the OS-level copy
-        // sees every byte of the current generation (not counted: barriers
-        // are free in the I/O model, and the copy itself is a metadata-ish
-        // clone outside it).
-        self.file.sync()?;
+        // 2. Fork the artifact with an OS-level copy (not counted: a
+        // metadata-ish clone outside the I/O model). The engine never
+        // writes the live generation, so there is nothing to flush first.
         let tmp = self.path.with_file_name(format!(
             "{}.g{}.tmp",
             self.path
@@ -1193,15 +1150,19 @@ impl<'a> DeltaEngine<'a> {
                     return Err(e);
                 }
                 // Commit point passed. The pager interns files by path, so
-                // both names now alias stale state: the artifact path still
-                // maps to the pre-swap inode, and the tmp name maps to the
+                // both names may alias stale state: the artifact path can
+                // still map to a pre-swap inode (a build in this
+                // environment interned it), and the tmp name maps to the
                 // renamed one. Evict both (the fork handle synced its
-                // frames) and reopen the artifact under its real name.
+                // frames), then read the new generation under its real
+                // name, trusting the header this commit just wrote.
                 drop(file);
                 self.env.evict(&self.path);
                 self.env.evict(&tmp);
-                self.file = CountedFile::open_rw(self.env, &self.path)?;
-                self.hdr = new_hdr;
+                self.index = SccIndexReader {
+                    file: SharedFile::open_in(self.env, &self.path)?,
+                    hdr: new_hdr,
+                };
                 self.dirty = dirty;
                 self.dag = dag;
                 match pos_update {
@@ -1231,7 +1192,7 @@ impl<'a> DeltaEngine<'a> {
         n_journal: u64,
         journal_fnv: u64,
     ) -> io::Result<(Header, CountedFile, u64, DagPosUpdate)> {
-        let hdr = self.hdr;
+        let hdr = self.index.hdr;
         let page = hdr.page_size;
         let mut f = CountedFile::open_rw(self.env, tmp)?;
 
@@ -1577,7 +1538,7 @@ mod tests {
         );
         // The artifact revalidates and agrees after reopen.
         drop(eng);
-        let mut idx = SccIndex::open(&e, &path).unwrap();
+        let idx = SccIndex::open(&e, &path).unwrap();
         assert_eq!(idx.generation(), 1);
         let mut edges: Vec<Edge> = idx.condensation_edges().map(|r| r.unwrap()).collect();
         edges.sort_unstable();
@@ -1617,7 +1578,7 @@ mod tests {
         assert_eq!(eng.condensation_edges(), vec![CountedEdge::new(0, 6, 1)]);
         // Reopen from disk: checksums hold, same answers.
         drop(eng);
-        let mut idx = SccIndex::open(&e, &path).unwrap();
+        let idx = SccIndex::open(&e, &path).unwrap();
         assert_eq!(idx.generation(), 1);
         assert_eq!(idx.n_sccs(), 2);
         assert!(idx.same_component(0, 5).unwrap());
@@ -1754,7 +1715,7 @@ mod tests {
         assert_eq!(eng.n_dirty(), 1);
         assert_eq!(eng.dirty_components(), vec![0]);
         // The stored labels are a coarsening until someone looks.
-        let mut idx = SccIndex::open(&e, &path).unwrap();
+        let idx = SccIndex::open(&e, &path).unwrap();
         assert_eq!(idx.n_sccs(), 2);
         assert_eq!(idx.dirty_components().map(|r| r.unwrap()).collect::<Vec<_>>(), vec![0]);
 
@@ -1854,7 +1815,7 @@ mod tests {
                 faulted += 1;
                 assert_ne!(err.kind(), io::ErrorKind::InvalidData, "not a corruption");
                 // The previous generation is intact and fully validated.
-                let mut idx = SccIndex::open(&e, &path).unwrap();
+                let idx = SccIndex::open(&e, &path).unwrap();
                 assert_eq!(idx.generation(), 0);
                 assert!(!idx.same_component(0, 3).unwrap());
                 drop(idx);
@@ -1865,7 +1826,7 @@ mod tests {
             assert!(eng.same_component(0, 3).unwrap());
             assert!(!eng.same_component(0, 4).unwrap());
             drop(eng);
-            let mut idx = SccIndex::open(&e, &path).unwrap();
+            let idx = SccIndex::open(&e, &path).unwrap();
             assert!(idx.same_component(0, 2).unwrap());
         }
         assert!(faulted >= 3, "the sweep must actually hit mid-apply faults");

@@ -8,33 +8,35 @@
 //! block-aligned pages, a component-size table, and (optionally) the
 //! condensation DAG's edge list.
 //!
-//! Everything is written and read through the environment's pager
-//! ([`CountedFile`]), so index I/O is priced in the same **logical**
-//! [`IoStats`](ce_extmem::IoStats) model as the algorithms themselves and
-//! benefits from the buffer pool physically. The artifact is always backed
-//! by a real on-disk file (even under in-memory environments — see
-//! [`CountedFile::create_persistent`]), so it survives the environment that
-//! built it and reopens in `O(1)` memory: [`SccIndex::open`] reads the
-//! header and streams a checksum pass, after which every query touches a
-//! bounded number of blocks — [`component_of`](SccIndex::component_of) one,
-//! [`same_component`](SccIndex::same_component) at most two (zero when
-//! `u == v`, one when both labels share a page),
-//! [`component_size`](SccIndex::component_size) `O(log n_sccs)`, and the
-//! batched [`component_of_many`](SccIndex::component_of_many) one read per
-//! *distinct* label page in the batch.
+//! The artifact is written through the environment's pager
+//! ([`CountedFile`]) and read through a [`SharedFile`]; both price every
+//! transfer by one rule in the same **logical**
+//! [`IoStats`](ce_extmem::IoStats) model as the algorithms themselves. The
+//! artifact is always backed by a real on-disk file (even under in-memory
+//! environments — see [`CountedFile::create_persistent`]), so it survives
+//! the environment that built it and reopens in `O(1)` memory:
+//! [`SccIndex::open`] reads the header and streams a checksum pass, after
+//! which every query touches a bounded number of blocks —
+//! [`component_of`](SccIndexReader::component_of) one,
+//! [`same_component`](SccIndexReader::same_component) at most two (zero
+//! when `u == v`, one when both labels share a page),
+//! [`component_size`](SccIndexReader::component_size) `O(log n_sccs)`, and
+//! the batched [`component_of_many`](SccIndexReader::component_of_many) one
+//! read per *distinct* label page in the batch.
 //!
-//! ## Concurrent reads
+//! ## One reader, two ways to open it
 //!
-//! [`SccIndex`] owns its environment's pager and takes `&mut self` — one
-//! reader. [`SccIndexReader`] ([`SccIndex::open_shared`]) is the serving
-//! handle: cloneable, `Send + Sync`, queries take `&self`, and all clones
-//! share one read-only `SharedPager` block pool (via
-//! [`ce_extmem::SharedFile`]) so a hot label page faulted by
-//! one thread is a cache hit for every other.
-//! Logical I/O stays per-handle (fresh counters per clone), so a query's
-//! [`IoSnapshot`](ce_extmem::IoSnapshot) is bit-identical to the owned
-//! path no matter how many readers run concurrently — both handles answer
-//! through the same query and validation code over one block-read seam.
+//! [`SccIndexReader`] is the only handle on an artifact: cloneable,
+//! `Send + Sync`, and every query takes `&self`. [`SccIndex::open`] prices
+//! its reads in an environment's logical ledger at the environment's block
+//! size and reads without a pool — the form the session, the delta engine
+//! and `scc index query` use. [`SccIndex::open_shared`] is the serving
+//! form: all its clones share one read-only `SharedPager` block pool, so a
+//! hot label page faulted by one thread is a cache hit for every other.
+//! Either way a clone starts with fresh logical counters of its own, so a
+//! query's [`IoSnapshot`](ce_extmem::IoSnapshot) does not depend on how
+//! many readers run concurrently. Both forms validate and answer through
+//! the same code, so they price every query identically.
 //!
 //! ## On-disk layout (version 2, all integers little-endian)
 //!
@@ -74,7 +76,7 @@
 //!   `rename(2)` over the old path. Readers that opened generation `g`
 //!   keep their file descriptor to the old inode and never observe a torn
 //!   index; a crash mid-update leaves the previous generation at the path
-//!   untouched. [`SccIndex::generation`] exposes the counter.
+//!   untouched. [`SccIndexReader::generation`] exposes the counter.
 //! * **Per-page checksums for the patched sections.** The labels section
 //!   is covered by `labels_xor`: the XOR over label pages of
 //!   `FNV-1a(page_index ‖ page bytes)`. Patching one label page updates
@@ -360,60 +362,15 @@ impl<'a> SectionWriter<'a> {
     }
 }
 
-/// The block-read seam both index handles answer through: the owned
-/// [`SccIndex`] reads via its environment's [`CountedFile`], the concurrent
-/// [`SccIndexReader`] via a [`SharedFile`] clone. Everything above this
-/// trait — open-time validation, every query, every section iterator — is
-/// written once against it, so the two paths cannot drift in answers *or*
-/// in logical I/O pricing.
-pub(crate) trait IndexIo {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
-    fn len_bytes(&self) -> io::Result<u64>;
-}
-
-impl IndexIo for CountedFile {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        CountedFile::read_at(self, offset, buf)
-    }
-
-    fn len_bytes(&self) -> io::Result<u64> {
-        CountedFile::len_bytes(self)
-    }
-}
-
-impl IndexIo for &mut CountedFile {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        CountedFile::read_at(self, offset, buf)
-    }
-
-    fn len_bytes(&self) -> io::Result<u64> {
-        CountedFile::len_bytes(self)
-    }
-}
-
-/// Adapter giving a `&SharedFile` the `&mut`-shaped seam (its reads are
-/// interior-mutable already).
-pub(crate) struct SharedIo<'a>(pub(crate) &'a SharedFile);
-
-impl IndexIo for SharedIo<'_> {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.read_at(offset, buf)
-    }
-
-    fn len_bytes(&self) -> io::Result<u64> {
-        Ok(self.0.len_bytes())
-    }
-}
-
 /// Reads exactly `buf.len()` bytes at `offset` or fails with a truncation
 /// error naming `what`.
 pub(crate) fn read_exact_at(
-    io: &mut dyn IndexIo,
+    file: &SharedFile,
     offset: u64,
     buf: &mut [u8],
     what: &str,
 ) -> io::Result<()> {
-    if io.read_at(offset, buf)? != buf.len() {
+    if file.read_at(offset, buf)? != buf.len() {
         return Err(bad(&format!("{what} truncated")));
     }
     Ok(())
@@ -423,7 +380,7 @@ pub(crate) fn read_exact_at(
 /// them into an FNV — the open-time validation pass for record-checksummed
 /// sections (padding excluded; see the module docs).
 fn stream_fnv(
-    io: &mut dyn IndexIo,
+    file: &SharedFile,
     start: u64,
     bytes: u64,
     page: u64,
@@ -435,7 +392,7 @@ fn stream_fnv(
     let end = start + bytes;
     while at < end {
         let take = ((end - at) as usize).min(chunk.len());
-        read_exact_at(io, at, &mut chunk[..take], what)?;
+        read_exact_at(file, at, &mut chunk[..take], what)?;
         fnv.update(&chunk[..take]);
         at += take as u64;
     }
@@ -443,12 +400,11 @@ fn stream_fnv(
 }
 
 /// Reads the header and validates magic, version, geometry and every
-/// section checksum — the whole open-time protocol, shared verbatim by
-/// [`SccIndex::open`] and [`SccIndex::open_shared`] so both handles reject
-/// exactly the same corruptions at exactly the same logical I/O cost.
-pub(crate) fn open_checked(io: &mut dyn IndexIo) -> io::Result<Header> {
+/// section checksum — the whole open-time protocol behind both
+/// [`SccIndex::open`] and [`SccIndex::open_shared`].
+fn open_checked(file: SharedFile) -> io::Result<SccIndexReader> {
     let mut buf = [0u8; HEADER_LEN];
-    if io.read_at(0, &mut buf)? != HEADER_LEN {
+    if file.read_at(0, &mut buf)? != HEADER_LEN {
         return Err(bad("file too short for a header"));
     }
     let hdr = Header::decode(&buf)?;
@@ -482,24 +438,29 @@ pub(crate) fn open_checked(io: &mut dyn IndexIo) -> io::Result<Header> {
         return Err(bad("inconsistent section geometry"));
     }
     let want_len = hdr.file_len();
-    if io.len_bytes()? != want_len {
+    if file.len_bytes() != want_len {
         return Err(bad(&format!(
             "file is {} bytes, header implies {want_len}",
-            io.len_bytes()?
+            file.len_bytes()
         )));
     }
     // Labels: XOR of per-page hashes (whole pages, padding included).
     let mut xor = 0u64;
     let mut chunk = vec![0u8; page as usize];
     for p in 0..hdr.label_pages() {
-        read_exact_at(io, hdr.labels_off + p * page, &mut chunk, "labels section")?;
+        read_exact_at(
+            &file,
+            hdr.labels_off + p * page,
+            &mut chunk,
+            "labels section",
+        )?;
         xor ^= page_hash(p, &chunk);
     }
     if xor != hdr.labels_xor {
         return Err(bad("labels checksum mismatch"));
     }
     // Record-checksummed sections.
-    if stream_fnv(io, hdr.sizes_off, SIZE_ENTRY * hdr.n_sccs, page, "size table")?
+    if stream_fnv(&file, hdr.sizes_off, SIZE_ENTRY * hdr.n_sccs, page, "size table")?
         != hdr.sizes_fnv
     {
         return Err(bad("size table checksum mismatch"));
@@ -512,22 +473,22 @@ pub(crate) fn open_checked(io: &mut dyn IndexIo) -> io::Result<Header> {
             / page;
         let mut xor = 0u64;
         for p in 0..dag_pages {
-            read_exact_at(io, hdr.dag_off + p * page, &mut chunk, "dag section")?;
+            read_exact_at(&file, hdr.dag_off + p * page, &mut chunk, "dag section")?;
             xor ^= page_hash(p, &chunk);
         }
         if xor != hdr.dag_xor {
             return Err(bad("dag section checksum mismatch"));
         }
     }
-    if stream_fnv(io, hdr.dirty_off, DIRTY_ENTRY * hdr.n_dirty, page, "dirty section")?
+    if stream_fnv(&file, hdr.dirty_off, DIRTY_ENTRY * hdr.n_dirty, page, "dirty section")?
         != hdr.dirty_fnv
     {
         return Err(bad("dirty section checksum mismatch"));
     }
-    Ok(hdr)
+    Ok(SccIndexReader { file, hdr })
 }
 
-pub(crate) fn check_node(hdr: &Header, u: NodeId) -> io::Result<()> {
+fn check_node(hdr: &Header, u: NodeId) -> io::Result<()> {
     if u as u64 >= hdr.n_nodes {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -537,92 +498,9 @@ pub(crate) fn check_node(hdr: &Header, u: NodeId) -> io::Result<()> {
     Ok(())
 }
 
-/// `component_of`: one 4-byte read, one logical block.
-pub(crate) fn lookup_rep(io: &mut dyn IndexIo, hdr: &Header, u: NodeId) -> io::Result<NodeId> {
-    check_node(hdr, u)?;
-    let mut buf = [0u8; 4];
-    read_exact_at(io, hdr.labels_off + 4 * u as u64, &mut buf, "labels section")?;
-    Ok(NodeId::from_le_bytes(buf))
-}
-
 /// Label page (block of the labels section) holding node `u`'s entry.
-pub(crate) fn label_page(hdr: &Header, u: NodeId) -> u64 {
+fn label_page(hdr: &Header, u: NodeId) -> u64 {
     (4 * u as u64) / hdr.page_size
-}
-
-/// `same_component`: zero reads for `u == v`, one page read when both
-/// labels live on the same page, two 4-byte reads otherwise.
-fn lookup_same(io: &mut dyn IndexIo, hdr: &Header, u: NodeId, v: NodeId) -> io::Result<bool> {
-    check_node(hdr, u)?;
-    if u == v {
-        return Ok(true);
-    }
-    check_node(hdr, v)?;
-    if label_page(hdr, u) == label_page(hdr, v) {
-        let mut page = vec![0u8; hdr.page_size as usize];
-        let off = hdr.labels_off + label_page(hdr, u) * hdr.page_size;
-        read_exact_at(io, off, &mut page, "labels section")?;
-        let slot = |x: NodeId| ((4 * x as u64) % hdr.page_size) as usize;
-        let rep = |at: usize| NodeId::from_le_bytes(page[at..at + 4].try_into().unwrap());
-        return Ok(rep(slot(u)) == rep(slot(v)));
-    }
-    Ok(lookup_rep(io, hdr, u)? == lookup_rep(io, hdr, v)?)
-}
-
-/// Batched `component_of`: bounds-checks everything up front (no I/O is
-/// spent on a batch that fails), then answers in ascending node order so
-/// the `k` queries that land on one label page cost exactly one page read.
-/// Results come back in input order.
-pub(crate) fn lookup_many(
-    io: &mut dyn IndexIo,
-    hdr: &Header,
-    nodes: &[NodeId],
-) -> io::Result<Vec<NodeId>> {
-    for &u in nodes {
-        check_node(hdr, u)?;
-    }
-    let mut order: Vec<u32> = (0..nodes.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| nodes[i as usize]);
-    let mut out = vec![0 as NodeId; nodes.len()];
-    let mut page = vec![0u8; hdr.page_size as usize];
-    let mut loaded = u64::MAX;
-    for &i in &order {
-        let u = nodes[i as usize];
-        let p = label_page(hdr, u);
-        if p != loaded {
-            read_exact_at(io, hdr.labels_off + p * hdr.page_size, &mut page, "labels section")?;
-            loaded = p;
-        }
-        let at = ((4 * u as u64) % hdr.page_size) as usize;
-        out[i as usize] = NodeId::from_le_bytes(page[at..at + 4].try_into().unwrap());
-    }
-    Ok(out)
-}
-
-fn read_size_entry(io: &mut dyn IndexIo, hdr: &Header, i: u64) -> io::Result<(NodeId, u64)> {
-    let mut buf = [0u8; SIZE_ENTRY as usize];
-    read_exact_at(io, hdr.sizes_off + SIZE_ENTRY * i, &mut buf, "size table")?;
-    Ok((
-        NodeId::from_le_bytes(buf[0..4].try_into().unwrap()),
-        u64::from_le_bytes(buf[8..16].try_into().unwrap()),
-    ))
-}
-
-/// `component_size`: one label read plus an `O(log n_sccs)` binary search
-/// over the on-disk size table.
-pub(crate) fn lookup_size(io: &mut dyn IndexIo, hdr: &Header, u: NodeId) -> io::Result<u64> {
-    let rep = lookup_rep(io, hdr, u)?;
-    let (mut lo, mut hi) = (0u64, hdr.n_sccs);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let (r, size) = read_size_entry(io, hdr, mid)?;
-        match r.cmp(&rep) {
-            std::cmp::Ordering::Equal => return Ok(size),
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-        }
-    }
-    Err(bad(&format!("representative {rep} missing from the size table")))
 }
 
 /// Sniffs the page size of an artifact with one raw, **uncounted** header
@@ -652,33 +530,21 @@ pub fn sniff_page_size(path: &Path) -> io::Result<u64> {
     Ok(page)
 }
 
-/// A reopened SCC index. See the module docs for the format and the I/O
-/// cost of each query; all queries are counted in the owning environment's
-/// logical [`IoStats`](ce_extmem::IoStats).
-pub struct SccIndex {
-    file: CountedFile,
-    hdr: Header,
-}
-
-impl std::fmt::Debug for SccIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SccIndex")
-            .field("n_nodes", &self.hdr.n_nodes)
-            .field("n_sccs", &self.hdr.n_sccs)
-            .field("n_dag_edges", &self.hdr.n_dag_edges)
-            .field("page_size", &self.hdr.page_size)
-            .field("generation", &self.hdr.generation)
-            .finish()
-    }
-}
+/// The artifact's constructors: [`SccIndex::build`] writes one,
+/// [`SccIndex::open`] and [`SccIndex::open_shared`] return the
+/// [`SccIndexReader`] that queries it. See the module docs for the format.
+pub enum SccIndex {}
 
 impl SccIndex {
-    /// Builds the on-disk artifact at `path` from a dense node-sorted label
-    /// file (the canonical output of every [`crate::algo::SccAlgorithm`])
-    /// and, optionally, a counted condensation DAG edge file (as produced
-    /// by [`crate::labels::condense_counted`]). Returns the number of
-    /// distinct components written. The artifact starts at generation 0
-    /// with empty dirty and journal sections.
+    /// Builds the on-disk artifact at `path` from a label file that is
+    /// dense and sorted by node (one record per node `0..n_nodes`, as every
+    /// [`crate::algo::SccAlgorithm`] writes) and, optionally, a counted
+    /// condensation DAG edge file (as produced by
+    /// [`crate::labels::condense_counted`]). A component's representative
+    /// may be any of its members; the index stores whichever the labels
+    /// name. Returns the number of distinct components written. The
+    /// artifact starts at generation 0 with empty dirty and journal
+    /// sections.
     ///
     /// The file at `path` is created on the real filesystem regardless of
     /// the environment's backend, truncating any previous artifact (and any
@@ -815,162 +681,45 @@ impl SccIndex {
     /// record byte flipped is rejected here with an
     /// [`io::ErrorKind::InvalidData`] checksum/geometry error — corruption
     /// never reaches query answers.
-    pub fn open(env: &DiskEnv, path: &Path) -> io::Result<SccIndex> {
-        let _sp = ce_extmem::io_span!(env, "index_open");
-        let mut file = CountedFile::open_read(env, path)?;
-        let hdr = open_checked(&mut file)?;
-        Ok(SccIndex { file, hdr })
-    }
-
-    /// Opens the artifact for **concurrent** reads: returns a cloneable
-    /// [`SccIndexReader`] whose queries take `&self` and whose clones share
-    /// one read-only block pool of `cache_blocks` frames (0 = no caching).
-    /// Performs the same validation protocol as [`SccIndex::open`] — header,
-    /// geometry, every section checksum — at the same logical I/O cost,
-    /// counted in the reader's own per-handle stats.
     ///
-    /// The reader is independent of any [`DiskEnv`]: it prices its logical
-    /// I/O in per-handle counters ([`SccIndexReader::stats`]) instead of an
-    /// environment's, which is what keeps per-query costs deterministic
-    /// under concurrency.
+    /// The returned reader prices its open and every query in `env`'s
+    /// logical [`IoStats`](ce_extmem::IoStats) at `env`'s block size, and
+    /// reads the file without a pool.
+    pub fn open(env: &DiskEnv, path: &Path) -> io::Result<SccIndexReader> {
+        let _sp = ce_extmem::io_span!(env, "index_open");
+        open_checked(SharedFile::open_in(env, path)?)
+    }
+
+    /// Opens the artifact for **concurrent** reads: the returned reader's
+    /// clones share one read-only block pool of `cache_blocks` frames (0 =
+    /// no caching). Performs the same validation protocol as
+    /// [`SccIndex::open`] at the same logical I/O cost, counted in the
+    /// reader's own per-handle stats instead of an environment's, which is
+    /// what keeps per-query costs deterministic under concurrency.
     pub fn open_shared(path: &Path, cache_blocks: usize) -> io::Result<SccIndexReader> {
-        SccIndexReader::open(path, cache_blocks)
-    }
-
-    /// Number of nodes the index covers (the universe `0..n_nodes`).
-    pub fn n_nodes(&self) -> u64 {
-        self.hdr.n_nodes
-    }
-
-    /// Number of distinct strongly connected components.
-    pub fn n_sccs(&self) -> u64 {
-        self.hdr.n_sccs
-    }
-
-    /// True if the artifact embeds the condensation DAG.
-    pub fn has_condensation(&self) -> bool {
-        self.hdr.dag_off != 0
-    }
-
-    /// Number of condensation edges stored (0 when absent).
-    pub fn n_dag_edges(&self) -> u64 {
-        self.hdr.n_dag_edges
-    }
-
-    /// Page size the artifact was built with (the builder's block size).
-    pub fn page_size(&self) -> u64 {
-        self.hdr.page_size
-    }
-
-    /// Index generation: 0 at build, bumped by every delta engine update
-    /// that replaced the artifact (see the module docs).
-    pub fn generation(&self) -> u64 {
-        self.hdr.generation
-    }
-
-    /// Number of dirty components awaiting delta-engine re-verification.
-    pub fn n_dirty(&self) -> u64 {
-        self.hdr.n_dirty
-    }
-
-    /// Total artifact size in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.hdr.file_len()
-    }
-
-    /// The representative of `u`'s component — one block read.
-    pub fn component_of(&mut self, u: NodeId) -> io::Result<NodeId> {
-        lookup_rep(&mut self.file, &self.hdr, u)
-    }
-
-    /// Representatives for a whole batch, in input order — one block read
-    /// per **distinct** label page the batch touches (the batch is answered
-    /// in ascending node order so same-page probes coalesce). Everything is
-    /// bounds-checked before any I/O is spent.
-    pub fn component_of_many(&mut self, nodes: &[NodeId]) -> io::Result<Vec<NodeId>> {
-        lookup_many(&mut self.file, &self.hdr, nodes)
-    }
-
-    /// True iff `u` and `v` are strongly connected — at most two block
-    /// reads, no recomputation: zero reads when `u == v` (one bounds
-    /// check answers it), one when both labels live on the same page.
-    pub fn same_component(&mut self, u: NodeId, v: NodeId) -> io::Result<bool> {
-        lookup_same(&mut self.file, &self.hdr, u, v)
-    }
-
-    /// Size of `u`'s component — one block read plus an `O(log n_sccs)`
-    /// binary search over the on-disk size table.
-    pub fn component_size(&mut self, u: NodeId) -> io::Result<u64> {
-        lookup_size(&mut self.file, &self.hdr, u)
-    }
-
-    /// Streams `(representative, size)` for every component, ascending by
-    /// representative — `O(n_sccs / B)` sequential block reads.
-    pub fn components(&mut self) -> ComponentsIter<'_> {
-        let hdr = self.hdr;
-        ComponentsIter {
-            cursor: SectionCursor::new(
-                Box::new(&mut self.file),
-                hdr.page_size,
-                hdr.sizes_off,
-                SIZE_ENTRY,
-                hdr.n_sccs,
-            ),
-        }
-    }
-
-    /// Streams the stored condensation DAG edges (component representatives
-    /// as endpoints, multiplicities dropped). Empty when the artifact was
-    /// built without a DAG; check [`SccIndex::has_condensation`] to
-    /// distinguish.
-    pub fn condensation_edges(&mut self) -> DagEdgesIter<'_> {
-        let hdr = self.hdr;
-        DagEdgesIter {
-            cursor: dag_cursor(Box::new(&mut self.file), &hdr),
-        }
-    }
-
-    /// Streams the representatives of dirty components (ascending) — the
-    /// components whose labels are a conservative coarsening until the
-    /// delta engine re-verifies them.
-    pub fn dirty_components(&mut self) -> DirtyIter<'_> {
-        let hdr = self.hdr;
-        DirtyIter {
-            cursor: SectionCursor::new(
-                Box::new(&mut self.file),
-                hdr.page_size,
-                hdr.dirty_off,
-                DIRTY_ENTRY,
-                hdr.n_dirty,
-            ),
-        }
-    }
-
-    pub(crate) fn into_parts(self) -> (CountedFile, Header) {
-        (self.file, self.hdr)
+        // Sniff the page size with one raw, *uncounted* header peek: the
+        // pool's block size must equal the artifact's page size before the
+        // first counted read, so that one page read is one logical I/O.
+        let page = sniff_page_size(path)?;
+        open_checked(SharedFile::open(path, page as usize, cache_blocks)?)
     }
 }
 
-fn dag_cursor<'a>(io: Box<dyn IndexIo + 'a>, hdr: &Header) -> SectionCursor<'a> {
-    let total = if hdr.dag_off == 0 { 0 } else { hdr.n_dag_edges };
-    SectionCursor::new(io, hdr.page_size, hdr.dag_off, DAG_ENTRY, total)
-}
-
-/// The concurrent query handle over one open artifact — the serving
-/// counterpart of [`SccIndex`]. Obtained from [`SccIndex::open_shared`];
-/// `Send + Sync`, queries take `&self`.
+/// The query handle on one open artifact, from [`SccIndex::open`] or
+/// [`SccIndex::open_shared`]. `Send + Sync`; queries take `&self`. See the
+/// module docs for the format and the I/O cost of each query.
 ///
 /// Cloning is the unit of concurrency: every clone shares the same
 /// read-only block pool (one hot page, cached once, hit by all threads;
 /// physical counters aggregated atomically, [`SccIndexReader::phys`]) but
 /// carries **fresh per-handle logical counters and sequential/random
-/// cursor** ([`SccIndexReader::stats`]), so per-query logical I/O is
-/// bit-identical to the owned [`SccIndex`] path regardless of what other
-/// readers are doing. Hand one clone to each worker thread.
+/// cursor** ([`SccIndexReader::stats`]), so per-query logical I/O does not
+/// depend on what other readers are doing. Hand one clone to each worker
+/// thread.
 #[derive(Clone)]
 pub struct SccIndexReader {
-    file: SharedFile,
-    hdr: Header,
+    pub(crate) file: SharedFile,
+    pub(crate) hdr: Header,
 }
 
 impl std::fmt::Debug for SccIndexReader {
@@ -986,20 +735,6 @@ impl std::fmt::Debug for SccIndexReader {
 }
 
 impl SccIndexReader {
-    /// See [`SccIndex::open_shared`].
-    fn open(path: &Path, cache_blocks: usize) -> io::Result<SccIndexReader> {
-        // Sniff the page size with one raw, *uncounted* header peek: the
-        // shared pool's block size must equal the artifact's page size
-        // before the first counted read, or the logical pricing would
-        // diverge from the owned path (whose environment knows the block
-        // size a priori).
-        let page = sniff_page_size(path)?;
-        let file = SharedFile::open(path, page as usize, cache_blocks)?;
-        let mut io = SharedIo(&file);
-        let hdr = open_checked(&mut io)?;
-        Ok(SccIndexReader { file, hdr })
-    }
-
     /// Number of nodes the index covers (the universe `0..n_nodes`).
     pub fn n_nodes(&self) -> u64 {
         self.hdr.n_nodes
@@ -1025,9 +760,11 @@ impl SccIndexReader {
         self.hdr.page_size
     }
 
-    /// Index generation of the artifact this handle opened. Clones keep
-    /// serving this generation even after a delta update renames a newer
-    /// one over the path — swap in a freshly opened reader to advance.
+    /// Index generation of the artifact this handle opened: 0 at build,
+    /// bumped by every delta engine update (see the module docs). Clones
+    /// keep serving this generation even after a delta update renames a
+    /// newer one over the path — swap in a freshly opened reader to
+    /// advance.
     pub fn generation(&self) -> u64 {
         self.hdr.generation
     }
@@ -1042,83 +779,141 @@ impl SccIndexReader {
         self.hdr.file_len()
     }
 
-    /// This handle's logical I/O counters (zeroed at open/clone) — diff
-    /// snapshots around a query for its exact model cost.
+    /// This handle's logical I/O counters — the environment's ledger for a
+    /// reader from [`SccIndex::open`], zeroed at open otherwise and at every
+    /// clone. Diff snapshots around a query for its exact model cost.
     pub fn stats(&self) -> ce_extmem::IoSnapshot {
         self.file.stats()
     }
 
-    /// The shared pool's physical counters, aggregated across all clones.
+    /// The pool's physical counters, aggregated across all clones.
     pub fn phys(&self) -> ce_extmem::PhysSnapshot {
         self.file.phys()
     }
 
-    /// The representative of `u`'s component — one block read.
+    /// The representative of `u`'s component — one 4-byte read, one block.
     pub fn component_of(&self, u: NodeId) -> io::Result<NodeId> {
-        lookup_rep(&mut SharedIo(&self.file), &self.hdr, u)
+        check_node(&self.hdr, u)?;
+        let mut buf = [0u8; 4];
+        let off = self.hdr.labels_off + 4 * u as u64;
+        read_exact_at(&self.file, off, &mut buf, "labels section")?;
+        Ok(NodeId::from_le_bytes(buf))
     }
 
-    /// Batched representatives in input order; see
-    /// [`SccIndex::component_of_many`] for the cost contract.
+    /// Representatives for a whole batch, in input order — one block read
+    /// per **distinct** label page the batch touches (the batch is answered
+    /// in ascending node order so same-page probes coalesce). Everything is
+    /// bounds-checked before any I/O is spent.
     pub fn component_of_many(&self, nodes: &[NodeId]) -> io::Result<Vec<NodeId>> {
-        lookup_many(&mut SharedIo(&self.file), &self.hdr, nodes)
+        let hdr = &self.hdr;
+        for &u in nodes {
+            check_node(hdr, u)?;
+        }
+        let mut order: Vec<u32> = (0..nodes.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| nodes[i as usize]);
+        let mut out = vec![0 as NodeId; nodes.len()];
+        let mut page = vec![0u8; hdr.page_size as usize];
+        let mut loaded = u64::MAX;
+        for &i in &order {
+            let u = nodes[i as usize];
+            let p = label_page(hdr, u);
+            if p != loaded {
+                let off = hdr.labels_off + p * hdr.page_size;
+                read_exact_at(&self.file, off, &mut page, "labels section")?;
+                loaded = p;
+            }
+            let at = ((4 * u as u64) % hdr.page_size) as usize;
+            out[i as usize] = NodeId::from_le_bytes(page[at..at + 4].try_into().unwrap());
+        }
+        Ok(out)
     }
 
     /// True iff `u` and `v` are strongly connected — at most two block
-    /// reads; see [`SccIndex::same_component`].
+    /// reads, no recomputation: zero reads when `u == v` (one bounds
+    /// check answers it), one page read when both labels live on the same
+    /// page.
     pub fn same_component(&self, u: NodeId, v: NodeId) -> io::Result<bool> {
-        lookup_same(&mut SharedIo(&self.file), &self.hdr, u, v)
+        let hdr = &self.hdr;
+        check_node(hdr, u)?;
+        if u == v {
+            return Ok(true);
+        }
+        check_node(hdr, v)?;
+        if label_page(hdr, u) == label_page(hdr, v) {
+            let mut page = vec![0u8; hdr.page_size as usize];
+            let off = hdr.labels_off + label_page(hdr, u) * hdr.page_size;
+            read_exact_at(&self.file, off, &mut page, "labels section")?;
+            let slot = |x: NodeId| ((4 * x as u64) % hdr.page_size) as usize;
+            let rep = |at: usize| NodeId::from_le_bytes(page[at..at + 4].try_into().unwrap());
+            return Ok(rep(slot(u)) == rep(slot(v)));
+        }
+        Ok(self.component_of(u)? == self.component_of(v)?)
     }
 
     /// Size of `u`'s component — one block read plus an `O(log n_sccs)`
     /// binary search over the on-disk size table.
     pub fn component_size(&self, u: NodeId) -> io::Result<u64> {
-        lookup_size(&mut SharedIo(&self.file), &self.hdr, u)
+        let rep = self.component_of(u)?;
+        let (mut lo, mut hi) = (0u64, self.hdr.n_sccs);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let mut buf = [0u8; SIZE_ENTRY as usize];
+            let off = self.hdr.sizes_off + SIZE_ENTRY * mid;
+            read_exact_at(&self.file, off, &mut buf, "size table")?;
+            match NodeId::from_le_bytes(buf[0..4].try_into().unwrap()).cmp(&rep) {
+                std::cmp::Ordering::Equal => {
+                    return Ok(u64::from_le_bytes(buf[8..16].try_into().unwrap()))
+                }
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Err(bad(&format!(
+            "representative {rep} missing from the size table"
+        )))
     }
 
-    /// Streams `(representative, size)` for every component — same
-    /// contract and logical I/O as [`SccIndex::components`].
+    /// Streams `(representative, size)` for every component, ascending by
+    /// representative — `O(n_sccs / B)` sequential block reads.
     pub fn components(&self) -> ComponentsIter<'_> {
+        let h = &self.hdr;
         ComponentsIter {
-            cursor: SectionCursor::new(
-                Box::new(SharedIo(&self.file)),
-                self.hdr.page_size,
-                self.hdr.sizes_off,
-                SIZE_ENTRY,
-                self.hdr.n_sccs,
-            ),
+            cursor: SectionCursor::new(&self.file, h.page_size, h.sizes_off, SIZE_ENTRY, h.n_sccs),
         }
     }
 
-    /// Streams the stored condensation DAG edges — same contract and
-    /// logical I/O as [`SccIndex::condensation_edges`] (shared-path parity:
-    /// both handles drive the identical cursor over the private I/O seam).
+    /// Streams the stored condensation DAG edges (component representatives
+    /// as endpoints, multiplicities dropped). Empty when the artifact was
+    /// built without a DAG; check [`SccIndexReader::has_condensation`] to
+    /// distinguish.
     pub fn condensation_edges(&self) -> DagEdgesIter<'_> {
+        let h = &self.hdr;
+        let total = if h.dag_off == 0 { 0 } else { h.n_dag_edges };
         DagEdgesIter {
-            cursor: dag_cursor(Box::new(SharedIo(&self.file)), &self.hdr),
+            cursor: SectionCursor::new(&self.file, h.page_size, h.dag_off, DAG_ENTRY, total),
         }
     }
 
-    /// Streams the representatives of dirty components (ascending) — same
-    /// contract and logical I/O as [`SccIndex::dirty_components`].
+    /// Streams the representatives of dirty components (ascending) — the
+    /// components whose labels are a conservative coarsening until the
+    /// delta engine re-verifies them.
     pub fn dirty_components(&self) -> DirtyIter<'_> {
+        let h = &self.hdr;
         DirtyIter {
             cursor: SectionCursor::new(
-                Box::new(SharedIo(&self.file)),
-                self.hdr.page_size,
-                self.hdr.dirty_off,
+                &self.file,
+                h.page_size,
+                h.dirty_off,
                 DIRTY_ENTRY,
-                self.hdr.n_dirty,
+                h.n_dirty,
             ),
         }
     }
 }
 
-/// Buffered sequential cursor over one fixed-record section, generic over
-/// the [`IndexIo`] seam so the owned and shared handles iterate through
-/// identical code at identical logical I/O cost.
+/// Buffered sequential cursor over one fixed-record section.
 struct SectionCursor<'a> {
-    io: Box<dyn IndexIo + 'a>,
+    file: &'a SharedFile,
     page_size: u64,
     record: u64,
     start: u64,
@@ -1129,9 +924,9 @@ struct SectionCursor<'a> {
 }
 
 impl<'a> SectionCursor<'a> {
-    fn new(io: Box<dyn IndexIo + 'a>, page_size: u64, start: u64, record: u64, total: u64) -> Self {
+    fn new(file: &'a SharedFile, page_size: u64, start: u64, record: u64, total: u64) -> Self {
         SectionCursor {
-            io,
+            file,
             page_size,
             record,
             start,
@@ -1152,7 +947,7 @@ impl<'a> SectionCursor<'a> {
             let want = ((self.total - first).min(per_buf) * self.record) as usize;
             self.buf.resize(want, 0);
             let off = self.start + first * self.record;
-            if self.io.read_at(off, &mut self.buf)? != want {
+            if self.file.read_at(off, &mut self.buf)? != want {
                 return Err(bad("section truncated mid-iteration"));
             }
             self.buf_first = first;
@@ -1164,7 +959,7 @@ impl<'a> SectionCursor<'a> {
 }
 
 /// Iterator over `(representative, component size)` pairs.
-/// See [`SccIndex::components`].
+/// See [`SccIndexReader::components`].
 pub struct ComponentsIter<'a> {
     cursor: SectionCursor<'a>,
 }
@@ -1186,7 +981,7 @@ impl Iterator for ComponentsIter<'_> {
 
 /// Iterator over stored condensation edges. Skips `count == 0` tombstones
 /// left by delta-engine deletions (cleaned up by the next merge/compact).
-/// See [`SccIndex::condensation_edges`].
+/// See [`SccIndexReader::condensation_edges`].
 pub struct DagEdgesIter<'a> {
     cursor: SectionCursor<'a>,
 }
@@ -1214,7 +1009,7 @@ impl Iterator for DagEdgesIter<'_> {
 }
 
 /// Iterator over dirty component representatives.
-/// See [`SccIndex::dirty_components`].
+/// See [`SccIndexReader::dirty_components`].
 pub struct DirtyIter<'a> {
     cursor: SectionCursor<'a>,
 }
@@ -1268,7 +1063,7 @@ mod tests {
         let n_sccs = SccIndex::build(&env, &path, &labels, 6, None).unwrap();
         assert_eq!(n_sccs, 3);
 
-        let mut idx = SccIndex::open(&env, &path).unwrap();
+        let idx = SccIndex::open(&env, &path).unwrap();
         assert_eq!(idx.n_nodes(), 6);
         assert_eq!(idx.n_sccs(), 3);
         assert_eq!(idx.generation(), 0);
@@ -1302,7 +1097,7 @@ mod tests {
         let labels = sample_labels(&env);
         let path = idx_path(&env, "ctr");
         SccIndex::build(&env, &path, &labels, 6, None).unwrap();
-        let mut idx = SccIndex::open(&env, &path).unwrap();
+        let idx = SccIndex::open(&env, &path).unwrap();
         let before = env.stats().snapshot();
         idx.component_of(4).unwrap();
         let one = env.stats().snapshot().since(&before);
@@ -1319,7 +1114,7 @@ mod tests {
         let labels = two_page_labels(&env);
         let path = idx_path(&env, "same");
         SccIndex::build(&env, &path, &labels, 20, None).unwrap();
-        let mut idx = SccIndex::open(&env, &path).unwrap();
+        let idx = SccIndex::open(&env, &path).unwrap();
 
         // u == v: answered by the bounds check alone, zero reads.
         let before = env.stats().snapshot();
@@ -1347,7 +1142,7 @@ mod tests {
         let labels = two_page_labels(&env);
         let path = idx_path(&env, "many");
         SccIndex::build(&env, &path, &labels, 20, None).unwrap();
-        let mut idx = SccIndex::open(&env, &path).unwrap();
+        let idx = SccIndex::open(&env, &path).unwrap();
 
         // k probes on one page => one logical read, results in input order.
         let before = env.stats().snapshot();
@@ -1370,19 +1165,60 @@ mod tests {
     }
 
     #[test]
-    fn shared_reader_matches_owned_answers_and_logical_costs() {
+    fn env_priced_reader_charges_its_environment_and_clones_charge_themselves() {
+        let build_env = env();
+        let labels = sample_labels(&build_env);
+        let path = idx_path(&build_env, "ledger");
+        SccIndex::build(&build_env, &path, &labels, 6, None).unwrap();
+
+        let fresh = env();
+        let idx = SccIndex::open(&fresh, &path).unwrap();
+        let opened = fresh.stats().snapshot();
+        assert!(
+            opened.total_ios() > 0,
+            "the validation scan is charged to the env"
+        );
+        idx.component_of(4).unwrap();
+        let one = fresh.stats().snapshot().since(&opened);
+        assert_eq!(one.total_ios(), 1, "component_of is one block read");
+        assert_eq!(
+            idx.stats(),
+            fresh.stats().snapshot(),
+            "the env's ledger is the reader's"
+        );
+
+        let clone = idx.clone();
+        let before = fresh.stats().snapshot();
+        assert_eq!(
+            clone.stats().total_ios(),
+            0,
+            "clones start with fresh counters"
+        );
+        clone.component_of(4).unwrap();
+        assert_eq!(clone.stats().total_ios(), 1);
+        assert_eq!(
+            fresh.stats().snapshot(),
+            before,
+            "a clone charges only itself"
+        );
+    }
+
+    #[test]
+    fn env_priced_and_shared_readers_price_identically() {
         let build_env = env();
         let labels = two_page_labels(&build_env);
         let path = idx_path(&build_env, "shared");
         SccIndex::build(&build_env, &path, &labels, 20, None).unwrap();
 
-        // Fresh env so the owned open's logical cost is isolated.
+        // Fresh env so the env-priced open's logical cost is isolated.
         let fresh = env();
-        let open0 = fresh.stats().snapshot();
-        let mut owned = SccIndex::open(&fresh, &path).unwrap();
-        let owned_open = fresh.stats().snapshot().since(&open0);
+        let priced = SccIndex::open(&fresh, &path).unwrap();
         let reader = SccIndex::open_shared(&path, 8).unwrap();
-        assert_eq!(reader.stats(), owned_open, "open protocols priced identically");
+        assert_eq!(
+            reader.stats(),
+            priced.stats(),
+            "open protocols priced identically"
+        );
         assert_eq!(reader.n_nodes(), 20);
         assert_eq!(reader.n_sccs(), 5);
         assert_eq!(reader.page_size(), 64);
@@ -1390,62 +1226,57 @@ mod tests {
 
         // Every query kind: identical answers and identical logical deltas.
         let handle = reader.clone(); // fresh counters
-        let mut last = handle.stats();
-        let mut owned_last = fresh.stats().snapshot();
-        let mut check = |tag: &str,
-                         owned_r: io::Result<Vec<NodeId>>,
-                         shared_r: io::Result<Vec<NodeId>>| {
-            let (a, b) = (owned_r.unwrap(), shared_r.unwrap());
-            assert_eq!(a, b, "{tag}: answers");
-            let now = fresh.stats().snapshot();
-            let owned_d = now.since(&owned_last);
-            owned_last = now;
-            let snow = handle.stats();
-            let shared_d = snow.since(&last);
-            last = snow;
-            assert_eq!(owned_d, shared_d, "{tag}: logical I/O");
+        let mut last = (priced.stats(), handle.stats());
+        let mut check = |tag: &str, a: io::Result<Vec<NodeId>>, b: io::Result<Vec<NodeId>>| {
+            assert_eq!(a.unwrap(), b.unwrap(), "{tag}: answers");
+            let now = (priced.stats(), handle.stats());
+            assert_eq!(
+                now.0.since(&last.0),
+                now.1.since(&last.1),
+                "{tag}: logical I/O"
+            );
+            last = now;
         };
         for u in [0u32, 7, 16, 19] {
             check(
                 "component_of",
-                owned.component_of(u).map(|r| vec![r]),
+                priced.component_of(u).map(|r| vec![r]),
                 handle.component_of(u).map(|r| vec![r]),
             );
         }
         for (u, v) in [(3, 3), (1, 2), (1, 14), (1, 17), (16, 19)] {
             check(
                 "same_component",
-                owned.same_component(u, v).map(|b| vec![b as u32]),
+                priced.same_component(u, v).map(|b| vec![b as u32]),
                 handle.same_component(u, v).map(|b| vec![b as u32]),
             );
         }
         check(
             "component_of_many",
-            owned.component_of_many(&[19, 2, 16, 3, 2]),
+            priced.component_of_many(&[19, 2, 16, 3, 2]),
             handle.component_of_many(&[19, 2, 16, 3, 2]),
         );
         for u in [0u32, 13, 19] {
             check(
                 "component_size",
-                owned.component_size(u).map(|s| vec![s as u32]),
+                priced.component_size(u).map(|s| vec![s as u32]),
                 handle.component_size(u).map(|s| vec![s as u32]),
             );
         }
-        // Section iterators: identical streams and identical logical cost
-        // (shared-path parity for components and condensation_edges).
+        // Section iterators: identical streams and identical logical cost.
         check(
             "components",
-            Ok(owned.components().map(|c| c.unwrap().0).collect()),
+            Ok(priced.components().map(|c| c.unwrap().0).collect()),
             Ok(handle.components().map(|c| c.unwrap().0).collect()),
         );
         check(
             "condensation_edges",
-            Ok(owned.condensation_edges().map(|e| e.unwrap().src).collect()),
+            Ok(priced.condensation_edges().map(|e| e.unwrap().src).collect()),
             Ok(handle.condensation_edges().map(|e| e.unwrap().src).collect()),
         );
 
-        // Errors carry the same message across handles.
-        let e1 = owned.component_of(77).unwrap_err();
+        // Errors carry the same message either way.
+        let e1 = priced.component_of(77).unwrap_err();
         let e2 = handle.component_of(77).unwrap_err();
         assert_eq!(e1.to_string(), e2.to_string());
 
@@ -1499,12 +1330,12 @@ mod tests {
             .unwrap();
         let path = idx_path(&env, "dag");
         SccIndex::build(&env, &path, &labels, 6, Some(&dag)).unwrap();
-        let mut idx = SccIndex::open(&env, &path).unwrap();
+        let idx = SccIndex::open(&env, &path).unwrap();
         assert!(idx.has_condensation());
         assert_eq!(idx.n_dag_edges(), 2);
         let edges: Vec<Edge> = idx.condensation_edges().map(|e| e.unwrap()).collect();
         assert_eq!(edges, vec![Edge::new(0, 2), Edge::new(2, 3)]);
-        // Satellite parity: the shared reader streams the same DAG.
+        // The shared open streams the same DAG.
         let reader = SccIndex::open_shared(&path, 4).unwrap();
         assert!(reader.has_condensation());
         let shared: Vec<Edge> = reader.condensation_edges().map(|e| e.unwrap()).collect();
@@ -1520,7 +1351,7 @@ mod tests {
         let labels = env.file_from_slice::<SccLabel>("none", &[]).unwrap();
         let path = idx_path(&env, "empty");
         assert_eq!(SccIndex::build(&env, &path, &labels, 0, None).unwrap(), 0);
-        let mut idx = SccIndex::open(&env, &path).unwrap();
+        let idx = SccIndex::open(&env, &path).unwrap();
         assert_eq!(idx.n_nodes(), 0);
         assert_eq!(idx.components().count(), 0);
         assert!(idx.component_of(0).is_err());
@@ -1659,7 +1490,7 @@ mod tests {
             .file_from_slice("l2", &[SccLabel::new(0, 0), SccLabel::new(1, 0)])
             .unwrap();
         SccIndex::build(&env, &path, &small, 2, None).unwrap();
-        let mut idx = SccIndex::open(&env, &path).unwrap();
+        let idx = SccIndex::open(&env, &path).unwrap();
         assert_eq!(idx.n_nodes(), 2);
         assert!(!idx.has_condensation());
         assert!(idx.same_component(0, 1).unwrap());

@@ -4,7 +4,10 @@
 use std::collections::HashMap;
 use std::io;
 
-use ce_extmem::{DiskEnv, ExtFile};
+use ce_extmem::{
+    lookup_join_stream, sort_dedup_by_key, sort_streaming_by_key, DiskEnv, ExtFile, SortedSource,
+    SortedStream,
+};
 
 use crate::types::{Edge, NodeId, SccLabel};
 
@@ -105,6 +108,37 @@ impl SccLabeling {
     }
 }
 
+/// The quotient both condensation builders share: two sort + lookup-join
+/// passes map each edge's source, then its destination, to its component
+/// representative, and intra-component edges are dropped. The surviving
+/// edges stream into the caller's final sort; `tag` prefixes the scratch
+/// file names.
+fn quotient_edges(
+    env: &DiskEnv,
+    g: &crate::edgelist::EdgeListGraph,
+    labels: &ExtFile<SccLabel>,
+    tag: &str,
+) -> io::Result<impl SortedSource<Edge>> {
+    let by_src = sort_streaming_by_key(env, g.edges(), &format!("{tag}-by-src"), |e: &Edge| e.src)?;
+    let src_mapped = lookup_join_stream(
+        by_src,
+        |e| e.src,
+        labels,
+        |l| l.node,
+        |e: Edge, l: SccLabel| Edge::new(l.scc, e.dst),
+    )?;
+    let by_dst =
+        sort_streaming_by_key(env, src_mapped, &format!("{tag}-by-dst"), |e: &Edge| e.dst)?;
+    let both_mapped = lookup_join_stream(
+        by_dst,
+        |e| e.dst,
+        labels,
+        |l| l.node,
+        |e: Edge, l: SccLabel| Edge::new(e.src, l.scc),
+    )?;
+    Ok(both_mapped.filter(|e| !e.is_loop()))
+}
+
 /// Builds the condensation DAG **externally**: quotient every edge through
 /// the label file with two sort+merge-join passes, drop intra-component
 /// edges, and deduplicate — `O(sort(|E|))` I/Os, no in-memory node state.
@@ -120,31 +154,9 @@ pub fn condense_external(
     g: &crate::edgelist::EdgeListGraph,
     labels: &ExtFile<SccLabel>,
 ) -> io::Result<crate::edgelist::EdgeListGraph> {
-    // One fused chain: sort-by-src streams into the src-quotient join,
-    // which streams into the by-dst sort, which streams into the
-    // dst-quotient join, whose non-loop output streams into run formation
-    // of the final dedup sort — only the result file is materialized.
-    use ce_extmem::{
-        lookup_join_stream, sort_dedup_by_key, sort_streaming_by_key, SortedStream,
-    };
-    let by_src = sort_streaming_by_key(env, g.edges(), "cond-by-src", |e: &Edge| e.src)?;
-    let src_mapped = lookup_join_stream(
-        by_src,
-        |e| e.src,
-        labels,
-        |l| l.node,
-        |e: Edge, l: SccLabel| Edge::new(l.scc, e.dst),
-    )?;
-    let by_dst = sort_streaming_by_key(env, src_mapped, "cond-by-dst", |e: &Edge| e.dst)?;
-    let both_mapped = lookup_join_stream(
-        by_dst,
-        |e| e.dst,
-        labels,
-        |l| l.node,
-        |e: Edge, l: SccLabel| Edge::new(e.src, l.scc),
-    )?;
-    // Drop intra-component edges, then dedup parallels.
-    let clean = both_mapped.filter(|e| !e.is_loop());
+    // One fused chain: the quotient streams into run formation of the
+    // final dedup sort — only the result file is materialized.
+    let clean = quotient_edges(env, g, labels, "cond")?;
     let deduped = sort_dedup_by_key(env, clean, "cond-edges", Edge::by_src)?;
     Ok(crate::edgelist::EdgeListGraph::new(deduped, g.n_nodes()))
 }
@@ -162,25 +174,9 @@ pub fn condense_counted(
     g: &crate::edgelist::EdgeListGraph,
     labels: &ExtFile<SccLabel>,
 ) -> io::Result<ExtFile<crate::types::CountedEdge>> {
-    use ce_extmem::{lookup_join_stream, sort_streaming_by_key, SortedStream};
-    let by_src = sort_streaming_by_key(env, g.edges(), "condc-by-src", |e: &Edge| e.src)?;
-    let src_mapped = lookup_join_stream(
-        by_src,
-        |e| e.src,
-        labels,
-        |l| l.node,
-        |e: Edge, l: SccLabel| Edge::new(l.scc, e.dst),
-    )?;
-    let by_dst = sort_streaming_by_key(env, src_mapped, "condc-by-dst", |e: &Edge| e.dst)?;
-    let both_mapped = lookup_join_stream(
-        by_dst,
-        |e| e.dst,
-        labels,
-        |l| l.node,
-        |e: Edge, l: SccLabel| Edge::new(e.src, l.scc),
-    )?;
-    let clean = both_mapped.filter(|e| !e.is_loop());
-    let mut sorted = sort_streaming_by_key(env, clean, "condc-edges", Edge::by_src)?.into_stream()?;
+    let clean = quotient_edges(env, g, labels, "condc")?;
+    let mut sorted =
+        sort_streaming_by_key(env, clean, "condc-edges", Edge::by_src)?.into_stream()?;
     let mut w = env.writer::<crate::types::CountedEdge>("condc-counted")?;
     let mut current: Option<crate::types::CountedEdge> = None;
     while let Some(e) = sorted.next()? {

@@ -24,8 +24,10 @@
 //! * [`planner`] — the engine [`planner::Planner`]: deterministic,
 //!   explainable selection of Semi-SCC vs Ext-SCC(-Op) from
 //!   `(|V|, M, B)`, returning a [`planner::Plan`] with the reason;
-//! * [`index`] — [`index::SccIndex`]: the persistent, checksummed,
-//!   block-budgeted queryable artifact an SCC computation materializes;
+//! * [`index`] — the persistent, checksummed, block-budgeted queryable
+//!   artifact an SCC computation materializes: [`index::SccIndex`] builds
+//!   and opens it, and [`index::SccIndexReader`] is the one handle that
+//!   queries it;
 //! * [`stats`] — external graph statistics (degree distribution,
 //!   sources/sinks/isolated counts) in `O(sort(|E|))` I/Os;
 //! * [`delta`] — [`delta::DeltaEngine`]: incremental maintenance of a stored

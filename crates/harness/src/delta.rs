@@ -311,7 +311,7 @@ pub fn run_delta_stream(family: DeltaFamily, steps: usize, seed: u64) -> io::Res
     // Durability: the renamed artifact must reopen through full checksum
     // validation and answer point queries exactly like scratch.
     let want = canonical(n, &current);
-    let mut idx = SccIndex::open(&env, &path)?;
+    let idx = SccIndex::open(&env, &path)?;
     for u in 0..n as u32 {
         let got = idx.component_of(u)?;
         if got != want[u as usize] {

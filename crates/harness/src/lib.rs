@@ -403,13 +403,13 @@ pub fn gen_query(x: &mut u64, n_nodes: u32, batch: usize) -> ServeQuery {
 /// The concurrent serve check behind `scc serve --self-test` and
 /// `tests/serve.rs`. Generates `n_queries` queries from `seed` over the
 /// index at `path`, built by [`build_query_index`] with oracle
-/// representatives `reps`. It replays them once through an owned
-/// [`SccIndex`] in `env`, recording each query's logical I/O, then on
-/// `threads` concurrent clones of one shared reader with a 64-block pool.
-/// Every shared answer must match the oracle, and every per-query logical
-/// delta must equal the owned one; the first mismatch is the error.
+/// representatives `reps`, and opens one shared reader with a 64-block
+/// pool. One clone replays the queries single-threaded, recording each
+/// query's logical I/O; then `threads` further clones replay them
+/// concurrently. Every concurrent answer must match the oracle, and every
+/// per-query logical delta must equal the single-threaded one; the first
+/// mismatch is the error.
 pub fn check_serve(
-    env: &DiskEnv,
     path: &std::path::Path,
     reps: &[u32],
     seed: u64,
@@ -426,21 +426,6 @@ pub fn check_serve(
         .map(|_| gen_query(&mut x, n_nodes, 8))
         .collect();
 
-    let mut owned = SccIndex::open(env, path)?;
-    let mut owned_deltas = Vec::with_capacity(workload.len());
-    let mut last = env.stats().snapshot();
-    for q in &workload {
-        match q {
-            ServeQuery::Point(u) => drop(owned.component_of(*u)?),
-            ServeQuery::Same(u, v) => drop(owned.same_component(*u, *v)?),
-            ServeQuery::Size(u) => drop(owned.component_size(*u)?),
-            ServeQuery::Batch(us) => drop(owned.component_of_many(us)?),
-        }
-        let now = env.stats().snapshot();
-        owned_deltas.push(now.since(&last));
-        last = now;
-    }
-
     // Answers flattened to numbers (`same_component` as 0/1).
     let oracle = |q: &ServeQuery| -> Vec<u64> {
         let rep = |u: &u32| u64::from(reps[*u as usize]);
@@ -451,7 +436,7 @@ pub fn check_serve(
             ServeQuery::Batch(us) => us.iter().map(rep).collect(),
         }
     };
-    let shared = |idx: &ce_graph::SccIndexReader, q: &ServeQuery| -> io::Result<Vec<u64>> {
+    let dispatch = |idx: &ce_graph::SccIndexReader, q: &ServeQuery| -> io::Result<Vec<u64>> {
         Ok(match q {
             ServeQuery::Point(u) => vec![u64::from(idx.component_of(*u)?)],
             ServeQuery::Same(u, v) => vec![u64::from(idx.same_component(*u, *v)?)],
@@ -465,17 +450,27 @@ pub fn check_serve(
     };
 
     let reader = SccIndex::open_shared(path, 64)?;
+    let reference = reader.clone();
+    let mut reference_deltas = Vec::with_capacity(workload.len());
+    let mut last = reference.stats();
+    for q in &workload {
+        dispatch(&reference, q)?;
+        let now = reference.stats();
+        reference_deltas.push(now.since(&last));
+        last = now;
+    }
+
     let failures: Vec<String> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let handle = reader.clone();
-                let (workload, owned_deltas, oracle, shared) =
-                    (&workload, &owned_deltas, &oracle, &shared);
+                let (workload, reference_deltas, oracle, dispatch) =
+                    (&workload, &reference_deltas, &oracle, &dispatch);
                 s.spawn(move || -> Result<(), String> {
                     let mut last = handle.stats();
                     for (i, q) in workload.iter().enumerate() {
                         let err = |what: String| format!("thread {t}, query {i} {q:?}: {what}");
-                        let got = shared(&handle, q).map_err(|e| err(e.to_string()))?;
+                        let got = dispatch(&handle, q).map_err(|e| err(e.to_string()))?;
                         let want = oracle(q);
                         if got != want {
                             return Err(err(format!("answered {got:?}, oracle says {want:?}")));
@@ -483,10 +478,10 @@ pub fn check_serve(
                         let now = handle.stats();
                         let delta = now.since(&last);
                         last = now;
-                        if delta != owned_deltas[i] {
+                        if delta != reference_deltas[i] {
                             return Err(err(format!(
-                                "logical I/O {delta:?} != owned {:?}",
-                                owned_deltas[i]
+                                "logical I/O {delta:?} != single-threaded {:?}",
+                                reference_deltas[i]
                             )));
                         }
                     }
@@ -717,7 +712,7 @@ fn check_index_roundtrip(env: &DiskEnv, lab: &SccLabeling) -> io::Result<Option<
     let verdict = (|| -> io::Result<Option<String>> {
         let n_sccs = SccIndex::build(env, &path, &labels, n, None)?;
         let fresh = DiskEnv::new_temp(IoConfig::new(MATRIX_BLOCK, 4 * MATRIX_BLOCK))?;
-        let mut idx = SccIndex::open(&fresh, &path)?;
+        let idx = SccIndex::open(&fresh, &path)?;
         if n_sccs != lab.n_sccs() as u64 || idx.n_sccs() != n_sccs || idx.n_nodes() != n {
             return Ok(Some(format!(
                 "index counts drifted: built {n_sccs}, reopened {}, oracle {}",

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build the persistent index (runs the planned engine, writes the
     // artifact, reopens it through its checksum validation).
     let idx_path = std::env::temp_dir().join(format!("quickstart-{}.sccidx", std::process::id()));
-    let mut built = session.build_index(&idx_path)?;
+    let built = session.build_index(&idx_path)?;
     println!(
         "built {} components in {} engine I/Os + {} index I/Os ({} bytes on disk)\n",
         built.index.n_sccs(),
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // environment and ask again.
     drop(built);
     let query_env = DiskEnv::new_temp(IoConfig::new(4 << 10, 8 << 10))?;
-    let mut idx = SccIndex::open(&query_env, &idx_path)?;
+    let idx = SccIndex::open(&query_env, &idx_path)?;
     assert_eq!(idx.component_of(0)?, rep);
     println!("reopened {} and got the same answer", idx_path.display());
 

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The serving side: reopen the artifact in a tiny environment.
     let env = DiskEnv::new_temp(IoConfig::new(4 << 10, 8 << 10))?;
-    let mut idx = SccIndex::open(&env, &idx_path)?;
+    let idx = SccIndex::open(&env, &idx_path)?;
 
     // Load the (small) condensation into memory, densely renumbered — that
     // is the point of the preprocessing step.
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Reachability: resolve endpoints with point queries against the
     //    index, BFS on the DAG (a production index would precompute labels;
     //    BFS keeps the example self-contained).
-    let mut reach = |from: u32, to: u32| -> Result<bool, Box<dyn std::error::Error>> {
+    let reach = |from: u32, to: u32| -> Result<bool, Box<dyn std::error::Error>> {
         let (s, t) = (
             dense[&idx.component_of(from)?],
             dense[&idx.component_of(to)?],

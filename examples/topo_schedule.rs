@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    result as the scheduling artifact.
     let idx_path =
         std::env::temp_dir().join(format!("topo-schedule-{}.sccidx", std::process::id()));
-    let mut built = session.build_index(&idx_path)?;
-    let index = &mut built.index;
+    let built = session.build_index(&idx_path)?;
+    let index = &built.index;
     let n_units = index.n_sccs() as usize;
     println!(
         "scheduling units after SCC contraction: {} (from {} tasks, engine {})",

@@ -74,7 +74,7 @@
 //! stdin and reports throughput; `--self-test` builds a scratch index from
 //! a generated graph and replays a mixed workload on every thread against
 //! the in-memory Tarjan oracle, additionally asserting that each thread's
-//! per-query logical I/O is bit-identical to the owned single-reader path
+//! per-query logical I/O is bit-identical to a single-threaded replay
 //! (exit 0 iff everything matches). Query counts and throughput are
 //! published to the `ce-obs` metrics registry (`serve.queries`,
 //! `serve.qps`), printed under `--stats`.
@@ -397,7 +397,8 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     );
     if opts.stats {
         eprintln!("{}", out.report);
-        eprintln!("{}", storage_stats(&env));
+        let o = env.options();
+        eprintln!("{}", storage_stats(o.backend, o.cache_blocks, env.phys()));
     }
 
     // Stream labels to the output without materializing them.
@@ -579,7 +580,9 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
         );
         if stats {
             eprintln!("engine I/O: {}", built.run.ios);
-            eprintln!("{}", storage_stats(session.env()));
+            let env = session.env();
+            let o = env.options();
+            eprintln!("{}", storage_stats(o.backend, o.cache_blocks, env.phys()));
         }
         Ok(())
     };
@@ -624,13 +627,11 @@ fn run_index_query(args: &[String]) -> Result<ExitCode, String> {
     let u = u.ok_or_else(|| format!("-u is required\n{}", usage()))?;
 
     let query_it = || -> Result<(), Box<dyn std::error::Error>> {
-        // Queries need O(1) memory: a minimal unpooled environment keeps the
-        // logical counters honest (every block read is visible). Its block
-        // is the artifact's page, so one page read is one logical I/O.
-        let page = contract_expand::graph::index::sniff_page_size(&index)? as usize;
-        let env = DiskEnv::new_temp_with(IoConfig::new(page, 2 * page), EnvOptions::unpooled())?;
-        let mut idx = SccIndex::open(&env, &index)?;
-        let open_ios = env.stats().snapshot();
+        // Queries need O(1) memory: an unpooled reader keeps the logical
+        // counters honest (every block read is visible), priced in the
+        // artifact's own pages, so one page read is one logical I/O.
+        let idx = SccIndex::open_shared(&index, 0)?;
+        let open_ios = idx.stats();
         // Validate every requested node up front: a failing query must be
         // one clean error line, never answers for `-u` followed by a
         // mid-stream failure on `-v`.
@@ -656,8 +657,8 @@ fn run_index_query(args: &[String]) -> Result<ExitCode, String> {
                 idx.len_bytes()
             );
             eprintln!("open I/O: {open_ios}");
-            eprintln!("query I/O: {}", env.stats().snapshot().since(&open_ios));
-            eprintln!("{}", storage_stats(&env));
+            eprintln!("query I/O: {}", idx.stats().since(&open_ios));
+            eprintln!("{}", storage_stats(BackendKind::File, 0, idx.phys()));
         }
         Ok(())
     };
@@ -1162,7 +1163,8 @@ fn serve_generated(
 
 /// `scc serve --self-test`: builds a scratch index from a generated graph
 /// and runs [`contract_expand::harness::check_serve`] on it — answers
-/// against the Tarjan oracle, per-query logical I/O against the owned path.
+/// against the Tarjan oracle, per-query logical I/O against a
+/// single-threaded replay.
 fn serve_self_test(
     threads: usize,
     n_nodes: u32,
@@ -1172,14 +1174,14 @@ fn serve_self_test(
     let env = DiskEnv::new_temp(IoConfig::new(1024, 4 << 20))?;
     let path = env.root().join("self-test.sccidx");
     let reps = contract_expand::harness::build_query_index(&env, &path, n_nodes, seed)?;
-    contract_expand::harness::check_serve(&env, &path, &reps, seed, QUERIES, threads)
+    contract_expand::harness::check_serve(&path, &reps, seed, QUERIES, threads)
         .map_err(|e| format!("self-test failed: {e}"))?;
     // Canonical representatives are minimum members: one per component.
     let n_sccs = reps.iter().enumerate().filter(|&(v, &r)| r as usize == v).count();
     println!(
         "self-test ok: {QUERIES} queries x {threads} threads over {n_nodes} nodes \
          ({n_sccs} components); answers match the oracle, per-query logical I/O \
-         identical to the owned path"
+         identical to a single-threaded replay"
     );
     Ok(())
 }

@@ -33,7 +33,7 @@
 //! // Build the persistent index (runs Ext-SCC-Op, writes the artifact,
 //! // reopens it through its checksum validation).
 //! let path = std::env::temp_dir().join(format!("ce-doc-{}.sccidx", std::process::id()));
-//! let mut built = session.build_index(&path).unwrap();
+//! let built = session.build_index(&path).unwrap();
 //! assert_eq!(built.run.n_sccs, built.index.n_sccs());
 //!
 //! // Point queries cost at most two block reads each (one for

@@ -30,7 +30,7 @@ use ce_graph::algo::{AlgoBudget, AlgoError, SccAlgorithm, SccRun};
 use ce_graph::delta::{CompactReport, DeltaBatch, DeltaEngine, DeltaReport};
 use ce_graph::labels::condense_counted;
 use ce_graph::planner::{Engine, Plan, Planner};
-use ce_graph::{EdgeListGraph, SccIndex};
+use ce_graph::{EdgeListGraph, SccIndex, SccIndexReader};
 use ce_semi_scc::{SemiSccAlgo, SemiSccKind};
 
 /// A deferred graph builder run against the session's environment (the
@@ -97,8 +97,9 @@ pub struct IndexBuild {
     pub plan: Plan,
     /// The engine run: label partition plus its logical/physical I/O cost.
     pub run: SccRun,
-    /// The reopened artifact, ready for queries.
-    pub index: SccIndex,
+    /// The reopened artifact, ready for queries; priced in the session's
+    /// environment, and cloneable into other threads.
+    pub index: SccIndexReader,
     /// Logical I/O spent materializing the artifact (over and above
     /// `run.ios`), including the optional condensation.
     pub build_ios: IoSnapshot,

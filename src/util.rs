@@ -1,20 +1,18 @@
 //! Small shared helpers for the CLI, the examples and embedding
 //! applications.
 
-use ce_extmem::DiskEnv;
+use ce_extmem::{BackendKind, PhysSnapshot};
 
 /// The one-line storage/physical-counter report shared by every `--stats`
 /// flag (`scc run`, `scc index build`, `scc index query`): backend kind,
-/// buffer-pool size, physical transfers and the pool hit rate.
+/// buffer-pool size in frames, physical transfers and the pool hit rate.
 ///
 /// One formatter keeps the three subcommands' stats output identical in
 /// shape, so scripts can parse any of them the same way.
-pub fn storage_stats(env: &DiskEnv) -> String {
+pub fn storage_stats(backend: BackendKind, cache_blocks: usize, phys: PhysSnapshot) -> String {
     format!(
-        "storage: {} backend, {} cache blocks; {}",
-        env.options().backend.name(),
-        env.options().cache_blocks,
-        env.phys()
+        "storage: {} backend, {cache_blocks} cache blocks; {phys}",
+        backend.name()
     )
 }
 
@@ -78,7 +76,8 @@ mod tests {
         use ce_extmem::{DiskEnv, EnvOptions, IoConfig};
         let cfg = IoConfig::new(256, 4 << 10);
         let env = DiskEnv::new_temp_with(cfg, EnvOptions::pooled(&cfg)).unwrap();
-        let line = storage_stats(&env);
+        let o = env.options();
+        let line = storage_stats(o.backend, o.cache_blocks, env.phys());
         assert!(line.starts_with("storage: "), "{line}");
         assert!(line.contains("backend"), "{line}");
         assert!(line.contains("cache blocks"), "{line}");

@@ -315,6 +315,18 @@ fn index_build_then_query_answers_without_recomputing() {
         assert!(stderr.contains("storage: "), "{stderr}");
         assert!(stderr.contains("physical transfers"), "{stderr}");
         assert!(stderr.contains("hit rate"), "{stderr}");
+        // Those counters are the query reader's own: unpooled, so one
+        // physical read per logical block of the open and the queries.
+        let first_number = |line: &str, after: &str| -> u64 {
+            let rest = line.split(after).nth(1).unwrap_or_else(|| panic!("{line}"));
+            rest.split_whitespace().next().unwrap().parse().unwrap()
+        };
+        let line = |prefix: &str| stderr.lines().find(|l| l.starts_with(prefix)).unwrap();
+        assert_eq!(
+            first_number(line("storage: "), " ("),
+            first_number(line("open I/O: "), ": ") + first_number(line("query I/O: "), ": "),
+            "physical reads must equal the open plus query logical I/O: {stderr}"
+        );
         let counts: Vec<String> = stderr
             .lines()
             .filter(|l| l.starts_with("open I/O: ") || l.starts_with("query I/O: "))

@@ -150,7 +150,7 @@ proptest! {
 
         // Reopen in a fresh environment: nothing cached from the build.
         let fresh = tiny_env();
-        let mut idx = SccIndex::open(&fresh, &path).unwrap();
+        let idx = SccIndex::open(&fresh, &path).unwrap();
         prop_assert_eq!(idx.n_nodes(), n as u64);
         prop_assert_eq!(idx.n_sccs(), truth.count as u64);
         let mut size_of: std::collections::HashMap<u32, u64> = Default::default();

@@ -1,13 +1,13 @@
 //! Concurrent-serving stress tests: N reader threads hammer one shared
 //! index with deterministic mixed workloads and every answer is checked
 //! against the in-memory Tarjan oracle — *and* every query's logical I/O
-//! delta is checked bit-for-bit against the owned single-reader path.
+//! delta is checked bit-for-bit against a single-threaded replay.
 //!
-//! The logical-parity assertion is the load-bearing one: the shared read
-//! path ([`SccIndexReader`]) must price queries in the paper's I/O model
-//! exactly like the owned [`SccIndex`] no matter how many threads share
-//! the pool, or the model's numbers would stop being reproducible the
-//! moment serving went concurrent.
+//! The logical-parity assertion is the load-bearing one: a
+//! [`SccIndexReader`] clone must price each query in the paper's I/O model
+//! the same no matter how many threads share the pool, or the model's
+//! numbers would stop being reproducible the moment serving went
+//! concurrent.
 
 use contract_expand::harness::{build_query_index, check_serve};
 use contract_expand::prelude::*;
@@ -28,13 +28,14 @@ fn fixture(env: &DiskEnv) -> (std::path::PathBuf, Vec<u32>) {
 
 /// Every thread replays the same mixed workload (all four query kinds) on
 /// its own clone concurrently. Logical counters are per-handle, so each
-/// thread must observe exactly the owned path's per-query deltas even while
-/// the physical pool is shared and contended by the others.
+/// thread must observe exactly the single-threaded replay's per-query
+/// deltas even while the physical pool is shared and contended by the
+/// others.
 #[test]
-fn concurrent_readers_match_oracle_and_owned_logical_costs() {
+fn concurrent_readers_match_oracle_and_single_threaded_logical_costs() {
     let env = DiskEnv::new_temp(IoConfig::new(BLOCK, 4 << 20)).unwrap();
     let (path, reps) = fixture(&env);
-    check_serve(&env, &path, &reps, 0xCE11, QUERIES, THREADS).unwrap();
+    check_serve(&path, &reps, 0xCE11, QUERIES, THREADS).unwrap();
 }
 
 #[test]

@@ -93,7 +93,7 @@ fn build_index_runs_the_planned_engine_and_round_trips() {
     let plan = session.plan().unwrap();
     assert_eq!(plan.engine, Engine::ExtSccOp, "3000 nodes exceed 16 KiB");
 
-    let mut built = session.build_index(&idx_path).unwrap();
+    let built = session.build_index(&idx_path).unwrap();
     assert_eq!(built.plan.engine, Engine::ExtSccOp);
     assert!(built.run.ios.total_ios() > 0);
     assert!(built.build_ios.total_ios() > 0, "index writing is counted");
@@ -114,7 +114,7 @@ fn build_index_runs_the_planned_engine_and_round_trips() {
     // answered without recomputing anything, and their I/O is counted.
     drop(built);
     let query_env = DiskEnv::new_temp(IoConfig::new(4 << 10, 8 << 10)).unwrap();
-    let mut idx = SccIndex::open(&query_env, &idx_path).unwrap();
+    let idx = SccIndex::open(&query_env, &idx_path).unwrap();
     let after_open = query_env.stats().snapshot();
     assert_eq!(idx.n_nodes(), 3000);
     let rep = idx.component_of(42).unwrap();
@@ -139,7 +139,7 @@ fn condensation_dag_is_embedded_on_request() {
         .source(GraphSource::in_memory(6, two_triangles()))
         .unwrap()
         .condensation(true);
-    let mut built = session.build_index(&idx_path).unwrap();
+    let built = session.build_index(&idx_path).unwrap();
     assert!(built.index.has_condensation());
     assert_eq!(built.index.n_sccs(), 2);
     let edges: Vec<Edge> = built
@@ -150,7 +150,7 @@ fn condensation_dag_is_embedded_on_request() {
     assert_eq!(edges, vec![Edge::new(0, 3)], "one quotient edge, rep ids");
 
     // Without the flag the section is absent.
-    let mut plain = SccSession::open(cfg, EnvOptions::unpooled())
+    let plain = SccSession::open(cfg, EnvOptions::unpooled())
         .unwrap()
         .source(GraphSource::in_memory(6, two_triangles()))
         .unwrap()
@@ -158,6 +158,37 @@ fn condensation_dag_is_embedded_on_request() {
         .unwrap();
     assert!(!plain.index.has_condensation());
     assert_eq!(plain.index.condensation_edges().count(), 0);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn built_index_clones_answer_from_other_threads() {
+    let dir = scratch_dir("thread");
+    let cfg = IoConfig::new(4 << 10, 1 << 20);
+    let mut session = SccSession::open(cfg, EnvOptions::pooled(&cfg))
+        .unwrap()
+        .source(GraphSource::in_memory(6, two_triangles()))
+        .unwrap();
+    let built = session.build_index(&dir.join("g.sccidx")).unwrap();
+    let before = session.env().stats().snapshot();
+    let handle = built.index.clone();
+    let (reps, ios) = std::thread::spawn(move || {
+        let reps: Vec<u32> = (0..6).map(|v| handle.component_of(v).unwrap()).collect();
+        (reps, handle.stats().total_ios())
+    })
+    .join()
+    .unwrap();
+    assert_eq!(reps, vec![0, 0, 0, 3, 3, 3]);
+    assert_eq!(
+        ios, 6,
+        "one block read per component_of, on the clone's own counters"
+    );
+    assert_eq!(
+        session.env().stats().snapshot(),
+        before,
+        "the session's ledger is untouched"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
