@@ -8,7 +8,7 @@ use ce_graph::csr::CsrGraph;
 use ce_graph::gen;
 use ce_graph::kosaraju::kosaraju_scc;
 use ce_graph::tarjan::tarjan_scc;
-use ce_semi_scc::{semi_scc, SemiSccKind};
+use ce_semi_scc::{semi_scc, NodeSet, SemiSccKind};
 
 fn env() -> DiskEnv {
     DiskEnv::new_temp(IoConfig::new(8 << 10, 1 << 20)).expect("env")
@@ -39,11 +39,11 @@ fn bench_semi_external(c: &mut Criterion) {
     let envx = env();
     let n = 20_000u32;
     let graph = gen::web_like(&envx, n, 4.0, 5).unwrap();
-    let nodes: Vec<u32> = (0..n).collect();
     for kind in [SemiSccKind::Coloring, SemiSccKind::SpanningTree] {
         g.bench_function(kind.name(), |b| {
             b.iter(|| {
-                let (labels, _) = semi_scc(&envx, kind, graph.edges(), &nodes).unwrap();
+                let (labels, _) =
+                    semi_scc(&envx, kind, graph.edges(), NodeSet::Dense(n as u64)).unwrap();
                 std::hint::black_box(labels.len())
             });
         });

@@ -17,7 +17,7 @@ use ce_bench::Scale;
 use ce_core::{build_orders, get_e, get_v, ExtSccAlgo, ExtSccConfig, GetEOptions, GetVOptions, OrderKind};
 use ce_dfs_scc::{DfsMode, DfsSccAlgo};
 use ce_graph::gen::{self, Dataset, SyntheticSpec};
-use ce_semi_scc::{semi_scc, SemiSccKind};
+use ce_semi_scc::{semi_scc, NodeSet, SemiSccKind};
 
 fn main() {
     let scale = Scale::from_args();
@@ -137,11 +137,10 @@ fn main() {
             },
         )
         .expect("get_e");
-        let nodes: Vec<u32> = cover.read_all().expect("nodes");
         for kind in [SemiSccKind::Coloring, SemiSccKind::SpanningTree] {
             let before = env.stats().snapshot();
             let t = std::time::Instant::now();
-            let (_, rep) = semi_scc(&env, kind, &ge.edges, &nodes).expect("semi");
+            let (_, rep) = semi_scc(&env, kind, &ge.edges, NodeSet::Sorted(&cover)).expect("semi");
             let d = env.stats().snapshot().since(&before);
             println!(
                 "  {:<9} edge passes={:>4} sccs={:>7} I/Os={:>8} time={:>8.2?}",

@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn trait_run_matches_direct_driver() {
-        let env = DiskEnv::new_temp(IoConfig::new(2 << 10, 64 << 10)).unwrap();
+        let env = DiskEnv::new_temp(IoConfig::new(2 << 10, 32 << 10)).unwrap();
         let g = gen::cycle(&env, 5000).unwrap();
         let run = ExtSccAlgo::optimized().run(&env, &g).unwrap();
         assert_eq!(run.n_sccs, 1);

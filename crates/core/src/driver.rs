@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use ce_extmem::{anti_join, io_span, sort_dedup_streaming_by_key, DiskEnv, ExtFile, IoSnapshot};
 use ce_graph::types::SccLabel;
 use ce_graph::EdgeListGraph;
-use ce_semi_scc::{mem_required, semi_scc, SemiSccKind, SemiSccReport};
+use ce_semi_scc::{mem_required, semi_scc, NodeSet, SemiSccKind, SemiSccReport};
 
 use crate::expand::{expand, LevelFiles};
 use crate::get_e::{get_e, GetEOptions};
@@ -381,15 +381,10 @@ impl ExtScc {
             drop_self_loops: self.cfg.drop_self_loops,
         };
 
-        // G_1 = G. V_1 is the full universe 0..n.
+        // G_1 = G. V_1 is the full universe 0..n; it is written to disk only
+        // if the first iteration needs it for the removed-node anti-join.
         let mut cur_edges = g.edges().clone();
-        let mut cur_nodes: ExtFile<u32> = {
-            let mut w = env.writer::<u32>("v1")?;
-            for v in 0..g.n_nodes() {
-                w.push(v as u32)?;
-            }
-            w.finish()?
-        };
+        let mut cur_nodes: Option<ExtFile<u32>> = None;
         let mut n_cur = g.n_nodes();
         let e1 = g.n_edges().max(1);
 
@@ -427,7 +422,17 @@ impl ExtScc {
             }
             let removed = {
                 let _sp = io_span!(env, "removed");
-                anti_join(env, "removed", &cur_nodes, |&v| v, &cover, |&v| v)?
+                let nodes = match cur_nodes.take() {
+                    Some(f) => f,
+                    None => {
+                        let mut w = env.writer::<u32>("v1")?;
+                        for v in 0..n_cur {
+                            w.push(v as u32)?;
+                        }
+                        w.finish()?
+                    }
+                };
+                anti_join(env, "removed", &nodes, |&v| v, &cover, |&v| v)?
             };
             let ge = get_e(env, &orders, &cover, &ge_opts)?;
 
@@ -451,7 +456,7 @@ impl ExtScc {
                 },
             });
             n_cur = cover.len();
-            cur_nodes = cover;
+            cur_nodes = Some(cover);
             cur_edges = ge.edges;
         }
 
@@ -463,9 +468,11 @@ impl ExtScc {
         let (mut scc_cur, semi_report) = {
             let _sp = io_span!(env, "semi", nodes = n_cur, edges = base_edges);
             ce_obs::metrics::gauge_set("semi.base_nodes", n_cur);
-            let nodes_vec: Vec<u32> = cur_nodes.read_all()?;
-            let out = semi_scc(env, self.cfg.semi, &cur_edges, &nodes_vec)?;
-            drop(nodes_vec);
+            let nodes = match &cur_nodes {
+                None => NodeSet::Dense(n_cur),
+                Some(f) => NodeSet::Sorted(f),
+            };
+            let out = semi_scc(env, self.cfg.semi, &cur_edges, nodes)?;
             drop(cur_edges);
             out
         };

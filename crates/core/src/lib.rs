@@ -27,9 +27,9 @@
 //! use ce_core::{ExtScc, ExtSccConfig};
 //! use ce_graph::gen;
 //!
-//! // 2 KiB blocks and a 64 KiB budget: the 5000-node cycle's node set does
-//! // not fit, so contraction actually runs.
-//! let env = DiskEnv::new_temp(IoConfig::new(2 << 10, 64 << 10)).unwrap();
+//! // 2 KiB blocks and a 32 KiB budget: the 5000-node cycle's node state
+//! // (~40 KB) does not fit, so contraction actually runs.
+//! let env = DiskEnv::new_temp(IoConfig::new(2 << 10, 32 << 10)).unwrap();
 //! let graph = gen::cycle(&env, 5000).unwrap();
 //! let out = ExtScc::new(&env, ExtSccConfig::optimized()).run(&graph).unwrap();
 //! assert_eq!(out.report.n_sccs, 1); // a cycle is one SCC

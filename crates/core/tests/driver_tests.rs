@@ -13,9 +13,9 @@ use ce_graph::labels::{same_partition, SccLabeling};
 use ce_graph::tarjan::tarjan_scc;
 use ce_graph::EdgeListGraph;
 
-/// Budget small enough that graphs above ~1500 nodes need contraction.
+/// Budget small enough that graphs above 1,280 nodes need contraction.
 fn tight_env() -> DiskEnv {
-    DiskEnv::new_temp(IoConfig::new(1 << 10, 24 << 10)).unwrap()
+    DiskEnv::new_temp(IoConfig::new(1 << 10, 12 << 10)).unwrap()
 }
 
 /// Budget that fits everything: the driver must skip contraction entirely.
@@ -39,12 +39,23 @@ fn check_matches_tarjan(env: &DiskEnv, g: &EdgeListGraph, cfg: ExtSccConfig) -> 
     out.report
 }
 
+/// [`check_matches_tarjan`] for a `tight_env` run: those runs exist to cover
+/// contraction, so at least one iteration must have run.
+fn check_contracted(env: &DiskEnv, g: &EdgeListGraph, cfg: ExtSccConfig) -> ce_core::RunReport {
+    let report = check_matches_tarjan(env, g, cfg);
+    assert!(
+        report.iterations() >= 1,
+        "tight budget must force contraction (n={})",
+        g.n_nodes()
+    );
+    report
+}
+
 #[test]
 fn cycle_needs_contraction_and_matches() {
     let env = tight_env();
     let g = gen::permuted_cycle(&env, 4000, 3).unwrap();
-    let report = check_matches_tarjan(&env, &g, ExtSccConfig::baseline());
-    assert!(report.iterations() >= 1, "tight budget must force contraction");
+    check_contracted(&env, &g, ExtSccConfig::baseline());
 }
 
 #[test]
@@ -59,13 +70,13 @@ fn sequential_cycle_is_not_adversarial_anymore() {
     let g = gen::cycle(&env, 4000).unwrap();
     let mut cfg = ExtSccConfig::baseline();
     cfg.max_iterations = 24;
-    let report = check_matches_tarjan(&env, &g, cfg);
+    let report = check_contracted(&env, &g, cfg);
     assert!(
         report.iterations() <= 24,
         "baseline must no longer stall on sequential cycles, took {}",
         report.iterations()
     );
-    let report = check_matches_tarjan(&env, &g, ExtSccConfig::optimized());
+    let report = check_contracted(&env, &g, ExtSccConfig::optimized());
     assert!(report.iterations() <= 24);
 }
 
@@ -73,7 +84,7 @@ fn sequential_cycle_is_not_adversarial_anymore() {
 fn optimized_matches_on_cycle() {
     let env = tight_env();
     let g = gen::cycle(&env, 4000).unwrap();
-    check_matches_tarjan(&env, &g, ExtSccConfig::optimized());
+    check_contracted(&env, &g, ExtSccConfig::optimized());
 }
 
 #[test]
@@ -88,7 +99,7 @@ fn roomy_budget_skips_contraction() {
 fn path_graph_all_singletons() {
     let env = tight_env();
     let g = gen::path(&env, 3000).unwrap();
-    let report = check_matches_tarjan(&env, &g, ExtSccConfig::optimized());
+    let report = check_contracted(&env, &g, ExtSccConfig::optimized());
     assert_eq!(report.n_sccs, 3000);
 }
 
@@ -111,7 +122,7 @@ fn disjoint_cycles_both_modes() {
     for cfg in [ExtSccConfig::baseline(), ExtSccConfig::optimized()] {
         let env = tight_env();
         let g = gen::planted_scc_graph(&env, &spec).unwrap();
-        let report = check_matches_tarjan(&env, &g, cfg);
+        let report = check_contracted(&env, &g, cfg);
         assert_eq!(report.n_sccs, 5);
     }
 }
@@ -128,7 +139,7 @@ fn planted_sccs_with_random_filler() {
     for cfg in [ExtSccConfig::baseline(), ExtSccConfig::optimized()] {
         let env = tight_env();
         let g = gen::planted_scc_graph(&env, &spec).unwrap();
-        check_matches_tarjan(&env, &g, cfg);
+        check_contracted(&env, &g, cfg);
     }
 }
 
@@ -137,7 +148,7 @@ fn web_like_graph_both_modes() {
     for cfg in [ExtSccConfig::baseline(), ExtSccConfig::optimized()] {
         let env = tight_env();
         let g = gen::web_like(&env, 2500, 4.0, 23).unwrap();
-        check_matches_tarjan(&env, &g, cfg);
+        check_contracted(&env, &g, cfg);
     }
 }
 
@@ -145,7 +156,7 @@ fn web_like_graph_both_modes() {
 fn dag_layered_all_singletons() {
     let env = tight_env();
     let g = gen::dag_layered(&env, 2400, 8, 7200, 5).unwrap();
-    let report = check_matches_tarjan(&env, &g, ExtSccConfig::optimized());
+    let report = check_contracted(&env, &g, ExtSccConfig::optimized());
     assert_eq!(report.n_sccs, 2400);
 }
 
@@ -163,7 +174,7 @@ fn random_gnm_matrix() {
         } else {
             ExtSccConfig::optimized()
         };
-        check_matches_tarjan(&env, &g, cfg);
+        check_contracted(&env, &g, cfg);
     }
 }
 
@@ -173,7 +184,7 @@ fn isolated_nodes_are_singletons() {
     let env = tight_env();
     let edges: Vec<(u32, u32)> = (0..100).map(|i| (i, (i + 1) % 100)).collect();
     let g = EdgeListGraph::from_slice(&env, 2000, &edges).unwrap();
-    let report = check_matches_tarjan(&env, &g, ExtSccConfig::optimized());
+    let report = check_contracted(&env, &g, ExtSccConfig::optimized());
     assert_eq!(report.n_sccs, 1901); // one 100-cycle + 1900 isolated singletons
 }
 
@@ -203,7 +214,7 @@ fn self_loops_and_parallel_edges_survive() {
     }
     let g = EdgeListGraph::from_slice(&env, 2000, &edges).unwrap();
     for cfg in [ExtSccConfig::baseline(), ExtSccConfig::optimized()] {
-        check_matches_tarjan(&env, &g, cfg.clone());
+        check_contracted(&env, &g, cfg.clone());
     }
 }
 
@@ -379,7 +390,7 @@ fn blowup_guard_forces_dedup_and_reports_it() {
     cfg.edge_blowup_guard = None;
     let out = ExtScc::new(&env, cfg).run(&g).unwrap();
     assert!(!out.report.forced_dedup);
-    check_matches_tarjan(&env, &g, {
+    check_contracted(&env, &g, {
         let mut c = ExtSccConfig::baseline();
         c.lazy_dedup = false;
         c.edge_blowup_guard = None;
@@ -393,7 +404,7 @@ fn permuted_cycle_contracts_geometrically() {
     // converges in O(log n) iterations — the regime real graphs live in.
     let env = tight_env();
     let g = gen::permuted_cycle(&env, 4000, 5).unwrap();
-    let report = check_matches_tarjan(&env, &g, ExtSccConfig::baseline());
+    let report = check_contracted(&env, &g, ExtSccConfig::baseline());
     assert!(
         report.iterations() <= 12,
         "geometric convergence expected, took {}",
@@ -416,5 +427,5 @@ fn semi_scc_variants_agree_end_to_end() {
     let g = gen::web_like(&env, 2500, 4.0, 31).unwrap();
     let mut cfg_sp = ExtSccConfig::optimized();
     cfg_sp.semi = ce_semi_scc::SemiSccKind::SpanningTree;
-    check_matches_tarjan(&env, &g, cfg_sp);
+    check_contracted(&env, &g, cfg_sp);
 }

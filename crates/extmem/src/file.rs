@@ -3,9 +3,14 @@
 //! [`CountedFile`] is the accounting layer between record streams and the
 //! environment's pager. Every read/write is priced in the environment's
 //! [`crate::stats::IoStats`] as `ceil(len / B)` **logical** block transfers
-//! and classified as sequential (continuing exactly where the previous access
-//! of the same kind on this handle ended) or random — regardless of whether
-//! the bytes were served from the buffer pool or from the backend. The
+//! and classified as sequential or random — regardless of whether the bytes
+//! were served from the buffer pool or from the backend. A write is
+//! sequential when it starts exactly where this handle's previous write
+//! ended. A read is sequential when it continues this handle's previous read
+//! in either direction: it starts where that read ended (a forward scan), or
+//! it ends where that read started (a backward scan, as
+//! [`crate::RevRecordReader`] does). `scan(N) = N/B` in the model has no
+//! direction. The
 //! *physical* side of the same access (frame fills, write-backs, cache hits)
 //! is counted by the pager itself; see [`crate::DiskEnv::phys`].
 
@@ -21,7 +26,8 @@ pub struct CountedFile {
     id: FileId,
     env: DiskEnv,
     block: u64,
-    last_read_end: u64,
+    /// `[start, end)` of this handle's previous read.
+    last_read: (u64, u64),
     last_write_end: u64,
 }
 
@@ -58,8 +64,8 @@ impl CountedFile {
             id,
             env: env.clone(),
             block: env.config().block_size as u64,
-            last_read_end: u64::MAX, // first access counts as random
-            last_write_end: 0,       // writes usually start at 0: treat as sequential
+            last_read: (u64::MAX, u64::MAX), // first access counts as random
+            last_write_end: 0,               // writes usually start at 0: treat as sequential
         }
     }
 
@@ -71,7 +77,7 @@ impl CountedFile {
         }
         let done = self.env.pager().read_at(self.id, offset, buf)?;
         let stats = self.env.stats();
-        self.last_read_end = stats.charge_read(self.block, self.last_read_end, offset, done);
+        self.last_read = stats.charge_read(self.block, self.last_read, offset, done);
         Ok(done)
     }
 
@@ -133,17 +139,19 @@ mod tests {
         let block = vec![7u8; 64];
         f.write_at(0, &block).unwrap(); // seq (starts at 0)
         f.write_at(64, &block).unwrap(); // seq
+        f.write_at(128, &block).unwrap(); // seq
         f.write_at(0, &block).unwrap(); // random (rewind)
         let snap = env.stats().snapshot();
-        assert_eq!(snap.seq_writes, 2);
+        assert_eq!(snap.seq_writes, 3);
         assert_eq!(snap.rand_writes, 1);
 
         let mut buf = vec![0u8; 64];
         f.read_at(0, &mut buf).unwrap(); // first read: random by convention
-        f.read_at(64, &mut buf).unwrap(); // seq
-        f.read_at(0, &mut buf).unwrap(); // random
+        f.read_at(64, &mut buf).unwrap(); // seq (forward)
+        f.read_at(0, &mut buf).unwrap(); // seq (backward: ends where [64, 128) began)
+        f.read_at(128, &mut buf).unwrap(); // random (jump)
         let snap = env.stats().snapshot();
-        assert_eq!(snap.seq_reads, 1);
+        assert_eq!(snap.seq_reads, 2);
         assert_eq!(snap.rand_reads, 2);
     }
 

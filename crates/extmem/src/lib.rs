@@ -95,5 +95,5 @@ pub use sort::{
 };
 pub use sorted::{FileStream, Peeked, SortedSource, SortedStream, DEFAULT_BATCH};
 pub use stats::{IoSnapshot, IoStats};
-pub use stream::{ExtFile, PeekReader, RecordReader, RecordWriter};
+pub use stream::{ExtFile, PeekReader, RecordReader, RecordWriter, RevRecordReader};
 pub use trace::IoSpan;

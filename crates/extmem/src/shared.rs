@@ -4,7 +4,7 @@
 //! [`CountedFile`](crate::file::CountedFile) is to the owned pager: the
 //! accounting layer that prices every access in the **logical**
 //! Aggarwal–Vitter model — `ceil(len / B)` block transfers, classified
-//! sequential (continuing exactly where this handle's previous read ended)
+//! sequential (continuing this handle's previous read, forward or backward)
 //! or random — before the pool decides whether any bytes physically move.
 //! Both handles price through the one rule in `IoStats`, so a read costs
 //! the same logical I/O whichever handle performs it.
@@ -45,7 +45,8 @@ pub struct SharedFile {
     pager: Arc<SharedPager>,
     stats: Arc<IoStats>,
     block: u64,
-    last_read_end: AtomicU64,
+    /// `[start, end)` of this handle's previous read.
+    last_read: [AtomicU64; 2],
 }
 
 impl std::fmt::Debug for SharedFile {
@@ -65,9 +66,14 @@ impl Clone for SharedFile {
             pager: Arc::clone(&self.pager),
             stats: Arc::new(IoStats::new()),
             block: self.block,
-            last_read_end: AtomicU64::new(u64::MAX),
+            last_read: unread(),
         }
     }
+}
+
+/// The previous-read range of a fresh handle: its first read counts as random.
+fn unread() -> [AtomicU64; 2] {
+    [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)]
 }
 
 impl SharedFile {
@@ -91,7 +97,7 @@ impl SharedFile {
             block: pager.block_size() as u64,
             pager: Arc::new(pager),
             stats,
-            last_read_end: AtomicU64::new(u64::MAX), // first read counts as random
+            last_read: unread(),
         }
     }
 
@@ -103,9 +109,11 @@ impl SharedFile {
             return Ok(0);
         }
         let done = self.pager.read_at(offset, buf)?;
-        let cursor = self.last_read_end.load(Ordering::Relaxed);
-        let end = self.stats.charge_read(self.block, cursor, offset, done);
-        self.last_read_end.store(end, Ordering::Relaxed);
+        let [start, end] = &self.last_read;
+        let prev = (start.load(Ordering::Relaxed), end.load(Ordering::Relaxed));
+        let (s, e) = self.stats.charge_read(self.block, prev, offset, done);
+        start.store(s, Ordering::Relaxed);
+        end.store(e, Ordering::Relaxed);
         Ok(done)
     }
 

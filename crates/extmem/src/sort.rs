@@ -4,9 +4,7 @@
 //! `Θ((m/B)·log_{M/B}(m/B))` I/Os for:
 //!
 //! 1. **Run formation**: read the input in chunks of `M` bytes, sort each
-//!    chunk in memory (with cached keys, so composite keys are computed once
-//!    per record instead of once per comparison), write it back as a sorted
-//!    run.
+//!    chunk in place, write it back as a sorted run.
 //! 2. **Multi-way merge**: repeatedly merge up to `fan_in = M/B − 1` runs with
 //!    a binary heap, one block buffer per run plus one output buffer, until a
 //!    single run remains. A run file is deleted the moment its last record
@@ -30,9 +28,9 @@
 //!
 //! # Batched pull & buffer reuse
 //!
-//! Run formation fills its chunk through
-//! [`SortedStream::next_batch`] (block-sized pulls into a reused scratch
-//! buffer), and [`MergeStream`] overrides `next_batch` itself: heap repair
+//! Run formation fills its chunk through [`SortedStream::next_batch`]
+//! (block-sized pulls straight into the chunk), and [`MergeStream`]
+//! overrides `next_batch` itself: heap repair
 //! happens in place via `peek_mut` (one sift per record instead of a
 //! pop + push pair), keys are computed once per record when it enters the
 //! heap — never per comparison — and once a single run remains (and no
@@ -248,24 +246,21 @@ where
     })
 }
 
-/// Phase 1: read `M`-byte chunks, sort each with cached keys, spill sorted
-/// (and, with `dedup`, per-run deduplicated) runs.
+/// Phase 1: read `M`-byte chunks, sort each in place, spill sorted (and,
+/// with `dedup`, per-run deduplicated) runs.
 ///
-/// Keys are computed once per record at read time and stored next to it
-/// (decorate-sort-undecorate), so composite keys cost no recomputation per
-/// comparison.
+/// The chunk holds the records themselves, `M / record` of them, so run
+/// formation's heap is `M` plus the input's and the run writer's block
+/// buffers. It is sized once: to the input's length when that is known and
+/// smaller, else to the full run length, so an unsized stream never grows it
+/// past `M`. The sort recomputes the key per comparison; every key in the
+/// workspace is a field projection, so that is cheaper than storing a key
+/// beside each record.
 ///
-/// Run length is `M / record` — the *record* bytes are what the I/O model's
-/// `M` budgets; the cached key is transient sort state, like the comparator
-/// stack before it. An earlier revision charged the key bytes against the
-/// budget too, which silently shrank every run. That moved run boundaries,
-/// which reshuffled the order of *equal-keyed* records (the in-run sort is
-/// unstable), which in turn cost real I/O downstream: partial-key consumers
-/// such as the coloring fixpoint scans and the DFS adjacency walk converge
-/// at rates that depend on equal-key order, and the shrunken runs regressed
-/// their round counts (e.g. +18% logical I/Os for Semi-SCC on the smoke
-/// `dag` workload). Keeping the original geometry keeps equal-key order —
-/// and therefore every downstream I/O count — stable across revisions.
+/// Run length is `M / record`, the quantity the I/O model's `M` budgets.
+/// Changing it moves run boundaries, and with them the order of
+/// *equal-keyed* records (the in-run sort is unstable), which consumers that
+/// sort by a partial key can observe.
 fn form_runs<T, K, F, S>(
     env: &DiskEnv,
     mut input: S,
@@ -284,21 +279,15 @@ where
     let mut runs: Vec<ExtFile<T>> = Vec::new();
     let cap = match input.len_hint() {
         Some(n) => (n as usize).saturating_add(1).min(run_records),
-        None => run_records.min(1 << 12), // grow on demand for unsized streams
+        None => run_records,
     };
-    let mut chunk: Vec<(K, T)> = Vec::with_capacity(cap);
-    let mut scratch: Vec<T> = Vec::with_capacity(DEFAULT_BATCH.min(run_records));
+    let mut chunk: Vec<T> = Vec::with_capacity(cap);
     let mut done = false;
     while !done {
         chunk.clear();
         while chunk.len() < run_records {
             let want = (run_records - chunk.len()).min(DEFAULT_BATCH);
-            scratch.clear();
-            let pulled = input.next_batch(&mut scratch, want)?;
-            for v in &scratch {
-                chunk.push((key(v), *v));
-            }
-            if pulled < want {
+            if input.next_batch(&mut chunk, want)? < want {
                 done = true;
                 break;
             }
@@ -306,16 +295,13 @@ where
         if chunk.is_empty() {
             break;
         }
-        chunk.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut w = env.writer::<T>(&format!("{label}-run{}", runs.len()))?;
-        let mut last: Option<&K> = None;
-        for (k, v) in &chunk {
-            if !dedup || last != Some(k) {
-                w.push(*v)?;
-            }
-            last = Some(k);
-        }
         ce_obs::metrics::observe("sort.run_records", chunk.len() as u64);
+        chunk.sort_unstable_by_key(key);
+        if dedup {
+            chunk.dedup_by(|a, b| key(a) == key(b));
+        }
+        let mut w = env.writer::<T>(&format!("{label}-run{}", runs.len()))?;
+        w.push_slice(&chunk)?;
         runs.push(w.finish()?);
     }
     Ok(runs)
@@ -682,8 +668,8 @@ mod tests {
 
     #[test]
     fn streaming_elides_exactly_the_last_pass_on_three_runs() {
-        // B = 64, M = 256: 64 u32s per run (runs are sized by record bytes;
-        // cached keys are transient sort state), fan-in 3. 192 records form
+        // B = 64, M = 256: 64 u32s per run (runs are sized by record
+        // bytes), fan-in 3. 192 records form
         // exactly 3 runs = 12 blocks, so no intermediate merge pass runs and
         // the only difference between the materializing and the streaming
         // sort is the final pass: write(12) + read(12) = 24 logical I/Os.

@@ -1,8 +1,10 @@
 //! Counted I/O statistics.
 //!
 //! Every block transfer performed through [`crate::file::CountedFile`] is
-//! recorded here and classified as *sequential* (the offset continues where the
-//! previous access on the same file handle ended) or *random* (anything else).
+//! recorded here and classified as *sequential* (the access continues the
+//! previous access of the same kind on the same file handle: a read or write
+//! starting where it ended, or a read ending where the previous read started)
+//! or *random* (anything else).
 //! The distinction matters because the paper's central argument is that the
 //! DFS-based baseline is dominated by random I/Os while Ext-SCC uses only
 //! sequential scans and external sorts.
@@ -37,13 +39,24 @@ impl IoStats {
     }
 
     /// The one read-pricing rule, shared by every counted handle: a read of
-    /// `done` bytes at `offset` costs `ceil(max(done, 1) / block)` blocks,
-    /// sequential iff it starts exactly at `cursor`, where the handle's
-    /// previous read ended. Returns the handle's new cursor.
-    pub(crate) fn charge_read(&self, block: u64, cursor: u64, offset: u64, done: usize) -> u64 {
+    /// `done` bytes at `offset` costs `ceil(max(done, 1) / block)` blocks.
+    /// It is sequential iff it continues the handle's previous read `prev`
+    /// (its `[start, end)` byte range) in either direction: it starts exactly
+    /// where `prev` ended (a forward scan), or it ends exactly where `prev`
+    /// started (a backward scan, [`crate::RevRecordReader`]). The model's
+    /// `scan(N) = N/B` has no direction, and a backward block scan is as
+    /// sequential on a disk as a forward one. Returns the new `prev`.
+    pub(crate) fn charge_read(
+        &self,
+        block: u64,
+        prev: (u64, u64),
+        offset: u64,
+        done: usize,
+    ) -> (u64, u64) {
+        let end = offset + done as u64;
         let blocks = (done.max(1) as u64).div_ceil(block);
-        self.record_read(blocks, done as u64, offset == cursor);
-        offset + done as u64
+        self.record_read(blocks, done as u64, offset == prev.1 || end == prev.0);
+        (offset, end)
     }
 
     pub(crate) fn record_write(&self, blocks: u64, bytes: u64, sequential: bool) {

@@ -2,9 +2,10 @@
 //!
 //! [`ExtFile<T>`] is a handle to an immutable on-disk sequence of `T` records.
 //! Files are write-once (via [`RecordWriter`]) and then read any number of
-//! times (via [`RecordReader`] / [`PeekReader`]). Readers and writers buffer
+//! times, first record first (via [`RecordReader`] / [`PeekReader`]) or last
+//! record first (via [`RevRecordReader`]). Readers and writers buffer
 //! exactly one block, so one block transfer is counted per `B` bytes streamed
-//! — the `scan(m)` primitive of the I/O model.
+//! in either direction — the `scan(m)` primitive of the I/O model.
 
 use std::io;
 use std::marker::PhantomData;
@@ -83,6 +84,12 @@ impl<T: Record> ExtFile<T> {
     /// Opens a sequential reader positioned at the first record.
     pub fn reader(&self) -> io::Result<RecordReader<T>> {
         RecordReader::open(self)
+    }
+
+    /// Opens a sequential reader positioned after the last record, yielding
+    /// the records in reverse order ([`RevRecordReader`]).
+    pub fn rev_reader(&self) -> io::Result<RevRecordReader<T>> {
+        RevRecordReader::open(self)
     }
 
     /// Opens a peekable sequential reader ([`PeekReader`]).
@@ -329,6 +336,99 @@ impl<T: Record> RecordReader<T> {
     }
 }
 
+/// Backward streaming reader over an [`ExtFile<T>`]: yields the last record
+/// first.
+///
+/// It reads the same block-aligned regions as [`RecordReader`], last region
+/// first, so a full backward scan costs exactly the transfers of a forward
+/// one. Each read ends where the previous one started, which the I/O model
+/// prices as sequential (see [`crate::file`]).
+pub struct RevRecordReader<T: Record> {
+    file: CountedFile,
+    /// Keeps the underlying file alive; see [`RecordReader`].
+    _keepalive: Arc<FileInner>,
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` not yet yielded; records leave from the
+    /// back.
+    buf_pos: usize,
+    /// Start offset of the region last read: the next read ends here.
+    offset: u64,
+    remaining: u64,
+    _marker: PhantomData<fn() -> T>,
+}
+
+impl<T: Record> RevRecordReader<T> {
+    fn open(f: &ExtFile<T>) -> io::Result<RevRecordReader<T>> {
+        let env = f.env();
+        let per_block = (env.config().block_size / T::SIZE).max(1);
+        Ok(RevRecordReader {
+            file: CountedFile::open_read(env, f.path())?,
+            _keepalive: Arc::clone(&f.inner),
+            buf: vec![0u8; per_block * T::SIZE],
+            buf_pos: 0,
+            offset: f.bytes(),
+            remaining: f.len(),
+            _marker: PhantomData,
+        })
+    }
+
+    /// Reads the region before `offset`. The caller guarantees
+    /// `remaining > 0` and an empty buffer.
+    fn refill(&mut self) -> io::Result<()> {
+        let region = self.buf.len() as u64;
+        let start = (self.offset - 1) / region * region;
+        let want = (self.offset - start) as usize;
+        let n = self.file.read_at(start, &mut self.buf[..want])?;
+        if n < want {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "record file truncated",
+            ));
+        }
+        self.buf_pos = want;
+        self.offset = start;
+        Ok(())
+    }
+
+    /// Returns the previous record, or `None` once the first record has
+    /// been yielded.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> io::Result<Option<T>> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        if self.buf_pos == 0 {
+            self.refill()?;
+        }
+        self.buf_pos -= T::SIZE;
+        self.remaining -= 1;
+        Ok(Some(T::decode(
+            &self.buf[self.buf_pos..self.buf_pos + T::SIZE],
+        )))
+    }
+
+    /// Decodes up to `n` records, last first, appending them to `out`
+    /// (which is *not* cleared); the backward counterpart of
+    /// [`RecordReader::next_batch`].
+    pub fn next_batch(&mut self, out: &mut Vec<T>, n: usize) -> io::Result<usize> {
+        let mut got = 0usize;
+        while got < n && self.remaining > 0 {
+            if self.buf_pos == 0 {
+                self.refill()?;
+            }
+            let take = (self.buf_pos / T::SIZE).min(n - got);
+            out.reserve(take);
+            for _ in 0..take {
+                self.buf_pos -= T::SIZE;
+                out.push(T::decode(&self.buf[self.buf_pos..self.buf_pos + T::SIZE]));
+            }
+            self.remaining -= take as u64;
+            got += take;
+        }
+        Ok(got)
+    }
+}
+
 /// A file reader with one-record lookahead — [`crate::sorted::Peeked`] over
 /// a [`crate::sorted::FileStream`], the building block of every merge join
 /// in the workspace.
@@ -378,6 +478,37 @@ mod tests {
         // 512 * 4 bytes = 2048 bytes = 32 blocks of 64B; first read random.
         assert_eq!(d.total_ios(), 32);
         assert!(d.rand_reads <= 1);
+    }
+
+    #[test]
+    fn rev_reader_yields_last_first_at_forward_cost() {
+        let env = env(); // 64-byte blocks: 16 u32s per region
+        for len in [0u32, 1, 15, 16, 17, 300] {
+            let items: Vec<u32> = (0..len).collect();
+            let f = env.file_from_slice("rev", &items).unwrap();
+
+            let before = env.stats().snapshot();
+            let _ = f.read_all().unwrap();
+            let fwd = env.stats().snapshot().since(&before);
+
+            let before = env.stats().snapshot();
+            let mut back = Vec::new();
+            let mut r = f.rev_reader().unwrap();
+            // Odd batch sizes cross region boundaries mid-batch.
+            while r.next_batch(&mut back, 7).unwrap() > 0 {}
+            assert_eq!(r.next().unwrap(), None);
+            let rev = env.stats().snapshot().since(&before);
+
+            back.reverse();
+            assert_eq!(back, items, "len {len}");
+            assert_eq!(rev, fwd, "len {len}: same regions, same pricing");
+        }
+        let f = env.file_from_slice("rev", &[1u32, 2, 3]).unwrap();
+        let mut r = f.rev_reader().unwrap();
+        assert_eq!(r.next().unwrap(), Some(3));
+        let mut rest = Vec::new();
+        assert_eq!(r.next_batch(&mut rest, 10).unwrap(), 2);
+        assert_eq!(rest, vec![2, 1]);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! so a CLI can print *why* an engine was chosen before spending any I/O.
 //!
 //! The planner's fit test is parameterized by the semi-external footprint
-//! (bytes per node plus a fixed overhead). Use
-//! `ce_semi_scc::planner_for(cfg)` to obtain a planner wired to the actual
-//! footprint of the workspace's semi-external implementation, so planning
-//! and execution cannot drift; [`Planner::new`] defaults to the same
-//! coefficients (16 B/node + 2 blocks) for standalone use.
+//! (bytes per node plus a fixed overhead), which [`Planner::new`] takes as
+//! arguments. `ce_semi_scc::planner_for(cfg)` is the one place that supplies
+//! the coefficients of the workspace's semi-external implementation (8 B per
+//! node plus 2 blocks for its coloring base case), so planning and execution
+//! cannot drift.
 
 use std::fmt;
 
@@ -102,7 +102,7 @@ impl fmt::Display for Plan {
 const MAX_PREDICTED_PASSES: u32 = 64;
 
 /// Deterministic engine selection from `(n_nodes, M, B)`. See the module
-/// docs; construct via [`Planner::new`] or `ce_semi_scc::planner_for`.
+/// docs; construct via `ce_semi_scc::planner_for`.
 #[derive(Debug, Clone, Copy)]
 pub struct Planner {
     cfg: IoConfig,
@@ -111,24 +111,14 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// A planner for the given I/O configuration with the default
-    /// semi-external footprint (16 bytes per node + 2 blocks — the
-    /// workspace's coloring base case).
-    pub fn new(cfg: IoConfig) -> Planner {
+    /// A planner for the given I/O configuration whose semi-external base
+    /// case needs `bytes_per_node · n + fixed_bytes` bytes for `n` nodes.
+    pub fn new(cfg: IoConfig, bytes_per_node: u64, fixed_bytes: u64) -> Planner {
         Planner {
             cfg,
-            semi_bytes_per_node: 16,
-            semi_fixed_bytes: 2 * cfg.block_size as u64,
+            semi_bytes_per_node: bytes_per_node,
+            semi_fixed_bytes: fixed_bytes,
         }
-    }
-
-    /// Replaces the semi-external footprint coefficients (bytes per node,
-    /// fixed bytes). `ce_semi_scc::planner_for` uses this to wire the
-    /// planner to the implementation's actual `mem_required`.
-    pub fn with_semi_footprint(mut self, bytes_per_node: u64, fixed_bytes: u64) -> Planner {
-        self.semi_bytes_per_node = bytes_per_node;
-        self.semi_fixed_bytes = fixed_bytes;
-        self
     }
 
     /// The I/O configuration plans are made against.
@@ -204,14 +194,16 @@ impl Planner {
 mod tests {
     use super::*;
 
+    /// 8 B per node plus 2 blocks of 512 B, the coloring base case's
+    /// footprint.
     fn planner(mem: usize) -> Planner {
-        Planner::new(IoConfig::new(512, mem))
+        Planner::new(IoConfig::new(512, mem), 8, 1024)
     }
 
     #[test]
     fn picks_semi_exactly_at_the_fit_boundary() {
-        // 16 B/node * 100 + 2 * 512 B = 2624 B.
-        let boundary = 16 * 100 + 1024;
+        // 8 B/node * 100 + 2 * 512 B = 1824 B.
+        let boundary = 8 * 100 + 1024;
         assert_eq!(planner(boundary).plan(100).engine, Engine::SemiScc);
         assert_eq!(planner(boundary - 1).plan(100).engine, Engine::ExtSccOp);
         assert!(planner(boundary).fits_semi(100));
@@ -220,12 +212,12 @@ mod tests {
 
     #[test]
     fn predicted_passes_shrink_geometrically() {
-        let p = planner(16 * 100 + 1024); // fits 100 nodes
+        let p = planner(8 * 100 + 1024); // fits 100 nodes
         assert_eq!(p.predicted_passes(100), 0);
         assert_eq!(p.predicted_passes(150), 1); // 150 -> 100
         assert!(p.predicted_passes(100_000) >= 2);
         // Degenerate budget: nothing ever fits; the predictor still halts.
-        let tiny = Planner::new(IoConfig::new(512, 1024)); // fixed 1024 + 16/node > 1024
+        let tiny = planner(1024); // fixed 1024 + 8/node > 1024
         assert_eq!(tiny.predicted_passes(u32::MAX as u64), MAX_PREDICTED_PASSES);
     }
 
@@ -234,8 +226,8 @@ mod tests {
         let plan = planner(4096).plan(1000);
         assert_eq!(plan.engine, Engine::ExtSccOp);
         assert!(plan.reason.contains("exceeds"), "{}", plan.reason);
-        assert!(plan.reason.contains("17024 B"), "{}", plan.reason);
-        assert_eq!(plan.semi_bytes_needed, 16 * 1000 + 1024);
+        assert!(plan.reason.contains("9024 B"), "{}", plan.reason);
+        assert_eq!(plan.semi_bytes_needed, 8 * 1000 + 1024);
         assert_eq!(plan.to_string(), planner(4096).plan(1000).to_string());
         assert!(plan.to_string().starts_with("engine: Ext-SCC-Op\nreason: "));
     }
@@ -263,8 +255,8 @@ mod tests {
 
     #[test]
     fn custom_footprint_changes_the_boundary() {
-        let p = planner(16 * 100 + 1024).with_semi_footprint(32, 1024);
+        let p = Planner::new(IoConfig::new(512, 8 * 100 + 1024), 16, 1024);
         assert!(!p.fits_semi(100), "doubled per-node cost must not fit");
-        assert_eq!(p.semi_bytes_needed(100), 32 * 100 + 1024);
+        assert_eq!(p.semi_bytes_needed(100), 16 * 100 + 1024);
     }
 }

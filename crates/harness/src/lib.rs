@@ -598,11 +598,12 @@ fn budget_for(nodes: u64) -> usize {
 }
 
 /// The tight memory regime's budget in bytes for an `n_nodes`-node graph:
-/// semi-external state for ~|V|/3 nodes, so Ext-SCC must genuinely contract
-/// (the regime the paper's figures sweep). Shared between the matrix's
-/// tight scenarios and the I/O-regression test in `tests/io_model.rs`.
+/// semi-external state for ~2|V|/3 nodes, so Ext-SCC must genuinely
+/// contract (the regime the paper's figures sweep). Shared between the
+/// matrix's tight scenarios and the I/O-regression test in
+/// `tests/io_model.rs`.
 pub fn tight_budget(n_nodes: u64) -> usize {
-    budget_for(n_nodes / 3)
+    budget_for(n_nodes / 3 * 2)
 }
 
 /// One storage configuration of the matrix.
@@ -625,9 +626,9 @@ fn storage_modes() -> [StorageMode; 4] {
 /// One memory-budget regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BudgetKind {
-    /// Semi-external state for ~|V|/3 nodes: contraction genuinely runs.
+    /// Semi-external state for ~2|V|/3 nodes: contraction genuinely runs.
     Tight,
-    /// State for all of |V| and more: the base case runs directly.
+    /// State for 4|V| nodes: the base case runs directly.
     Roomy,
 }
 
@@ -643,7 +644,7 @@ impl BudgetKind {
     fn bytes(&self, n: u64) -> usize {
         match self {
             BudgetKind::Tight => tight_budget(n),
-            BudgetKind::Roomy => budget_for(n * 2),
+            BudgetKind::Roomy => budget_for(n * 4),
         }
     }
 }

@@ -13,49 +13,55 @@
 //!    `scc[v] = color[u]` (then `u → v → r` and `r → u` by color).
 //! 4. Deactivate all assigned nodes; repeat.
 //!
-//! Node state is three `u32` arrays (in memory, per the semi-external
-//! contract); edges are only ever scanned sequentially. To shorten fixpoint
-//! chains the scans alternate between ascending and descending source order,
-//! which lets relaxations cascade in both directions (classic Bellman-Ford
-//! sweeping).
+//! Node state is two `u32` arrays, `color` and `scc` (in memory, per the
+//! semi-external contract); the node ids and the edges stay on disk, and the
+//! edges are only ever scanned sequentially. To shorten fixpoint chains the
+//! scans alternate between ascending and descending order of one scan file
+//! of dense index pairs, read forward and backward, which lets relaxations
+//! cascade in both directions (classic Bellman-Ford sweeping).
 
-use std::cmp::Reverse;
 use std::io;
 
-use ce_extmem::{sort_by_key, DiskEnv, ExtFile};
+use ce_extmem::{DiskEnv, ExtFile};
 use ce_graph::types::{Edge, SccLabel};
 
-use crate::{normalize_min_rep, remap_stream, write_labels, SemiSccReport};
+use crate::{normalize_min_rep, write_labels, NodeSet, SemiSccReport, Sweeps};
 
 const UNASSIGNED: u32 = u32::MAX;
 
-/// Runs the coloring algorithm. See module docs; `nodes` must be sorted
-/// ascending and contain every edge endpoint.
+/// Runs the coloring algorithm. See module docs; every edge endpoint must be
+/// a member of `nodes`.
 pub fn coloring_scc(
     env: &DiskEnv,
     edges: &ExtFile<Edge>,
-    nodes: &[u32],
+    nodes: NodeSet<'_>,
 ) -> io::Result<(ExtFile<SccLabel>, SemiSccReport)> {
-    let n = nodes.len();
-    let mut report = SemiSccReport::default();
-    if n == 0 {
-        return Ok((ExtFile::empty(env, "semi-labels")?, report));
+    if nodes.is_empty() {
+        return Ok((
+            ExtFile::empty(env, "semi-labels")?,
+            SemiSccReport::default(),
+        ));
     }
+    let sweeps = Sweeps::new(env, edges, nodes)?;
+    solve(env, sweeps, nodes)
+}
+
+/// The coloring fixpoint over a built scan file (also the spanning-tree
+/// algorithm's fallback).
+pub(crate) fn solve(
+    env: &DiskEnv,
+    mut sweeps: Sweeps,
+    nodes: NodeSet<'_>,
+) -> io::Result<(ExtFile<SccLabel>, SemiSccReport)> {
+    let n = nodes.len() as usize;
     assert!(
         (n as u64) < UNASSIGNED as u64,
         "node count must fit in u32 with a sentinel to spare"
     );
-
-    // Each scan order sorts a fresh remap stream — the remapped edge list
-    // itself is never materialized (see `remap_stream`).
-    let asc = sort_by_key(env, remap_stream(edges, nodes)?, "semi-asc", |&(u, _)| u)?;
-    let desc = sort_by_key(env, remap_stream(edges, nodes)?, "semi-desc", |&(u, _)| Reverse(u))?;
-
+    let mut report = SemiSccReport::default();
     let mut scc = vec![UNASSIGNED; n];
     let mut color = vec![0u32; n];
     let mut assigned = 0usize;
-    let mut scan_flip = false;
-    let mut ebuf: Vec<(u32, u32)> = Vec::with_capacity(ce_extmem::DEFAULT_BATCH);
 
     while assigned < n {
         report.rounds += 1;
@@ -66,27 +72,16 @@ pub fn coloring_scc(
             *c = if scc[i] == UNASSIGNED { i as u32 } else { UNASSIGNED };
         }
 
-        // 2. Forward max-propagation to fixpoint, pulling edges a block
-        // batch at a time (the reusable buffer lives across passes).
+        // 2. Forward max-propagation to fixpoint.
         loop {
-            let file = if scan_flip { &desc } else { &asc };
-            scan_flip = !scan_flip;
             report.edge_passes += 1;
-            let mut changed = false;
-            let mut r = file.reader()?;
-            loop {
-                ebuf.clear();
-                if r.next_batch(&mut ebuf, ce_extmem::DEFAULT_BATCH)? == 0 {
-                    break;
+            let changed = sweeps.sweep(|u, v| {
+                if scc[u] == UNASSIGNED && scc[v] == UNASSIGNED && color[u] > color[v] {
+                    color[v] = color[u];
+                    return true;
                 }
-                for &(u, v) in &ebuf {
-                    let (u, v) = (u as usize, v as usize);
-                    if scc[u] == UNASSIGNED && scc[v] == UNASSIGNED && color[u] > color[v] {
-                        color[v] = color[u];
-                        changed = true;
-                    }
-                }
-            }
+                false
+            })?;
             if !changed {
                 break;
             }
@@ -102,27 +97,17 @@ pub fn coloring_scc(
         }
         debug_assert!(newly > 0, "every round must find at least one root");
 
-        // 4. Backward peeling to fixpoint (same batched scan).
+        // 4. Backward peeling to fixpoint.
         loop {
-            let file = if scan_flip { &desc } else { &asc };
-            scan_flip = !scan_flip;
             report.edge_passes += 1;
-            let mut changed = false;
-            let mut r = file.reader()?;
-            loop {
-                ebuf.clear();
-                if r.next_batch(&mut ebuf, ce_extmem::DEFAULT_BATCH)? == 0 {
-                    break;
+            let changed = sweeps.sweep(|u, v| {
+                if scc[u] == UNASSIGNED && scc[v] != UNASSIGNED && scc[v] == color[u] {
+                    scc[u] = color[u];
+                    newly += 1;
+                    return true;
                 }
-                for &(u, v) in &ebuf {
-                    let (u, v) = (u as usize, v as usize);
-                    if scc[u] == UNASSIGNED && scc[v] != UNASSIGNED && scc[v] == color[u] {
-                        scc[u] = color[u];
-                        newly += 1;
-                        changed = true;
-                    }
-                }
-            }
+                false
+            })?;
             if !changed {
                 break;
             }
@@ -136,8 +121,9 @@ pub fn coloring_scc(
         .filter(|&(i, &r)| r == i as u32)
         .count() as u64;
 
-    normalize_min_rep(&mut scc);
-    let labels = write_labels(env, nodes, &scc)?;
+    // `color` is dead from here on: it is the scratch of both steps.
+    normalize_min_rep(&mut scc, &mut color);
+    let labels = write_labels(env, nodes, &scc, &mut color)?;
     Ok((labels, report))
 }
 
@@ -157,8 +143,7 @@ mod tests {
         let env = env();
         let edges: Vec<Edge> = edge_list.iter().map(|&(u, v)| Edge::new(u, v)).collect();
         let file = env.file_from_slice("e", &edges).unwrap();
-        let nodes: Vec<u32> = (0..n).collect();
-        let (labels, report) = coloring_scc(&env, &file, &nodes).unwrap();
+        let (labels, report) = coloring_scc(&env, &file, NodeSet::Dense(n as u64)).unwrap();
         let mut rep = vec![0u32; n as usize];
         let mut r = labels.reader().unwrap();
         while let Some(l) = r.next().unwrap() {
@@ -279,7 +264,8 @@ mod tests {
                 &[Edge::new(2, 5), Edge::new(5, 9), Edge::new(9, 2)],
             )
             .unwrap();
-        let (labels, _) = coloring_scc(&env, &edges, &[2, 5, 9]).unwrap();
+        let nodes = env.file_from_slice("v", &[2u32, 5, 9]).unwrap();
+        let (labels, _) = coloring_scc(&env, &edges, NodeSet::Sorted(&nodes)).unwrap();
         let all = labels.read_all().unwrap();
         assert_eq!(
             all,
@@ -298,9 +284,8 @@ mod tests {
             .map(|i| Edge::new(i % 500, (i * 7 + 1) % 500))
             .collect();
         let edges = env.file_from_slice("e", &list).unwrap();
-        let nodes: Vec<u32> = (0..500).collect();
         let before = env.stats().snapshot();
-        let _ = coloring_scc(&env, &edges, &nodes).unwrap();
+        let _ = coloring_scc(&env, &edges, NodeSet::Dense(500)).unwrap();
         let d = env.stats().snapshot().since(&before);
         // Every pass is a scan; the only "random" transfers are the first
         // block of each newly-opened reader/sort run.

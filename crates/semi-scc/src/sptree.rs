@@ -20,13 +20,12 @@
 //! or increases some component's depth (bounded by `n`), so the total number
 //! of state changes is finite; passes without changes end the loop.
 
-use std::cmp::Reverse;
 use std::io;
 
-use ce_extmem::{sort_by_key, DiskEnv, ExtFile};
+use ce_extmem::{DiskEnv, ExtFile};
 use ce_graph::types::{Edge, SccLabel};
 
-use crate::{normalize_min_rep, remap_stream, write_labels, SemiSccReport};
+use crate::{normalize_min_rep, write_labels, NodeSet, SemiSccReport, Sweeps};
 
 const NONE: u32 = u32::MAX;
 
@@ -70,112 +69,143 @@ impl UnionFind {
     }
 }
 
+/// The spanning forest over union-find classes: five `u32` arrays, the
+/// footprint [`crate::mem_required`] charges.
+struct Forest {
+    uf: UnionFind,
+    /// Parent *node index* of each class root, re-found on use.
+    tree_parent: Vec<u32>,
+    /// Depth of each class root.
+    depth: Vec<u32>,
+    /// The ancestor walk's path, sized once: it can reach every node.
+    chain: Vec<u32>,
+    /// Cycle contractions performed.
+    contractions: u64,
+}
+
+impl Forest {
+    fn new(n: usize) -> Forest {
+        Forest {
+            uf: UnionFind::new(n),
+            tree_parent: vec![NONE; n],
+            depth: vec![0; n],
+            chain: Vec::with_capacity(n),
+            contractions: 0,
+        }
+    }
+
+    /// Applies edge `(u, v)`: contracts the cycle it closes, or re-hangs
+    /// `v`'s class deeper. Returns whether the forest changed.
+    fn relax(&mut self, u: u32, v: u32) -> bool {
+        let ru = self.uf.find(u);
+        let rv = self.uf.find(v);
+        if ru == rv {
+            return false;
+        }
+        // Is rv an ancestor of ru? Walk ru's root chain (full walk — depth
+        // values may be stale, so we cannot depth-bound it).
+        let chain = &mut self.chain;
+        chain.clear();
+        chain.push(ru);
+        let mut x = ru;
+        let mut is_ancestor = false;
+        loop {
+            let p = self.tree_parent[x as usize];
+            if p == NONE {
+                break;
+            }
+            let rp = self.uf.find(p);
+            if rp == x {
+                // A self-parent cannot arise (union rewrites the root's
+                // entries), but a walk must never loop: detach defensively.
+                debug_assert!(false, "stale self-parent in spanning forest");
+                self.tree_parent[x as usize] = NONE;
+                break;
+            }
+            chain.push(rp);
+            if rp == rv {
+                is_ancestor = true;
+                break;
+            }
+            debug_assert!(
+                chain.len() <= self.depth.len(),
+                "forest walk exceeded n: cycle in tree"
+            );
+            x = rp;
+        }
+        if is_ancestor {
+            // Contract the cycle: union every class on the path ru..rv.
+            let above = self.tree_parent[rv as usize];
+            let d = self.depth[rv as usize];
+            let mut root = ru;
+            for &c in chain.iter() {
+                root = self.uf.union(root, c);
+            }
+            self.tree_parent[root as usize] = above;
+            self.depth[root as usize] = d;
+            self.contractions += 1;
+            true
+        } else if self.depth[rv as usize] < self.depth[ru as usize] + 1 {
+            // Re-hang rv under ru (deeper position). Safe: rv is not an
+            // ancestor of ru, so no forest cycle can form.
+            self.tree_parent[rv as usize] = ru;
+            self.depth[rv as usize] = self.depth[ru as usize] + 1;
+            true
+        } else {
+            false
+        }
+    }
+}
+
 /// Runs the spanning-forest algorithm; same contract as
 /// [`crate::coloring::coloring_scc`].
 pub fn sptree_scc(
     env: &DiskEnv,
     edges: &ExtFile<Edge>,
-    nodes: &[u32],
+    nodes: NodeSet<'_>,
 ) -> io::Result<(ExtFile<SccLabel>, SemiSccReport)> {
-    let n = nodes.len();
+    let n = nodes.len() as usize;
     let mut report = SemiSccReport::default();
     if n == 0 {
         return Ok((ExtFile::empty(env, "semi-labels")?, report));
     }
-
-    // Each scan order sorts a fresh remap stream — the remapped edge list
-    // itself is never materialized (see `remap_stream`).
-    let asc = sort_by_key(env, remap_stream(edges, nodes)?, "sp-asc", |&(u, _)| u)?;
-    let desc = sort_by_key(env, remap_stream(edges, nodes)?, "sp-desc", |&(u, _)| Reverse(u))?;
-
-    let mut uf = UnionFind::new(n);
-    // Forest state, valid only at union-find representatives.
-    let mut tree_parent = vec![NONE; n]; // parent *node index*, re-find on use
-    let mut depth = vec![0u32; n];
-    let mut chain: Vec<u32> = Vec::new();
+    let mut sweeps = Sweeps::new(env, edges, nodes)?;
+    let mut forest = Forest::new(n);
 
     // Unions are bounded by n−1 and every re-hang strictly deepens a
     // component, so the loop terminates; the cap below is a defensive
     // backstop that hands pathological inputs to the coloring algorithm
     // (same contract, same answer) rather than scanning indefinitely.
     let pass_cap = 4 * (n as u64) + 64;
-    let mut scan_flip = false;
     loop {
         if report.edge_passes >= pass_cap {
-            return crate::coloring::coloring_scc(env, edges, nodes);
+            drop(forest); // within `M`, the coloring arrays replace the forest
+            return crate::coloring::solve(env, sweeps, nodes);
         }
-        let file = if scan_flip { &desc } else { &asc };
-        scan_flip = !scan_flip;
         report.edge_passes += 1;
-        let mut changed = false;
-
-        let mut r = file.reader()?;
-        while let Some((u, v)) = r.next()? {
-            let ru = uf.find(u);
-            let rv = uf.find(v);
-            if ru == rv {
-                continue;
-            }
-            // Is rv an ancestor of ru? Walk ru's root chain (full walk — depth
-            // values may be stale, so we cannot depth-bound it).
-            chain.clear();
-            chain.push(ru);
-            let mut x = ru;
-            let mut is_ancestor = false;
-            loop {
-                let p = tree_parent[x as usize];
-                if p == NONE {
-                    break;
-                }
-                let rp = uf.find(p);
-                if rp == x {
-                    // A self-parent cannot arise (union rewrites the root's
-                    // entries), but a walk must never loop: detach defensively.
-                    debug_assert!(false, "stale self-parent in spanning forest");
-                    tree_parent[x as usize] = NONE;
-                    break;
-                }
-                chain.push(rp);
-                if rp == rv {
-                    is_ancestor = true;
-                    break;
-                }
-                debug_assert!(chain.len() <= n, "forest walk exceeded n: cycle in tree");
-                x = rp;
-            }
-            if is_ancestor {
-                // Contract the cycle: union every class on the path ru..rv.
-                let above = tree_parent[rv as usize];
-                let d = depth[rv as usize];
-                let mut root = ru;
-                for &c in &chain {
-                    root = uf.union(root, c);
-                }
-                tree_parent[root as usize] = above;
-                depth[root as usize] = d;
-                report.rounds += 1;
-                changed = true;
-            } else if depth[rv as usize] < depth[ru as usize] + 1 {
-                // Re-hang rv under ru (deeper position). Safe: rv is not an
-                // ancestor of ru, so no forest cycle can form.
-                tree_parent[rv as usize] = ru;
-                depth[rv as usize] = depth[ru as usize] + 1;
-                changed = true;
-            }
-        }
-        if !changed {
+        if !sweeps.sweep(|u, v| forest.relax(u as u32, v as u32))? {
             break;
         }
     }
+    report.rounds = forest.contractions;
 
-    let mut scc_of: Vec<u32> = (0..n as u32).map(|i| uf.find(i)).collect();
+    // `tree_parent` becomes the component assignment; `depth` is scratch.
+    let Forest {
+        mut uf,
+        tree_parent: mut scc_of,
+        mut depth,
+        ..
+    } = forest;
+    for (i, slot) in scc_of.iter_mut().enumerate() {
+        *slot = uf.find(i as u32);
+    }
     report.n_sccs = scc_of
         .iter()
         .enumerate()
         .filter(|&(i, &r)| r == i as u32)
         .count() as u64;
-    normalize_min_rep(&mut scc_of);
-    let labels = write_labels(env, nodes, &scc_of)?;
+    normalize_min_rep(&mut scc_of, &mut depth);
+    let labels = write_labels(env, nodes, &scc_of, &mut depth)?;
     Ok((labels, report))
 }
 
@@ -195,8 +225,7 @@ mod tests {
         let env = env();
         let edges: Vec<Edge> = edge_list.iter().map(|&(u, v)| Edge::new(u, v)).collect();
         let file = env.file_from_slice("e", &edges).unwrap();
-        let nodes: Vec<u32> = (0..n).collect();
-        let (labels, _) = sptree_scc(&env, &file, &nodes).unwrap();
+        let (labels, _) = sptree_scc(&env, &file, NodeSet::Dense(n as u64)).unwrap();
         let mut rep = vec![0u32; n as usize];
         let mut r = labels.reader().unwrap();
         while let Some(l) = r.next().unwrap() {
@@ -296,7 +325,8 @@ mod tests {
         let edges = env
             .file_from_slice("e", &[Edge::new(10, 20), Edge::new(20, 10)])
             .unwrap();
-        let (labels, _) = sptree_scc(&env, &edges, &[10, 20]).unwrap();
+        let nodes = env.file_from_slice("v", &[10u32, 20]).unwrap();
+        let (labels, _) = sptree_scc(&env, &edges, NodeSet::Sorted(&nodes)).unwrap();
         assert_eq!(
             labels.read_all().unwrap(),
             vec![SccLabel::new(10, 10), SccLabel::new(20, 10)]

@@ -1,6 +1,7 @@
 //! Property tests: both semi-external algorithms equal in-memory Tarjan on
-//! arbitrary multigraphs (self-loops and duplicate edges included), and on
-//! sparse node universes.
+//! arbitrary multigraphs (self-loops and duplicate edges included), over
+//! both node sets (the dense universe and a node file), and on sparse node
+//! universes.
 
 use proptest::prelude::*;
 
@@ -9,7 +10,7 @@ use ce_graph::csr::CsrGraph;
 use ce_graph::labels::same_partition;
 use ce_graph::tarjan::tarjan_scc;
 use ce_graph::types::Edge;
-use ce_semi_scc::{semi_scc, SemiSccKind};
+use ce_semi_scc::{semi_scc, NodeSet, SemiSccKind};
 
 fn tiny_env() -> DiskEnv {
     DiskEnv::new_temp(IoConfig::new(256, 4096)).unwrap()
@@ -30,20 +31,27 @@ proptest! {
         let env = tiny_env();
         let edges: Vec<Edge> = edge_list.iter().map(|&(u, v)| Edge::new(u, v)).collect();
         let file = env.file_from_slice("e", &edges).unwrap();
-        let nodes: Vec<u32> = (0..n).collect();
+        let node_file = env.file_from_slice("v", &(0..n).collect::<Vec<u32>>()).unwrap();
         let truth = tarjan_scc(&CsrGraph::from_edges(n as u64, &edges));
         for kind in [SemiSccKind::Coloring, SemiSccKind::SpanningTree] {
-            let (labels, report) = semi_scc(&env, kind, &file, &nodes).unwrap();
-            let mut rep = vec![0u32; n as usize];
-            let mut r = labels.reader().unwrap();
-            while let Some(l) = r.next().unwrap() {
-                rep[l.node as usize] = l.scc;
+            let mut by_set = Vec::new();
+            for nodes in [NodeSet::Dense(n as u64), NodeSet::Sorted(&node_file)] {
+                let (labels, report) = semi_scc(&env, kind, &file, nodes).unwrap();
+                let mut rep = vec![0u32; n as usize];
+                let mut r = labels.reader().unwrap();
+                while let Some(l) = r.next().unwrap() {
+                    rep[l.node as usize] = l.scc;
+                }
+                prop_assert!(
+                    same_partition(&rep, &truth.comp),
+                    "{} over {:?}: {:?} on {:?}", kind.name(), nodes, rep, edge_list
+                );
+                prop_assert_eq!(report.n_sccs, truth.count as u64);
+                by_set.push((rep, report.edge_passes));
             }
-            prop_assert!(
-                same_partition(&rep, &truth.comp),
-                "{}: {:?} on {:?}", kind.name(), rep, edge_list
-            );
-            prop_assert_eq!(report.n_sccs, truth.count as u64);
+            // The same dense indices and the same scan file: the node set
+            // changes nothing but where the ids come from.
+            prop_assert_eq!(&by_set[0], &by_set[1], "{}", kind.name());
         }
     }
 
@@ -64,8 +72,9 @@ proptest! {
             edges.push(Edge::new(*nodes.last().unwrap(), nodes[0]));
         }
         let file = env.file_from_slice("e", &edges).unwrap();
+        let node_file = env.file_from_slice("v", &nodes).unwrap();
         for kind in [SemiSccKind::Coloring, SemiSccKind::SpanningTree] {
-            let (labels, report) = semi_scc(&env, kind, &file, &nodes).unwrap();
+            let (labels, report) = semi_scc(&env, kind, &file, NodeSet::Sorted(&node_file)).unwrap();
             let all = labels.read_all().unwrap();
             prop_assert_eq!(all.len(), nodes.len());
             // Output is sorted by node and covers exactly `nodes`.

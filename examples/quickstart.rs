@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The planner explains the regime before any I/O is spent: 60k nodes
-    // need ~960 KiB of node state, so contraction must run.
+    // need ~480 KB of node state, so contraction must run.
     let plan = session.plan()?;
     println!("{plan}\n");
     assert_eq!(plan.engine, Engine::ExtSccOp);

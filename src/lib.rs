@@ -18,10 +18,10 @@
 //! ```
 //! use contract_expand::prelude::*;
 //!
-//! // An I/O environment: 4 KiB blocks, 256 KiB of "main memory", pooled.
-//! let cfg = IoConfig::new(4 << 10, 256 << 10);
+//! // An I/O environment: 4 KiB blocks, 128 KiB of "main memory", pooled.
+//! let cfg = IoConfig::new(4 << 10, 128 << 10);
 //! let mut session = SccSession::open(cfg, EnvOptions::pooled(&cfg)).unwrap()
-//!     // 20k nodes need ~320 KiB of node state: contraction must run.
+//!     // 20k nodes need ~160 KB of node state: contraction must run.
 //!     .source(GraphSource::generator(|env| gen::web_like(env, 20_000, 4.0, 42)))
 //!     .unwrap();
 //!

@@ -9,8 +9,10 @@ use contract_expand::graph::tarjan::tarjan_scc;
 use contract_expand::harness::full_registry;
 use contract_expand::prelude::*;
 
+/// Budget whose base case fits at most 1,792 nodes: the Ext-SCC runs below
+/// (2,000 nodes and up) must contract.
 fn tight_env() -> DiskEnv {
-    DiskEnv::new_temp(IoConfig::new(1 << 10, 32 << 10)).unwrap()
+    DiskEnv::new_temp(IoConfig::new(1 << 10, 16 << 10)).unwrap()
 }
 
 fn truth(g: &EdgeListGraph) -> Vec<u32> {
@@ -43,6 +45,7 @@ fn all_semi_variants_agree_inside_ext_scc() {
         let mut cfg = ExtSccConfig::optimized();
         cfg.semi = semi;
         let out = ExtScc::new(&env, cfg).run(&g).unwrap();
+        assert!(out.report.iterations() >= 1, "semi {semi:?} must contract");
         let lab = SccLabeling::from_file(&out.labels, g.n_nodes()).unwrap();
         assert!(same_partition(&lab.rep, &t), "semi {semi:?}");
     }
@@ -60,6 +63,7 @@ fn em_scc_agrees_when_it_terminates() {
     assert_eq!(report.n_sccs, 50);
 
     let out = ExtScc::new(&env, ExtSccConfig::optimized()).run(&g).unwrap();
+    assert!(out.report.iterations() >= 1);
     assert_eq!(out.report.n_sccs, 50);
 }
 
@@ -70,6 +74,7 @@ fn table1_datasets_recover_planted_components() {
         let spec = gen::SyntheticSpec::table1(dataset, 4000, 4.0, 21);
         let g = gen::planted_scc_graph(&env, &spec).unwrap();
         let out = ExtScc::new(&env, ExtSccConfig::optimized()).run(&g).unwrap();
+        assert!(out.report.iterations() >= 1, "{dataset:?} must contract");
         let lab = SccLabeling::from_file(&out.labels, g.n_nodes()).unwrap();
         assert!(same_partition(&lab.rep, &truth(&g)), "{dataset:?}");
         // Acyclic filler: the planted components are exactly the non-trivial
@@ -104,6 +109,7 @@ fn condensation_of_ext_scc_output_is_acyclic() {
     let env = tight_env();
     let g = gen::web_like(&env, 2000, 5.0, 3).unwrap();
     let out = ExtScc::new(&env, ExtSccConfig::optimized()).run(&g).unwrap();
+    assert!(out.report.iterations() >= 1);
     let lab = SccLabeling::from_file(&out.labels, g.n_nodes()).unwrap();
     let edges = g.edges_in_memory().unwrap();
     let (n, _, dag_edges) = lab.condense(&edges);

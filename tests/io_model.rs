@@ -38,7 +38,7 @@ fn dfs_scc_is_random_io_heavy() {
 fn more_memory_means_fewer_ios_and_iterations() {
     // The paper's Figure 7/8 monotonicity, asserted end to end.
     let mut results = Vec::new();
-    for budget in [24usize << 10, 48 << 10, 128 << 10] {
+    for budget in [24usize << 10, 32 << 10, 128 << 10] {
         let env = DiskEnv::new_temp(IoConfig::new(1 << 10, budget)).unwrap();
         let g = gen::web_like(&env, 5000, 4.0, 3).unwrap();
         let before = env.stats().snapshot();
@@ -54,6 +54,7 @@ fn more_memory_means_fewer_ios_and_iterations() {
         results[0].2 > results[2].2,
         "I/Os must shrink with memory: {results:?}"
     );
+    assert!(results[1].1 >= 1, "the middle budget must still contract: {results:?}");
     assert_eq!(results[2].1, 0, "largest budget should skip contraction");
 }
 
@@ -64,7 +65,7 @@ fn streaming_pipeline_beats_pr4_baseline_by_15_percent() {
     // I/Os on this exact scenario — the conformance matrix's smoke `web`
     // workload under the tight budget. Last-merge-pass elision plus fused
     // sort→join chains must keep at least a 15% logical-I/O win over that
-    // baseline; the exact count today, 2360, is pinned by the golden
+    // baseline; the exact count today, 1638, is pinned by the golden
     // `tests/golden/verify_smoke.txt`. The scenario is
     // `ce_harness::smoke_workloads` under `ce_harness::tight_budget` — the
     // exact environment the conformance matrix runs — so the golden and this
@@ -98,6 +99,7 @@ fn edge_growth_is_bounded_by_arboricity_bound() {
     let env = DiskEnv::new_temp(IoConfig::new(1 << 10, 32 << 10)).unwrap();
     let g = gen::web_like(&env, 4000, 4.0, 9).unwrap();
     let out = ExtScc::new(&env, ExtSccConfig::baseline()).run(&g).unwrap();
+    assert!(out.report.iterations() >= 1, "the bound needs a contraction");
     for it in &out.report.contraction {
         let alpha_bound = (it.n_edges as f64).sqrt().ceil() as u64;
         assert!(
@@ -113,15 +115,17 @@ fn edge_growth_is_bounded_by_arboricity_bound() {
 fn faults_surface_everywhere() {
     // Inject failures at several points of each algorithm's life; every one
     // must return an error (never panic, never fabricate labels).
-    let env = DiskEnv::new_temp(IoConfig::new(1 << 10, 32 << 10)).unwrap();
+    // 16 KiB fits the base case of 1,792 nodes, so Ext-SCC contracts.
+    let env = DiskEnv::new_temp(IoConfig::new(1 << 10, 16 << 10)).unwrap();
     let g = gen::web_like(&env, 3000, 4.0, 5).unwrap();
 
     // Calibrate: fault points at the start, middle, and near the end of a
     // clean run's actual I/O volume.
     let before = env.stats().snapshot();
-    ExtScc::new(&env, ExtSccConfig::optimized())
+    let out = ExtScc::new(&env, ExtSccConfig::optimized())
         .run(&g)
         .unwrap();
+    assert!(out.report.iterations() >= 1, "faults must hit a contraction");
     let clean_ios = env.stats().snapshot().since(&before).total_ios();
     assert!(clean_ios > 100, "calibration run too small: {clean_ios}");
 
@@ -158,9 +162,10 @@ fn faults_surface_everywhere() {
 
 #[test]
 fn label_files_are_complete_and_sorted() {
-    let env = DiskEnv::new_temp(IoConfig::new(1 << 10, 32 << 10)).unwrap();
+    let env = DiskEnv::new_temp(IoConfig::new(1 << 10, 16 << 10)).unwrap();
     let g = gen::web_like(&env, 3000, 4.0, 7).unwrap();
     let out = ExtScc::new(&env, ExtSccConfig::optimized()).run(&g).unwrap();
+    assert!(out.report.iterations() >= 1, "labels must come out of expansion");
     assert_eq!(out.labels.len(), g.n_nodes());
     let all = out.labels.read_all().unwrap();
     for (i, l) in all.iter().enumerate() {
@@ -171,11 +176,12 @@ fn label_files_are_complete_and_sorted() {
 #[test]
 fn scratch_space_is_reclaimed() {
     // All intermediate files of a run must be deleted once results drop.
-    let env = DiskEnv::new_temp(IoConfig::new(1 << 10, 32 << 10)).unwrap();
+    let env = DiskEnv::new_temp(IoConfig::new(1 << 10, 16 << 10)).unwrap();
     let g = gen::web_like(&env, 2000, 4.0, 7).unwrap();
     let files_before = std::fs::read_dir(env.root()).unwrap().count();
     {
         let out = ExtScc::new(&env, ExtSccConfig::optimized()).run(&g).unwrap();
+        assert!(out.report.iterations() >= 1, "level files must be written");
         drop(out);
     }
     let files_after = std::fs::read_dir(env.root()).unwrap().count();

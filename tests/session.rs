@@ -27,7 +27,7 @@ fn planner_picks_the_regime_and_the_override_wins() {
     assert!(plan.reason.contains("fits"), "{}", plan.reason);
     assert_eq!(plan.predicted_passes, 0);
 
-    // Tight: a 5000-node cycle's node state exceeds 16 KiB.
+    // Tight: a 5000-node cycle's node state (~40 KB) exceeds 16 KiB.
     let cfg = IoConfig::new(1 << 10, 16 << 10);
     let session = SccSession::open(cfg, EnvOptions::pooled(&cfg))
         .unwrap()

@@ -89,6 +89,30 @@ fn trace_leaf_deltas_sum_exactly_to_run_totals() {
 }
 
 #[test]
+fn direct_semi_scc_run_is_one_semi_span() {
+    // Semi-SCC alone (the planner's engine when the node state fits)
+    // opens its own root span, so none of its I/O goes unattributed.
+    let env = DiskEnv::new_temp(IoConfig::new(MATRIX_BLOCK, 1 << 20)).unwrap();
+    let g = smoke_web(&env);
+
+    let sink = Rc::new(MemSink::new());
+    let guard = obs::install(sink.clone());
+    let run = SemiSccAlgo::default().run(&env, &g).unwrap();
+    drop(guard);
+
+    let roots = sink.take();
+    assert_eq!(roots.len(), 1, "one trace root: the engine's semi span");
+    let root = &roots[0];
+    assert_eq!(root.name, "semi");
+    let total = run.ios.total_ios();
+    assert!(total > 0);
+    assert_eq!(root.counter("ios"), Some(total));
+    assert_eq!(leaf_sum(root, "ios"), total);
+    assert_eq!(leaf_sum(root, "rand"), run.ios.random_ios());
+    assert!(root.children.iter().any(|c| c.name == "color_round"));
+}
+
+#[test]
 fn tracing_does_not_change_logical_io() {
     let mem = tight_budget(WEB_N as u64);
 
