@@ -68,11 +68,18 @@
 //! barriers that make a commit durable. A crash or injected I/O fault at
 //! any point leaves the previous generation fully readable at the path;
 //! readers opened before the rename keep serving their generation from the
-//! old inode. The engine itself stays consistent too: all in-memory state
-//! is mutated on transaction-local copies that are only installed after
-//! the rename succeeds, so a failed `apply` can simply be retried. After
-//! the rename it reads the new generation through a reader built from the
-//! header it just wrote, without re-validating the artifact.
+//! old inode. The engine itself stays consistent too. It mutates its
+//! in-memory condensation DAG in place under an **undo log**: while a
+//! transaction is open, every change first records the edge's
+//! `(src, dst, old count)`. A guard replays the log in reverse when an
+//! apply, a re-verification or a compact fails before its rename — by an
+//! error or a panic alike — and the rename's success clears it. The dirty
+//! set and the DAG's slot map stay transaction-local until the rename. So
+//! a failed `apply` leaves the engine exactly as it was and can simply be
+//! retried, and a successful one does memory work proportional to what it
+//! changes instead of copying the DAG. After the rename the engine reads
+//! the new generation through a reader built from the header it just
+//! wrote, without re-validating the artifact.
 //!
 //! Logical I/O is priced end to end in the environment's
 //! [`IoStats`](ce_extmem::IoStats): classification pays the index point
@@ -193,15 +200,18 @@ pub struct CompactReport {
 
 /// In-memory adjacency over the stored condensation DAG: multiplicity per
 /// component edge plus forward/backward neighbor sets for the reachability
-/// walks. Loaded once at [`DeltaEngine::open`] and maintained across
-/// applies — the semi-external stance of the workspace (node-proportional
-/// state in memory, edge files on disk) applied to the condensation, which
-/// is the *small* quotient of the graph.
-#[derive(Debug, Clone, Default)]
+/// walks. Loaded once at [`DeltaEngine::open`] and mutated in place by
+/// every transaction — the semi-external stance of the workspace
+/// (node-proportional state in memory, edge files on disk) applied to the
+/// condensation, which is the *small* quotient of the graph.
+#[derive(Debug, Default)]
 pub(crate) struct DagAdj {
     counts: BTreeMap<(NodeId, NodeId), u32>,
     fwd: HashMap<NodeId, BTreeSet<NodeId>>,
     bwd: HashMap<NodeId, BTreeSet<NodeId>>,
+    /// While a transaction is open: `(src, dst, old count)` of every change
+    /// since [`DagAdj::begin`], oldest first.
+    undo: Option<Vec<(NodeId, NodeId, u32)>>,
 }
 
 impl DagAdj {
@@ -212,16 +222,22 @@ impl DagAdj {
     /// Adds `c` instances of `s → d` (saturating).
     fn add(&mut self, s: NodeId, d: NodeId, c: u32) {
         debug_assert_ne!(s, d, "condensation edges are never loops");
-        let e = self.counts.entry((s, d)).or_insert(0);
-        *e = e.saturating_add(c);
-        self.fwd.entry(s).or_default().insert(d);
-        self.bwd.entry(d).or_default().insert(s);
+        self.set(s, d, self.count(s, d).saturating_add(c));
     }
 
-    /// Sets the multiplicity of `s → d`; zero removes the edge.
+    /// Sets the multiplicity of `s → d`; zero removes the edge. Logs the
+    /// old multiplicity while a transaction is open.
     fn set(&mut self, s: NodeId, d: NodeId, c: u32) {
-        if c == 0 {
-            self.counts.remove(&(s, d));
+        let old = if c == 0 {
+            self.counts.remove(&(s, d))
+        } else {
+            self.counts.insert((s, d), c)
+        };
+        if let Some(log) = &mut self.undo {
+            log.push((s, d, old.unwrap_or(0)));
+        }
+        // Adjacency membership follows `count > 0`.
+        if c == 0 && old.is_some() {
             if let Some(n) = self.fwd.get_mut(&s) {
                 n.remove(&d);
                 if n.is_empty() {
@@ -234,10 +250,31 @@ impl DagAdj {
                     self.bwd.remove(&d);
                 }
             }
-        } else {
-            self.counts.insert((s, d), c);
+        } else if c > 0 && old.is_none() {
             self.fwd.entry(s).or_default().insert(d);
             self.bwd.entry(d).or_default().insert(s);
+        }
+    }
+
+    /// Opens a transaction: every change from here on is logged.
+    fn begin(&mut self) {
+        debug_assert!(self.undo.is_none(), "transactions do not nest");
+        self.undo = Some(Vec::new());
+    }
+
+    /// Keeps every change of the open transaction (a no-op when none is
+    /// open).
+    fn commit(&mut self) {
+        self.undo = None;
+    }
+
+    /// Undoes every change of the open transaction, newest first (a no-op
+    /// when none is open). Restoring the counts restores `fwd` and `bwd`.
+    fn rollback(&mut self) {
+        if let Some(log) = self.undo.take() {
+            for (s, d, c) in log.into_iter().rev() {
+                self.set(s, d, c);
+            }
         }
     }
 
@@ -405,14 +442,13 @@ enum LabelPatch {
 }
 
 /// A fully classified, not-yet-written update: everything `materialize`
-/// needs, computed against transaction-local state so a failed apply
-/// leaves the engine untouched.
+/// needs besides the engine's (already mutated) DAG and the new dirty set.
 struct Plan {
     journal: Vec<[u8; JOURNAL_ENTRY as usize]>,
     label_patch: LabelPatch,
     /// Full new size table (sorted by rep) when components changed.
     sizes: Option<Vec<(NodeId, u64)>>,
-    /// Rewrite the whole DAG section from the (transaction) `DagAdj`.
+    /// Rewrite the whole DAG section from the engine's `DagAdj`.
     rewrite_dag: bool,
     /// In-place record patches `(key, final count)` — only when not
     /// rewriting; `0` leaves a tombstone.
@@ -434,6 +470,24 @@ impl Plan {
             appends: Vec::new(),
             dirty_changed: false,
         }
+    }
+}
+
+/// An open transaction on the engine's DAG. On drop it rolls the DAG back
+/// to its state at [`Txn::begin`] unless [`DeltaEngine::materialize`] has
+/// committed it, so an error return and a panic leave the engine alike.
+struct Txn<'e, 'a>(&'e mut DeltaEngine<'a>);
+
+impl<'e, 'a> Txn<'e, 'a> {
+    fn begin(eng: &'e mut DeltaEngine<'a>) -> Txn<'e, 'a> {
+        eng.dag.begin();
+        Txn(eng)
+    }
+}
+
+impl Drop for Txn<'_, '_> {
+    fn drop(&mut self) {
+        self.0.dag.rollback();
     }
 }
 
@@ -646,15 +700,17 @@ impl<'a> DeltaEngine<'a> {
             }
         }
 
-        // ---- Classification: transaction-local state only. ----
+        // ---- Classification: the DAG in place, everything else local. ----
+        let tx = Txn::begin(self);
+        let this = &mut *tx.0;
         let sp = ce_extmem::io_span!(
-            self.env,
+            this.env,
             "delta_classify",
             adds = batch.edges_added.len(),
             removes = batch.edges_removed.len(),
         );
-        let mut dag = self.dag.clone();
-        let mut dirty = self.dirty.clone();
+        let dag = &mut this.dag;
+        let mut dirty = this.dirty.clone();
         let mut overlay = Overlay::default();
         let mut plan = Plan::new();
         let mut report = DeltaReport::default();
@@ -666,8 +722,8 @@ impl<'a> DeltaEngine<'a> {
         let mut new_seen: HashSet<(NodeId, NodeId)> = HashSet::new();
 
         for &(u, v) in &batch.edges_added {
-            let ru = overlay.find(self.index.component_of(u)?);
-            let rv = overlay.find(self.index.component_of(v)?);
+            let ru = overlay.find(this.index.component_of(u)?);
+            let rv = overlay.find(this.index.component_of(v)?);
             plan.journal.push(journal_record(0, u, v));
             if ru == rv {
                 report.intra_added += 1;
@@ -734,7 +790,7 @@ impl<'a> DeltaEngine<'a> {
                 dag.add(ru, rv, 1);
                 report.dag_appended += 1;
             }
-            if self.dag_pos.contains_key(&key) {
+            if this.dag_pos.contains_key(&key) {
                 touched.insert(key);
             } else if new_seen.insert(key) {
                 new_keys.push(key);
@@ -742,8 +798,8 @@ impl<'a> DeltaEngine<'a> {
         }
 
         for &(u, v) in &batch.edges_removed {
-            let ru = overlay.find(self.index.component_of(u)?);
-            let rv = overlay.find(self.index.component_of(v)?);
+            let ru = overlay.find(this.index.component_of(u)?);
+            let rv = overlay.find(this.index.component_of(v)?);
             plan.journal.push(journal_record(1, u, v));
             if ru == rv {
                 // Intra-component: possibly splits — defer to lazy
@@ -769,7 +825,7 @@ impl<'a> DeltaEngine<'a> {
                     report.dag_weakened += 1;
                 }
                 let key = (ru, rv);
-                if self.dag_pos.contains_key(&key) {
+                if this.dag_pos.contains_key(&key) {
                     touched.insert(key);
                 } else if new_seen.insert(key) {
                     new_keys.push(key);
@@ -779,7 +835,7 @@ impl<'a> DeltaEngine<'a> {
         drop(sp);
 
         // ---- Turn classification into a write plan. ----
-        plan.dirty_changed = dirty != self.dirty;
+        plan.dirty_changed = dirty != this.dirty;
         if merged_groups.is_empty() {
             plan.patches = touched.iter().map(|&k| (k, dag.count(k.0, k.1))).collect();
             plan.appends = new_keys
@@ -791,36 +847,46 @@ impl<'a> DeltaEngine<'a> {
                 .collect();
         } else {
             // A merge rewrites the size table (components disappear) and
-            // therefore the sections behind it; the plan folds the current
-            // table through the final merge mapping.
+            // therefore the sections behind it. One pass over the stored
+            // table folds it through the final merge mapping: the table is
+            // sorted by representative, and every absorbed representative
+            // maps to its group's minimum, which comes first — so absorbed
+            // sizes add into an entry already emitted.
             plan.rewrite_dag = true;
             let relabel = overlay.relabel_map();
-            let table: Vec<(NodeId, u64)> = self.index.components().collect::<io::Result<_>>()?;
-            let by_rep: HashMap<NodeId, u64> = table.iter().copied().collect();
-            for group in &merged_groups {
-                for &r in group {
-                    report.merged_nodes += by_rep.get(&r).copied().unwrap_or(0);
+            // How often each representative occurs across the groups (a
+            // group's minimum may be a member of a later group again).
+            let mut occurs: HashMap<NodeId, u64> = HashMap::new();
+            for &r in merged_groups.iter().flatten() {
+                *occurs.entry(r).or_insert(0) += 1;
+            }
+            let mut sizes: Vec<(NodeId, u64)> = Vec::with_capacity(this.index.n_sccs() as usize);
+            for entry in this.index.components() {
+                let (rep, size) = entry?;
+                report.merged_nodes += occurs.get(&rep).copied().unwrap_or(0) * size;
+                match relabel.get(&rep) {
+                    Some(l) => match sizes.binary_search_by_key(l, |e| e.0) {
+                        Ok(at) => sizes[at].1 += size,
+                        Err(_) => return Err(bad("size table misses a merge target")),
+                    },
+                    None => sizes.push((rep, size)),
                 }
             }
-            let mut folded: BTreeMap<NodeId, u64> = BTreeMap::new();
-            for (rep, size) in table {
-                *folded.entry(*relabel.get(&rep).unwrap_or(&rep)).or_insert(0) += size;
-            }
-            plan.sizes = Some(folded.into_iter().collect());
+            plan.sizes = Some(sizes);
             plan.label_patch = LabelPatch::ByRep(relabel);
         }
 
         // ---- Materialize the new generation. ----
         let sp = ce_extmem::io_span!(
-            self.env,
+            this.env,
             "delta_merge",
             merges = report.merges,
             journal = plan.journal.len(),
         );
-        report.label_pages_rewritten = self.materialize(plan, dag, dirty)?;
+        report.label_pages_rewritten = this.materialize(plan, dirty)?;
         drop(sp);
-        report.generation = self.index.generation();
-        report.ios = self.env.stats().snapshot().since(&before);
+        report.generation = this.index.generation();
+        report.ios = this.env.stats().snapshot().since(&before);
         Ok(report)
     }
 
@@ -876,7 +942,7 @@ impl<'a> DeltaEngine<'a> {
             rewrite_dag: true,
             ..Plan::new()
         };
-        self.materialize(plan, self.dag.clone(), self.dirty.clone())?;
+        self.materialize(plan, self.dirty.clone())?;
         drop(sp);
         report.generation = self.index.generation();
         report.dag_slots_reclaimed = tombstones;
@@ -999,10 +1065,12 @@ impl<'a> DeltaEngine<'a> {
         table.extend(new_comps.iter().copied());
         table.sort_unstable();
 
-        // New DAG: drop everything touching the targets, recompute from the
-        // incident multiset (memoizing outside components' labels).
-        let mut dag = self.dag.clone();
-        dag.drop_touching(&targets);
+        // New DAG, in place: drop everything touching the targets,
+        // recompute from the incident multiset (memoizing outside
+        // components' labels).
+        let tx = Txn::begin(self);
+        let this = &mut *tx.0;
+        this.dag.drop_touching(&targets);
         let mut outside: HashMap<NodeId, NodeId> = HashMap::new();
         let mut acc: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
         for (&(a, b), &c) in &incident {
@@ -1014,7 +1082,7 @@ impl<'a> DeltaEngine<'a> {
                 None => match outside.get(&a) {
                     Some(&l) => l,
                     None => {
-                        let l = self.index.component_of(a)?;
+                        let l = this.index.component_of(a)?;
                         outside.insert(a, l);
                         l
                     }
@@ -1025,7 +1093,7 @@ impl<'a> DeltaEngine<'a> {
                 None => match outside.get(&b) {
                     Some(&l) => l,
                     None => {
-                        let l = self.index.component_of(b)?;
+                        let l = this.index.component_of(b)?;
                         outside.insert(b, l);
                         l
                     }
@@ -1036,10 +1104,10 @@ impl<'a> DeltaEngine<'a> {
             }
         }
         for ((s, d), c) in acc {
-            dag.add(s, d, c.min(u32::MAX as u64) as u32);
+            this.dag.add(s, d, c.min(u32::MAX as u64) as u32);
         }
 
-        let mut dirty = self.dirty.clone();
+        let mut dirty = this.dirty.clone();
         for r in &targets {
             dirty.remove(r);
         }
@@ -1066,10 +1134,10 @@ impl<'a> DeltaEngine<'a> {
             appends: Vec::new(),
             dirty_changed: true,
         };
-        self.materialize(plan, dag, dirty)?;
+        this.materialize(plan, dirty)?;
         drop(sp);
-        report.generation = self.index.generation();
-        report.ios = self.env.stats().snapshot().since(&before);
+        report.generation = this.index.generation();
+        report.ios = this.env.stats().snapshot().since(&before);
         Ok(report)
     }
 
@@ -1097,18 +1165,14 @@ impl<'a> DeltaEngine<'a> {
         Ok(())
     }
 
-    /// Commits a plan as generation `g + 1`: journal first (synced; the old
-    /// header ignores the tail), then fork-copy the artifact, patch the
-    /// copy through the counted pager, write the bumped header, sync, and
-    /// atomically rename over the path. Only after the rename succeeds is
-    /// the transaction state installed in the engine. Returns the number of
-    /// label pages rewritten.
-    fn materialize(
-        &mut self,
-        plan: Plan,
-        dag: DagAdj,
-        dirty: BTreeSet<NodeId>,
-    ) -> io::Result<u64> {
+    /// Commits a plan and the engine's DAG as generation `g + 1`: journal
+    /// first (synced; the old header ignores the tail), then fork-copy the
+    /// artifact, patch the copy through the counted pager, write the bumped
+    /// header, sync, and atomically rename over the path. Only after the
+    /// rename succeeds are the DAG's open transaction committed and the new
+    /// dirty set and slot map installed. Returns the number of label pages
+    /// rewritten.
+    fn materialize(&mut self, plan: Plan, dirty: BTreeSet<NodeId>) -> io::Result<u64> {
         let hdr = self.index.hdr;
 
         // 1. Journal append. Bytes past the authenticated prefix are
@@ -1140,7 +1204,7 @@ impl<'a> DeltaEngine<'a> {
         ));
         std::fs::copy(&self.path, &tmp)?;
 
-        let out = self.patch_fork(&tmp, plan, &dag, &dirty, n_journal, jfnv.finish());
+        let out = self.patch_fork(&tmp, plan, &dirty, n_journal, jfnv.finish());
         match out {
             Ok((new_hdr, file, pages, pos_update)) => {
                 if let Err(e) = std::fs::rename(&tmp, &self.path) {
@@ -1163,8 +1227,8 @@ impl<'a> DeltaEngine<'a> {
                     file: SharedFile::open_in(self.env, &self.path)?,
                     hdr: new_hdr,
                 };
+                self.dag.commit();
                 self.dirty = dirty;
-                self.dag = dag;
                 match pos_update {
                     DagPosUpdate::Keep => {}
                     DagPosUpdate::Replace(pos) => self.dag_pos = pos,
@@ -1184,10 +1248,9 @@ impl<'a> DeltaEngine<'a> {
     /// the new header, the open handle, the label-page write count, and the
     /// `dag_pos` change to install at commit.
     fn patch_fork(
-        &mut self,
+        &self,
         tmp: &Path,
         plan: Plan,
-        dag: &DagAdj,
         dirty: &BTreeSet<NodeId>,
         n_journal: u64,
         journal_fnv: u64,
@@ -1237,21 +1300,19 @@ impl<'a> DeltaEngine<'a> {
         }
 
         // Size table (full rewrite when present).
-        let (n_sccs, sizes_fnv) = match &plan.sizes {
+        let (n_sccs, sizes_xor) = match &plan.sizes {
             Some(entries) => {
-                let mut fnv = Fnv::new();
                 let mut out: Vec<u8> = Vec::with_capacity(entries.len() * SIZE_ENTRY as usize);
                 for &(rep, size) in entries {
                     let mut rec = [0u8; SIZE_ENTRY as usize];
                     rec[0..4].copy_from_slice(&rep.to_le_bytes());
                     rec[8..16].copy_from_slice(&size.to_le_bytes());
-                    fnv.update(&rec);
                     out.extend_from_slice(&rec);
                 }
-                write_padded(&mut f, hdr.sizes_off, page, &out, None)?;
-                (entries.len() as u64, fnv.finish())
+                let xor = write_padded(&mut f, hdr.sizes_off, page, &out)?;
+                (entries.len() as u64, xor)
             }
-            None => (hdr.n_sccs, hdr.sizes_fnv),
+            None => (hdr.n_sccs, hdr.sizes_xor),
         };
 
         // DAG section.
@@ -1261,7 +1322,7 @@ impl<'a> DeltaEngine<'a> {
             hdr.dag_off
         };
         let (n_dag, dag_xor, pos_update) = if plan.rewrite_dag {
-            let recs = dag.live_sorted();
+            let recs = self.dag.live_sorted();
             let mut out: Vec<u8> = Vec::with_capacity(recs.len() * DAG_ENTRY as usize);
             let mut pos = HashMap::with_capacity(recs.len());
             for (i, e) in recs.iter().enumerate() {
@@ -1272,8 +1333,7 @@ impl<'a> DeltaEngine<'a> {
                 out.extend_from_slice(&rec);
                 pos.insert((e.src, e.dst), i as u64);
             }
-            let mut xor = 0u64;
-            write_padded(&mut f, dag_off, page, &out, Some(&mut xor))?;
+            let xor = write_padded(&mut f, dag_off, page, &out)?;
             (recs.len() as u64, xor, DagPosUpdate::Replace(pos))
         } else if plan.patches.is_empty() && plan.appends.is_empty() {
             (hdr.n_dag_edges, hdr.dag_xor, DagPosUpdate::Keep)
@@ -1313,17 +1373,15 @@ impl<'a> DeltaEngine<'a> {
         // Dirty section: rewritten when its content changed or the DAG
         // moved/grew under it.
         let dirty_off = align_up(dag_off + DAG_ENTRY * n_dag, page);
-        let (n_dirty, dirty_fnv) = if plan.dirty_changed || dirty_off != hdr.dirty_off {
-            let mut fnv = Fnv::new();
+        let (n_dirty, dirty_xor) = if plan.dirty_changed || dirty_off != hdr.dirty_off {
             let mut out: Vec<u8> = Vec::with_capacity(dirty.len() * DIRTY_ENTRY as usize);
             for &r in dirty {
-                fnv.update(&r.to_le_bytes());
                 out.extend_from_slice(&r.to_le_bytes());
             }
-            write_padded(&mut f, dirty_off, page, &out, None)?;
-            (dirty.len() as u64, fnv.finish())
+            let xor = write_padded(&mut f, dirty_off, page, &out)?;
+            (dirty.len() as u64, xor)
         } else {
-            (hdr.n_dirty, hdr.dirty_fnv)
+            (hdr.n_dirty, hdr.dirty_xor)
         };
 
         let new_hdr = Header {
@@ -1335,11 +1393,11 @@ impl<'a> DeltaEngine<'a> {
             dag_off,
             n_dag_edges: n_dag,
             labels_xor,
-            sizes_fnv,
+            sizes_xor,
             dag_xor,
             dirty_off,
             n_dirty,
-            dirty_fnv,
+            dirty_xor,
             generation: hdr.generation + 1,
             n_journal,
             journal_fnv,
@@ -1366,30 +1424,19 @@ enum DagPosUpdate {
     Append(Vec<((NodeId, NodeId), u64)>),
 }
 
-/// Writes `bytes` at `off` padded to whole pages; folds per-page hashes
-/// into `xor` when given. Writes nothing (not even a padding page) when
-/// `bytes` is empty.
-fn write_padded(
-    f: &mut CountedFile,
-    off: u64,
-    page: u64,
-    bytes: &[u8],
-    mut xor: Option<&mut u64>,
-) -> io::Result<()> {
-    let mut at = 0usize;
-    let mut p = 0u64;
-    while at < bytes.len() {
-        let take = bytes.len().min(at + page as usize) - at;
-        let mut buf = vec![0u8; page as usize];
-        buf[..take].copy_from_slice(&bytes[at..at + take]);
+/// Writes `bytes` at `off` padded to whole pages and returns the XOR of
+/// the pages' hashes — the section checksum. Writes nothing (not even a
+/// padding page) when `bytes` is empty.
+fn write_padded(f: &mut CountedFile, off: u64, page: u64, bytes: &[u8]) -> io::Result<u64> {
+    let mut xor = 0u64;
+    let mut buf = vec![0u8; page as usize];
+    for (p, chunk) in (0u64..).zip(bytes.chunks(page as usize)) {
+        buf[..chunk.len()].copy_from_slice(chunk);
+        buf[chunk.len()..].fill(0);
         f.write_at(off + p * page, &buf)?;
-        if let Some(x) = xor.as_deref_mut() {
-            *x ^= page_hash(p, &buf);
-        }
-        at += take;
-        p += 1;
+        xor ^= page_hash(p, &buf);
     }
-    Ok(())
+    Ok(xor)
 }
 
 /// Applies byte-range `writes` (section-relative offsets) to a page-hashed

@@ -15,7 +15,7 @@
 //! artifact is always backed by a real on-disk file (even under in-memory
 //! environments — see [`CountedFile::create_persistent`]), so it survives
 //! the environment that built it and reopens in `O(1)` memory:
-//! [`SccIndex::open`] reads the header and streams a checksum pass, after
+//! [`SccIndex::open`] reads the header and runs one checksum pass, after
 //! which every query touches a bounded number of blocks —
 //! [`component_of`](SccIndexReader::component_of) one,
 //! [`same_component`](SccIndexReader::same_component) at most two (zero
@@ -38,7 +38,7 @@
 //! many readers run concurrently. Both forms validate and answer through
 //! the same code, so they price every query identically.
 //!
-//! ## On-disk layout (version 2, all integers little-endian)
+//! ## On-disk layout (version 3, all integers little-endian)
 //!
 //! ```text
 //! page 0         header: magic "CESI", version, page size, counts,
@@ -61,13 +61,13 @@
 //! The page size is the building environment's block size, so sections are
 //! block-aligned for the device that wrote them.
 //!
-//! ## Generations and the version-2 format bump
+//! ## Generations and page checksums
 //!
 //! Version 1 was write-once: one monolithic payload checksum over every
 //! byte of the file, recomputable only by streaming the whole artifact.
-//! Version 2 exists because PR 9's delta engine ([`crate::delta`])
-//! introduces the repo's first *write-after-build* path, and three format
-//! properties make localized updates possible:
+//! Version 2 came with the delta engine ([`crate::delta`]), the repo's
+//! first *write-after-build* path, and two format properties make its
+//! localized updates possible:
 //!
 //! * **Generation counter** (header word 13). Every successful
 //!   [`delta::DeltaEngine::apply`](crate::delta::DeltaEngine::apply) or
@@ -77,24 +77,39 @@
 //!   keep their file descriptor to the old inode and never observe a torn
 //!   index; a crash mid-update leaves the previous generation at the path
 //!   untouched. [`SccIndexReader::generation`] exposes the counter.
-//! * **Per-page checksums for the patched sections.** The labels section
-//!   is covered by `labels_xor`: the XOR over label pages of
-//!   `FNV-1a(page_index ‖ page bytes)`. Patching one label page updates
-//!   the checksum in `O(1)` (XOR the old page's hash out, the new page's
-//!   hash in) instead of re-streaming `O(n)` bytes — this is what lets a
-//!   component merge rewrite *only* the pages owning affected nodes. The
-//!   DAG section uses the same scheme (`dag_xor`), because the delta
-//!   engine both patches records in place (reinforcing or weakening a
-//!   `count`, tombstoning at zero) and appends new records at the tail —
-//!   either touches one or two pages and costs an `O(1)` checksum update,
-//!   which is what keeps a metadata-only edge insert at `O(1)` page
-//!   writes.
-//! * **Per-section record checksums for the rewritten sections.** The size
-//!   table and dirty section are never patched in place — they are small
-//!   and rewritten wholesale when they change — so each carries a plain
-//!   running FNV-1a over *record* bytes (`sizes_fnv`, `dirty_fnv`). Their
-//!   page padding is excluded (it can never influence an answer); the
-//!   labels and DAG sections cover padding because they hash whole pages.
+//! * **Per-page checksums.** Every section is covered by the XOR over its
+//!   pages of `page_hash(page_index, page bytes)`, padding included
+//!   (header words `labels_xor`, `sizes_xor`, `dag_xor`, `dirty_xor`).
+//!   Patching one page updates its section's checksum in `O(1)` — XOR the
+//!   old page's hash out, the new page's hash in — instead of re-streaming
+//!   the section. This is what lets a component merge rewrite *only* the
+//!   label pages owning affected nodes, and keeps a metadata-only edge
+//!   insert (a DAG record reinforced, weakened, tombstoned at zero or
+//!   appended at the tail) at `O(1)` page writes. The size table and the
+//!   dirty section are rewritten wholesale when they change and fold each
+//!   page into their XOR as it is written.
+//!
+//! Version 3 changes only the checksums. Version 2 hashed labels and DAG
+//! pages with FNV-1a one byte at a time and kept a running FNV-1a over the
+//! record bytes of the size table and the dirty section, which left their
+//! padding unchecked. Byte-wise FNV-1a is one serial chain of multiplies,
+//! one per byte, and every reader generation pays it over the whole
+//! artifact at open. `page_hash` now runs four interleaved lanes of
+//! xxHash64's round (add the word times a prime, rotate, multiply) over
+//! 64-bit little-endian words: the four chains overlap in the CPU and each
+//! step consumes eight bytes. The lanes are seeded apart from each other
+//! and from the page index, folded in order by xor, multiply and
+//! xor-shift, and the bytes past the last whole 32-byte stride are folded
+//! one at a time. Each round and each fold step is a bijection of its
+//! state, so any change confined to one word — in particular any single
+//! flipped byte — always changes the page's hash, and the page index in
+//! the seeds catches swapped pages. The rotate in every round carries high
+//! bits down: a plain xor-multiply lane only moves a difference upward, so
+//! two flips in the top bytes of one lane could cancel, and a bit flipped
+//! in the same top position of two pages would cancel in the section XOR.
+//! Distinct lane seeds and the ordered fold keep pages of one repeated
+//! word (a giant component's label pages, zero padding) from collapsing
+//! onto a few hash values.
 //!
 //! The header additionally records the length and running checksum of the
 //! **journal sidecar** (`<artifact>.dlog`, see [`crate::delta`]): the
@@ -105,9 +120,10 @@
 //! authenticates exactly the prefix belonging to this generation, so bytes
 //! a crashed update appended past it are ignored on reopen.
 //!
-//! A flipped byte in the header, a label page, or any record of the sizes /
-//! DAG / dirty sections is rejected at [`SccIndex::open`] with a checksum
-//! or geometry error instead of producing garbage.
+//! The header checksum (144 bytes) and the journal's resumable running
+//! checksum (12-byte appends) stay byte-wise FNV-1a. A flipped byte in the
+//! header or in any page of any section is rejected at [`SccIndex::open`]
+//! with a checksum or geometry error instead of producing garbage.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -119,9 +135,9 @@ use crate::types::{CountedEdge, Edge, NodeId, SccLabel};
 
 /// Magic bytes of the index format.
 const MAGIC: &[u8; 4] = b"CESI";
-/// Current format version (2: generations + delta maintenance; see the
-/// module docs for what changed relative to version 1).
-const VERSION: u32 = 2;
+/// Current format version (3: word-wise page checksums on every section;
+/// see the module docs for what changed relative to versions 1 and 2).
+const VERSION: u32 = 3;
 /// Serialized header length in bytes (the rest of page 0 is zero padding).
 pub(crate) const HEADER_LEN: usize = 144;
 /// Bytes per entry of the component-size table.
@@ -137,15 +153,19 @@ const MAX_PAGE: u64 = 1 << 31;
 const MAX_NODES: u64 = (u32::MAX as u64) + 1;
 const MAX_DAG_EDGES: u64 = 1 << 40;
 
-/// FNV-1a 64-bit, the workspace's dependency-free checksum. The state *is*
-/// the digest (no finalization), which the v2 format exploits: a stored
-/// section checksum can be resumed to cover appended records.
+/// FNV-1a 64-bit offset basis and prime.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit, byte at a time: the header checksum and the journal's
+/// running checksum. The state *is* the digest (no finalization), so a
+/// stored journal checksum can be resumed to cover appended records.
 #[derive(Clone, Copy)]
 pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
     pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_BASIS)
     }
 
     /// Resumes from a stored running state.
@@ -156,7 +176,7 @@ impl Fnv {
     pub(crate) fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
@@ -165,15 +185,57 @@ impl Fnv {
     }
 }
 
-/// Hash of one labels-section page: FNV-1a over the section-relative page
-/// index followed by the full page bytes (padding included). The labels
-/// checksum is the XOR of these over all label pages, so patching one page
-/// is an `O(1)` checksum update and pages cannot be swapped undetected.
+/// xxHash64's first two primes: the multipliers of the page hash's lane
+/// round and fold.
+const PAGE_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const PAGE_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One lane round of the page hash (xxHash64's): add the word times
+/// `PAGE_P2`, rotate left 31, multiply by `PAGE_P1`. For a fixed word it is
+/// a bijection of the lane, and for a fixed lane a bijection of the word;
+/// the rotate carries the top bits of a difference down, so the next
+/// multiply spreads them over the whole lane.
+fn lane_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(PAGE_P2))
+        .rotate_left(31)
+        .wrapping_mul(PAGE_P1)
+}
+
+/// Folds `v` into `h`: xor, multiply, xor-shift. A bijection of `v` for a
+/// fixed `h` and of `h` for a fixed `v`; folding is order-dependent.
+fn page_fold(h: u64, v: u64) -> u64 {
+    let h = (h ^ v).wrapping_mul(PAGE_P1);
+    h ^ (h >> 29)
+}
+
+/// Hash of one section page (padding included): four interleaved lanes of
+/// [`lane_round`] over 64-bit little-endian words, the lanes seeded apart
+/// from each other and from the section-relative page index, folded in
+/// order by [`page_fold`]; the bytes past the last whole 32-byte stride are
+/// folded one at a time, and a final multiply and xor-shift avalanches the
+/// result. A section's checksum is the XOR of these over its pages, so
+/// patching one page is an `O(1)` checksum update and pages cannot be
+/// swapped undetected. See the module docs for why four lanes.
 pub(crate) fn page_hash(page_idx: u64, bytes: &[u8]) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.update(&page_idx.to_le_bytes());
-    fnv.update(bytes);
-    fnv.finish()
+    let s = page_idx;
+    let mut lanes = [
+        s.wrapping_add(PAGE_P1).wrapping_add(PAGE_P2),
+        s.wrapping_add(PAGE_P2),
+        s,
+        s.wrapping_sub(PAGE_P1),
+    ];
+    let mut strides = bytes.chunks_exact(32);
+    for stride in &mut strides {
+        for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
+            *lane = lane_round(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+        }
+    }
+    let mut h = lanes.iter().fold(0, |h, &lane| page_fold(h, lane));
+    for &b in strides.remainder() {
+        h = page_fold(h, b as u64);
+    }
+    let h = h.wrapping_mul(PAGE_P2);
+    h ^ (h >> 32)
 }
 
 /// Journal sidecar path: `<artifact>.dlog` next to the artifact.
@@ -194,11 +256,11 @@ pub(crate) struct Header {
     pub(crate) dag_off: u64,
     pub(crate) n_dag_edges: u64,
     pub(crate) labels_xor: u64,
-    pub(crate) sizes_fnv: u64,
+    pub(crate) sizes_xor: u64,
     pub(crate) dag_xor: u64,
     pub(crate) dirty_off: u64,
     pub(crate) n_dirty: u64,
-    pub(crate) dirty_fnv: u64,
+    pub(crate) dirty_xor: u64,
     pub(crate) generation: u64,
     pub(crate) n_journal: u64,
     pub(crate) journal_fnv: u64,
@@ -218,11 +280,11 @@ impl Header {
             self.dag_off,
             self.n_dag_edges,
             self.labels_xor,
-            self.sizes_fnv,
+            self.sizes_xor,
             self.dag_xor,
             self.dirty_off,
             self.n_dirty,
-            self.dirty_fnv,
+            self.dirty_xor,
             self.generation,
             self.n_journal,
             self.journal_fnv,
@@ -265,11 +327,11 @@ impl Header {
             dag_off: word(5),
             n_dag_edges: word(6),
             labels_xor: word(7),
-            sizes_fnv: word(8),
+            sizes_xor: word(8),
             dag_xor: word(9),
             dirty_off: word(10),
             n_dirty: word(11),
-            dirty_fnv: word(12),
+            dirty_xor: word(12),
             generation: word(13),
             n_journal: word(14),
             journal_fnv: word(15),
@@ -296,25 +358,21 @@ pub(crate) fn align_up(v: u64, page: u64) -> u64 {
 }
 
 /// What [`SectionWriter::finish`] hands back: the offset just past the
-/// padded section, the running FNV over record bytes, and the XOR of
-/// per-page hashes (padding included).
+/// padded section and the XOR of its per-page hashes (padding included).
 struct SectionDigest {
     end: u64,
-    fnv: u64,
     xor: u64,
 }
 
 /// Section writer: buffers records into page-sized chunks, writes them
-/// sequentially through the [`CountedFile`], and maintains both v2 digests
-/// (record-byte FNV and per-page XOR; each section keeps whichever the
-/// format assigns to it).
+/// sequentially through the [`CountedFile`], and folds each page's hash
+/// into the section checksum.
 struct SectionWriter<'a> {
     file: &'a mut CountedFile,
     page: usize,
     start: u64,
     at: u64,
     buf: Vec<u8>,
-    fnv: Fnv,
     xor: u64,
 }
 
@@ -326,14 +384,12 @@ impl<'a> SectionWriter<'a> {
             start,
             at: start,
             buf: Vec::with_capacity(page),
-            fnv: Fnv::new(),
             xor: 0,
         }
     }
 
     fn push(&mut self, bytes: &[u8]) -> io::Result<()> {
         debug_assert!(bytes.len() <= self.page, "records never span two flushes");
-        self.fnv.update(bytes);
         self.buf.extend_from_slice(bytes);
         while self.buf.len() >= self.page {
             let page_idx = (self.at - self.start) / self.page as u64;
@@ -356,7 +412,6 @@ impl<'a> SectionWriter<'a> {
         }
         Ok(SectionDigest {
             end: self.at,
-            fnv: self.fnv.finish(),
             xor: self.xor,
         })
     }
@@ -374,29 +429,6 @@ pub(crate) fn read_exact_at(
         return Err(bad(&format!("{what} truncated")));
     }
     Ok(())
-}
-
-/// Streams `bytes` record bytes from `start` in page-size chunks, folding
-/// them into an FNV — the open-time validation pass for record-checksummed
-/// sections (padding excluded; see the module docs).
-fn stream_fnv(
-    file: &SharedFile,
-    start: u64,
-    bytes: u64,
-    page: u64,
-    what: &str,
-) -> io::Result<u64> {
-    let mut fnv = Fnv::new();
-    let mut chunk = vec![0u8; page as usize];
-    let mut at = start;
-    let end = start + bytes;
-    while at < end {
-        let take = ((end - at) as usize).min(chunk.len());
-        read_exact_at(file, at, &mut chunk[..take], what)?;
-        fnv.update(&chunk[..take]);
-        at += take as u64;
-    }
-    Ok(fnv.finish())
 }
 
 /// Reads the header and validates magic, version, geometry and every
@@ -424,8 +456,9 @@ fn open_checked(file: SharedFile) -> io::Result<SccIndexReader> {
         return Err(bad("implausible header geometry"));
     }
     let sizes_end = hdr.sizes_off + SIZE_ENTRY * hdr.n_sccs;
+    let dag_end = hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges;
     let dirty_expect = if hdr.dag_off != 0 {
-        align_up(hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges, page)
+        align_up(dag_end, page)
     } else {
         align_up(sizes_end, page)
     };
@@ -444,46 +477,27 @@ fn open_checked(file: SharedFile) -> io::Result<SccIndexReader> {
             file.len_bytes()
         )));
     }
-    // Labels: XOR of per-page hashes (whole pages, padding included).
-    let mut xor = 0u64;
+    // Every section: XOR of per-page hashes over whole pages, padding
+    // included (an absent DAG section is empty). The labels go last, so a
+    // reader's fresh pool ends up holding label pages — the pages its
+    // first queries read.
+    let dirty_end = hdr.dirty_off + DIRTY_ENTRY * hdr.n_dirty;
+    let labels_end = hdr.labels_off + 4 * hdr.n_nodes;
     let mut chunk = vec![0u8; page as usize];
-    for p in 0..hdr.label_pages() {
-        read_exact_at(
-            &file,
-            hdr.labels_off + p * page,
-            &mut chunk,
-            "labels section",
-        )?;
-        xor ^= page_hash(p, &chunk);
-    }
-    if xor != hdr.labels_xor {
-        return Err(bad("labels checksum mismatch"));
-    }
-    // Record-checksummed sections.
-    if stream_fnv(&file, hdr.sizes_off, SIZE_ENTRY * hdr.n_sccs, page, "size table")?
-        != hdr.sizes_fnv
-    {
-        return Err(bad("size table checksum mismatch"));
-    }
-    if hdr.dag_off != 0 {
-        // Like labels, the DAG section is validated per whole page (it is
-        // patched in place by the delta engine, so it carries the XOR
-        // scheme; padding included).
-        let dag_pages = (align_up(hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges, page) - hdr.dag_off)
-            / page;
+    for (start, end, want, what) in [
+        (hdr.sizes_off, sizes_end, hdr.sizes_xor, "size table"),
+        (hdr.dag_off, dag_end, hdr.dag_xor, "dag section"),
+        (hdr.dirty_off, dirty_end, hdr.dirty_xor, "dirty section"),
+        (hdr.labels_off, labels_end, hdr.labels_xor, "labels section"),
+    ] {
         let mut xor = 0u64;
-        for p in 0..dag_pages {
-            read_exact_at(&file, hdr.dag_off + p * page, &mut chunk, "dag section")?;
+        for p in 0..(align_up(end, page) - start) / page {
+            read_exact_at(&file, start + p * page, &mut chunk, what)?;
             xor ^= page_hash(p, &chunk);
         }
-        if xor != hdr.dag_xor {
-            return Err(bad("dag section checksum mismatch"));
+        if xor != want {
+            return Err(bad(&format!("{what} checksum mismatch")));
         }
-    }
-    if stream_fnv(&file, hdr.dirty_off, DIRTY_ENTRY * hdr.n_dirty, page, "dirty section")?
-        != hdr.dirty_fnv
-    {
-        return Err(bad("dirty section checksum mismatch"));
     }
     Ok(SccIndexReader { file, hdr })
 }
@@ -647,11 +661,11 @@ impl SccIndex {
             dag_off,
             n_dag_edges,
             labels_xor: labels_digest.xor,
-            sizes_fnv: sizes_digest.fnv,
+            sizes_xor: sizes_digest.xor,
             dag_xor,
             dirty_off,
             n_dirty: 0,
-            dirty_fnv: Fnv::new().finish(),
+            dirty_xor: 0,
             generation: 0,
             n_journal: 0,
             journal_fnv: Fnv::new().finish(),
@@ -677,7 +691,7 @@ impl SccIndex {
 
     /// Reopens an artifact in `O(1)` memory: reads the header, validates
     /// magic/version/geometry, and streams one checksum pass over the
-    /// payload sections. A file that was truncated, extended or had any
+    /// payload sections (the labels last). A file that was truncated, extended or had any
     /// record byte flipped is rejected here with an
     /// [`io::ErrorKind::InvalidData`] checksum/geometry error — corruption
     /// never reaches query answers.
@@ -1386,21 +1400,11 @@ mod tests {
             Header::decode(&raw).unwrap()
         };
 
-        // Flip every byte the format validates, in turn: the header, every
-        // labels-section and dag-section byte (whole pages, padding
-        // included — those carry per-page hashes because the delta engine
-        // patches them in place), and every *record* byte of the sizes
-        // section (its page padding is excluded from the record FNV because
-        // it can never influence an answer; header-page padding is never
-        // read). Open must fail each time.
-        let dag_pages_end = align_up(hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges, 64) as usize;
-        let meaningful = (0..HEADER_LEN)
-            .chain(hdr.labels_off as usize..hdr.sizes_off as usize)
-            .chain(
-                hdr.sizes_off as usize
-                    ..(hdr.sizes_off + SIZE_ENTRY * hdr.n_sccs) as usize,
-            )
-            .chain(hdr.dag_off as usize..dag_pages_end);
+        // Flip every byte the format validates, in turn: the header and
+        // every byte of every section page — labels, sizes and dag, padding
+        // included (header-page padding is never read). Open must fail
+        // each time.
+        let meaningful = (0..HEADER_LEN).chain(hdr.labels_off as usize..pristine.len());
         let mut rejected = 0usize;
         for at in meaningful {
             let mut bytes = pristine.clone();
@@ -1458,6 +1462,176 @@ mod tests {
             let err = SccIndex::open(&env(), &path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "word {word}: {err}");
         }
+    }
+
+    #[test]
+    fn page_hash_changes_when_any_single_byte_flips() {
+        // 64 is a whole number of 32-byte strides; 100 leaves a 4-byte
+        // tail that is hashed byte by byte.
+        for len in [64usize, 100] {
+            let page: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+            let h = page_hash(3, &page);
+            for at in 0..len {
+                for bit in [0x01u8, 0x80] {
+                    let mut flipped = page.clone();
+                    flipped[at] ^= bit;
+                    assert_ne!(
+                        page_hash(3, &flipped),
+                        h,
+                        "len {len}, byte {at}, bit {bit:#x}"
+                    );
+                }
+            }
+            assert_ne!(page_hash(4, &page), h, "the page index is hashed");
+        }
+    }
+
+    #[test]
+    fn page_hash_catches_two_pages_swapping_indices() {
+        for len in [64usize, 100] {
+            let a: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let b: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(7) ^ 0x5a).collect();
+            assert_ne!(
+                page_hash(0, &a) ^ page_hash(1, &b),
+                page_hash(0, &b) ^ page_hash(1, &a),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn page_hash_changes_when_two_bytes_flip_together() {
+        // A lane that only moves a difference upward lets two flips in its
+        // top bytes cancel, such as bit 0x80 of bytes 7 and 39 (bit 63 of
+        // words 0 and 4). Sweep every pair of single-bit flips in a page.
+        let page: Vec<u8> = (0..64).map(|i| (i * 37 % 256) as u8).collect();
+        let h = page_hash(3, &page);
+        let mut flipped = page.clone();
+        flipped[7] ^= 0x80;
+        flipped[39] ^= 0x80;
+        assert_ne!(page_hash(3, &flipped), h, "bit 63 of words 0 and 4");
+        for i in 0..page.len() {
+            for j in i + 1..page.len() {
+                for (bi, bj) in [(0x80u8, 0x80u8), (0x01, 0x01), (0x80, 0x01), (0x01, 0x80)] {
+                    let mut flipped = page.clone();
+                    flipped[i] ^= bi;
+                    flipped[j] ^= bj;
+                    assert_ne!(
+                        page_hash(3, &flipped),
+                        h,
+                        "bytes {i}/{j}, bits {bi:#x}/{bj:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_same_flip_in_two_pages_changes_the_section_xor() {
+        // If top bits never mix down, bit 0x80 of byte 7 flipped in two
+        // pages flips bit 63 of both page hashes and the XOR cancels it.
+        let a: Vec<u8> = (0..64).map(|i| (i * 37 % 256) as u8).collect();
+        let b: Vec<u8> = (0..64).map(|i| (i as u8).wrapping_mul(7) ^ 0x5a).collect();
+        let xor = page_hash(0, &a) ^ page_hash(1, &b);
+        for at in 0..a.len() {
+            for bit in [0x01u8, 0x80] {
+                let (mut a2, mut b2) = (a.clone(), b.clone());
+                a2[at] ^= bit;
+                b2[at] ^= bit;
+                assert_ne!(
+                    page_hash(0, &a2) ^ page_hash(1, &b2),
+                    xor,
+                    "byte {at}, bit {bit:#x}"
+                );
+            }
+        }
+
+        // End to end: twenty labels on two 64-byte pages; bit 31 of the
+        // labels of nodes 1 and 17 (byte 7 of each page) is rejected.
+        let build_env = env();
+        let labels = two_page_labels(&build_env);
+        let path = idx_path(&build_env, "twoflips");
+        SccIndex::build(&build_env, &path, &labels, 20, None).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let hdr = {
+            let mut raw = [0u8; HEADER_LEN];
+            raw.copy_from_slice(&bytes[..HEADER_LEN]);
+            Header::decode(&raw).unwrap()
+        };
+        for page in 0..2 {
+            bytes[(hdr.labels_off + 64 * page + 7) as usize] ^= 0x80;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let err = SccIndex::open(&env(), &path).unwrap_err();
+        assert!(
+            err.to_string().contains("labels section checksum mismatch"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn pages_of_one_constant_label_hash_apart() {
+        // Four equal words per stride must not give four equal lanes that a
+        // symmetric fold maps onto few values (a rotate-and-xor fold takes
+        // only 2^16, so 70,000 labels would collide). A stale page of label
+        // r where label l belongs must change the hash.
+        let mut seen = std::collections::HashSet::new();
+        for label in 0u32..70_000 {
+            let page: Vec<u8> = (0..16).flat_map(|_| label.to_le_bytes()).collect();
+            assert!(seen.insert(page_hash(2, &page)), "label {label} collides");
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_in_the_size_table_padding_is_rejected() {
+        // Version 2 checksummed only the size table's record bytes; version
+        // 3 hashes its whole pages.
+        let build_env = env();
+        let labels = sample_labels(&build_env);
+        let path = idx_path(&build_env, "sizepad");
+        SccIndex::build(&build_env, &path, &labels, 6, None).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let hdr = {
+            let mut raw = [0u8; HEADER_LEN];
+            raw.copy_from_slice(&pristine[..HEADER_LEN]);
+            Header::decode(&raw).unwrap()
+        };
+        let padding = hdr.sizes_off + SIZE_ENTRY * hdr.n_sccs;
+        assert!(
+            padding < align_up(padding, 64),
+            "the size table has padding"
+        );
+        let mut flipped = pristine.clone();
+        flipped[padding as usize] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        let err = SccIndex::open(&env(), &path).unwrap_err();
+        assert!(
+            err.to_string().contains("size table checksum mismatch"),
+            "{err}"
+        );
+        std::fs::write(&path, &pristine).unwrap();
+        assert!(SccIndex::open(&env(), &path).is_ok());
+    }
+
+    #[test]
+    fn version_2_headers_are_rejected_with_the_rebuild_message() {
+        let build_env = env();
+        let labels = sample_labels(&build_env);
+        let path = idx_path(&build_env, "v2");
+        SccIndex::build(&build_env, &path, &labels, 6, None).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // A well-formed version-2 header: its own checksum recomputed.
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let mut fnv = Fnv::new();
+        fnv.update(&bytes[..HEADER_LEN - 8]);
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&fnv.finish().to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = SccIndex::open(&env(), &path).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported index version 2"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("rebuild"), "{err}");
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! proceed in parallel and two readers of the *same* hot block contend
 //! only on that block's shard. Misses fill a frame with `pread` while the
 //! shard lock is held — concurrent misses on the same shard serialize, but
-//! cross-shard misses overlap. With `cache_blocks == 0` the pool
-//! degenerates to a lock-free pass-through in which every access is a
-//! physical read, mirroring the owned pager's contract.
+//! cross-shard misses overlap. Once a shard is full, a miss unmaps its
+//! least-recently-used frame and reads the new block into that frame's
+//! buffer: misses on a full pool allocate and free nothing. With
+//! `cache_blocks == 0` the pool degenerates to a lock-free pass-through in
+//! which every access is a physical read, mirroring the owned pager's
+//! contract.
 //!
 //! Physical counters ([`PhysStats`]) are shared atomics aggregated across
 //! all readers; the **logical** model counters stay one layer up (in
@@ -37,6 +40,9 @@ use crate::stats::{PhysSnapshot, PhysStats};
 
 /// Most shards a pool will use; beyond this, added parallelism is noise.
 const MAX_SHARDS: usize = 64;
+
+/// [`Frame::block`] of a frame that holds no block (its last fill failed).
+const UNMAPPED: u64 = u64::MAX;
 
 /// One resident block.
 struct Frame {
@@ -143,7 +149,7 @@ impl SharedPager {
 
     /// Number of blocks currently resident across all shards.
     pub fn resident_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().frames.len()).sum()
+        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
     }
 
     /// Reads up to `buf.len()` bytes at `offset` (short at end of file);
@@ -190,17 +196,17 @@ impl SharedPager {
             return Ok(());
         }
         self.stats.record_miss();
-        let mut data = vec![0u8; self.block_size].into_boxed_slice();
-        let start = block * self.block_size as u64;
-        let live = (self.len - start).min(self.block_size as u64) as usize;
-        self.pread_full(start, &mut data[..live])?;
-        self.stats.record_read();
-        dst.copy_from_slice(&data[intra..intra + dst.len()]);
         let fi = if s.frames.len() < self.shard_cap {
-            s.frames.push(Frame { block, data, last_used: tick });
+            s.frames.push(Frame {
+                block: UNMAPPED,
+                data: vec![0u8; self.block_size].into_boxed_slice(),
+                last_used: 0,
+            });
             s.frames.len() - 1
         } else {
-            // Evict the least-recently-used frame of this shard.
+            // Reuse the least-recently-used frame of this shard: unmap it
+            // and refill its buffer in place, so a miss on a full pool
+            // allocates nothing.
             let fi = s
                 .frames
                 .iter()
@@ -208,12 +214,24 @@ impl SharedPager {
                 .min_by_key(|(_, f)| f.last_used)
                 .map(|(i, _)| i)
                 .expect("shard_cap > 0 implies at least one frame");
-            let old = s.frames[fi].block;
-            s.map.remove(&old);
-            self.stats.record_eviction();
-            s.frames[fi] = Frame { block, data, last_used: tick };
+            let old = std::mem::replace(&mut s.frames[fi].block, UNMAPPED);
+            if old != UNMAPPED {
+                s.map.remove(&old);
+                self.stats.record_eviction();
+            }
             fi
         };
+        let start = block * self.block_size as u64;
+        let live = (self.len - start).min(self.block_size as u64) as usize;
+        let f = &mut s.frames[fi];
+        // The frame is mapped only once it holds the block's bytes: a failed
+        // read leaves it unmapped and first in line for reuse.
+        f.last_used = 0;
+        self.pread_full(start, &mut f.data[..live])?;
+        f.block = block;
+        f.last_used = tick;
+        self.stats.record_read();
+        dst.copy_from_slice(&f.data[intra..intra + dst.len()]);
         s.map.insert(block, fi);
         Ok(())
     }
@@ -294,6 +312,31 @@ mod tests {
         assert_eq!(p.phys().misses, 4);
         assert_eq!(p.resident_blocks(), 2);
         assert_eq!(p.phys().writes, 0, "read-only pool never writes");
+    }
+
+    #[test]
+    fn a_failed_fill_leaves_the_reused_frame_unmapped() {
+        let bytes = pattern(64 * 4);
+        let path = scratch("shrink", &bytes);
+        // One shard of one frame.
+        let p = SharedPager::open(&path, 64, 1).unwrap();
+        let mut b = [0u8; 8];
+        p.read_at(0, &mut b).unwrap(); // block 0: miss, fills the frame
+        // Break the immutability contract: the file loses blocks 1..4.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(64)
+            .unwrap();
+        let err = p.read_at(128, &mut b).unwrap_err(); // evicts block 0
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(p.resident_blocks(), 0, "the failed fill mapped nothing");
+        p.read_at(0, &mut b).unwrap(); // block 0 again: a miss into the frame
+        assert_eq!(&b, &bytes[..8]);
+        let s = p.phys();
+        assert_eq!((s.misses, s.reads, s.evictions), (3, 2, 1));
+        assert_eq!(p.resident_blocks(), 1);
     }
 
     #[test]

@@ -16,17 +16,23 @@ fn two_triangles() -> Vec<(u32, u32)> {
     vec![(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
 }
 
-/// A session over `two_triangles` with a condensation-bearing index built
-/// at `path`.
-fn session_with_index(path: &std::path::Path) -> SccSession {
+/// A session over `edges` (nodes `0..n`) with a condensation-bearing index
+/// built at `path`.
+fn session_over(path: &std::path::Path, n: u64, edges: Vec<(u32, u32)>) -> SccSession {
     let cfg = IoConfig::new(4 << 10, 1 << 20);
     let mut session = SccSession::open(cfg, EnvOptions::pooled(&cfg))
         .unwrap()
-        .source(GraphSource::in_memory(6, two_triangles()))
+        .source(GraphSource::in_memory(n, edges))
         .unwrap()
         .condensation(true);
     session.build_index(path).unwrap();
     session
+}
+
+/// A session over `two_triangles` with a condensation-bearing index built
+/// at `path`.
+fn session_with_index(path: &std::path::Path) -> SccSession {
+    session_over(path, 6, two_triangles())
 }
 
 #[test]
@@ -218,5 +224,110 @@ fn fault_mid_apply_leaves_the_previous_generation_queryable() {
         let mut eng = session.delta_engine().unwrap();
         assert!(eng.same_component(0, 5).unwrap(), "fault point {k}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a failed apply must leave exactly as it found it.
+fn engine_state(eng: &DeltaEngine<'_>) -> (u64, Vec<CountedEdge>, Vec<NodeId>, u64) {
+    (
+        eng.generation(),
+        eng.condensation_edges(),
+        eng.dirty_components(),
+        eng.n_sccs(),
+    )
+}
+
+#[test]
+fn a_failed_apply_rolls_the_engine_back_exactly() {
+    // Four triangles A = {0,1,2}, B = {3,4,5}, C = {6,7,8}, D = {9,10,11},
+    // with A -> B (2 -> 3) and C -> D (8 -> 9). Before the batch, D is
+    // dirty. The batch merges A and B (5 -> 0), appends A -> C (0 -> 6),
+    // reinforces it (1 -> 7), dirties the merged component (2 -> 3 is
+    // intra-component by then) and drops C -> D (8 -> 9).
+    let dir = scratch_dir("rollback");
+    let mut edges = Vec::new();
+    for t in 0..4u32 {
+        let b = 3 * t;
+        edges.extend([(b, b + 1), (b + 1, b + 2), (b + 2, b)]);
+    }
+    edges.extend([(2, 3), (8, 9)]);
+    let dirty_d = DeltaBatch::new().remove(9, 10);
+    let batch = DeltaBatch::new()
+        .add(5, 0)
+        .add(0, 6)
+        .add(1, 7)
+        .remove(2, 3)
+        .remove(8, 9);
+
+    // The fault-free reference. Both sides open a fresh engine after the
+    // same history, so their journal handles price the batch's append
+    // alike (a long-lived handle would see it continue its last write).
+    let reference = session_over(&dir.join("ref.sccidx"), 12, edges.clone());
+    reference.apply_delta(&dirty_d).unwrap();
+    let mut eng = reference.delta_engine().unwrap();
+    let want = eng.apply(&batch).unwrap();
+    assert_eq!(
+        (
+            want.merges,
+            want.dag_appended,
+            want.dag_reinforced,
+            want.dirty_marked,
+            want.dag_dropped
+        ),
+        (1, 1, 1, 1, 1),
+        "{want:?}"
+    );
+    let want_state = engine_state(&eng);
+    drop(eng);
+
+    // Fault after k physical transfers, for every k until the apply
+    // succeeds.
+    let mut faulted = 0u64;
+    for k in 1u64.. {
+        assert!(k <= 1000, "the apply never outran the fault");
+        let path = dir.join(format!("k{k}.sccidx"));
+        let session = session_over(&path, 12, edges.clone());
+        session.apply_delta(&dirty_d).unwrap();
+        let mut eng = session.delta_engine().unwrap();
+        let before = engine_state(&eng);
+        assert_eq!(before.2, vec![9], "D is dirty before the batch");
+
+        session.env().inject_fault_after(k);
+        let attempt = eng.apply(&batch);
+        session.env().clear_fault();
+        let done = match attempt {
+            Ok(report) => {
+                assert_eq!(report, want, "k = {k}");
+                true
+            }
+            Err(err) => {
+                faulted += 1;
+                assert_ne!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "k = {k}: {err}"
+                );
+                assert_eq!(
+                    engine_state(&eng),
+                    before,
+                    "rolled back after a fault at {k}"
+                );
+                assert_eq!(
+                    eng.apply(&batch).unwrap(),
+                    want,
+                    "retry after a fault at {k}"
+                );
+                false
+            }
+        };
+        assert_eq!(engine_state(&eng), want_state, "k = {k}");
+        if done {
+            break;
+        }
+    }
+    assert!(
+        faulted >= 3,
+        "the sweep must hit mid-apply faults ({faulted})"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
