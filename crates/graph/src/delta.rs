@@ -12,10 +12,10 @@
 //!   journaled and nothing else moves.
 //! * **Insert `(u, v)`, cross-component, DAG-order-respecting** — if the
 //!   condensation already has `comp(u) → comp(v)`, its multiplicity is
-//!   reinforced in place; if the DAG has no path `comp(v) ⇝ comp(u)`, the
+//!   reinforced; if the DAG has no path `comp(v) ⇝ comp(u)`, the
 //!   edge cannot close a cycle (any node-level path `v ⇝ u` would project
-//!   onto a component-level path), so a new condensation edge is appended.
-//!   Either way: `O(1)` page writes.
+//!   onto a component-level path), so a new condensation edge is added.
+//!   Either way the update is metadata-only.
 //! * **Insert `(u, v)`, cycle-creating** — the affected region is exactly
 //!   the components on some DAG path `comp(v) ⇝ comp(u)` (computed as the
 //!   backward cone of `comp(u)` intersected with a forward walk from
@@ -26,8 +26,8 @@
 //!   section — into a new index generation.
 //! * **Delete `(u, v)`, cross-component** — deleting an edge that lies in
 //!   no SCC can never split or merge one; the condensation multiplicity is
-//!   weakened (tombstoned at zero), `O(1)` page writes. A deletion with no
-//!   supporting condensation edge is rejected — the edge is not in the
+//!   weakened (the edge is dropped at zero), metadata-only. A deletion with
+//!   no supporting condensation edge is rejected — the edge is not in the
 //!   current graph.
 //! * **Delete `(u, v)`, same component** — may split the component, but
 //!   deciding requires its induced subgraph, so the work is deferred: the
@@ -53,33 +53,68 @@
 //! This is also why lazy per-component re-verification is sound without
 //! looking at any *other* dirty component.
 //!
+//! ## Two commits: the journal and the checkpoint
+//!
+//! An update never writes into the live artifact. The engine reads the last
+//! checkpoint through an [`SccIndexReader`] priced in the environment's
+//! ledger and writes only through the environment's pager, so fault
+//! injection covers every transfer of a commit. The journal sidecar is a
+//! write-ahead log and the artifact its checkpoint; what a batch does
+//! decides which commit it takes:
+//!
+//! * **A batch that merges nothing** changes no byte a query reads — no
+//!   label and no size. [`DeltaEngine::apply`] appends its operation
+//!   records and one **commit record** (the running FNV-1a of every journal
+//!   byte before it) in one write and syncs the sidecar. That sync is the
+//!   whole commit: `O(1)` page writes, no artifact write.
+//! * **A merge, a re-verification or a [`DeltaEngine::compact`]** writes a
+//!   **checkpoint**. A merging batch's records are appended without a
+//!   commit record and synced; then the next artifact is written to a
+//!   temporary file. Only the bytes it keeps are copied from the live one —
+//!   the header page and the labels, plus the size table when it does not
+//!   change — the label pages owning affected nodes are patched through the
+//!   counted pager, and the size table, the DAG section (sorted and live,
+//!   from memory) and the dirty section are rewritten. Its header, written
+//!   last, authenticates the whole journal with `(n_journal, journal_fnv)`;
+//!   the file is synced and atomically renamed over the path. The new
+//!   header commits the merging batch's records and folds in every
+//!   journal-only commit since the previous checkpoint.
+//!
+//! [`DeltaEngine::open`] validates the header's journal prefix and then
+//! **replays** the committed tail: operation records gather into a batch
+//! until a commit record whose checksum matches, and each committed batch
+//! runs through the same classification code as `apply` (a tail batch that
+//! would merge is rejected as corrupt: only checkpoints commit merges). The
+//! tail ends at the first short record, unknown tag or checksum mismatch,
+//! or at the end of the file; bytes past it are ignored, and the next
+//! append overwrites them.
+//!
 //! ## Crash safety and generations
 //!
-//! An update never writes into the live artifact. The engine reads the live
-//! generation through an [`SccIndexReader`] priced in the environment's
-//! ledger and writes only through the environment's pager, so fault
-//! injection covers every transfer of a commit. [`DeltaEngine::apply`]
-//! journals the batch to the sidecar and syncs it (the old header ignores
-//! the new tail), then forks the artifact file with an OS-level copy (an
-//! uncounted metadata-ish clone; reflink-capable filesystems make it
-//! cheap), patches the touched pages of the **copy** through the counted
-//! pager, writes the new header (generation + 1) last, syncs the copy, and
-//! atomically renames it over the path. Those syncs and the build's are the
-//! barriers that make a commit durable. A crash or injected I/O fault at
-//! any point leaves the previous generation fully readable at the path;
-//! readers opened before the rename keep serving their generation from the
-//! old inode. The engine itself stays consistent too. It mutates its
-//! in-memory condensation DAG in place under an **undo log**: while a
-//! transaction is open, every change first records the edge's
-//! `(src, dst, old count)`. A guard replays the log in reverse when an
-//! apply, a re-verification or a compact fails before its rename — by an
-//! error or a panic alike — and the rename's success clears it. The dirty
-//! set and the DAG's slot map stay transaction-local until the rename. So
-//! a failed `apply` leaves the engine exactly as it was and can simply be
-//! retried, and a successful one does memory work proportional to what it
-//! changes instead of copying the DAG. After the rename the engine reads
-//! the new generation through a reader built from the header it just
-//! wrote, without re-validating the artifact.
+//! A crash or injected I/O fault at any point leaves either the old state
+//! or the new one: a torn journal append has no valid commit record, and a
+//! torn checkpoint leaves the previous artifact at the path (readers opened
+//! before a rename keep serving their generation from the old inode). A
+//! commit that fails cuts the sidecar back to its committed end — its pager
+//! frames dropped, the file truncated — before returning the error, so no
+//! later open in the same environment can replay a batch that was not
+//! acknowledged. The engine stays consistent too. It mutates its in-memory
+//! condensation DAG in place under an **undo log**: while a transaction is
+//! open, every change first records the edge's `(src, dst, old count)`. A
+//! guard replays the log in reverse when an apply, a re-verification or a
+//! compact fails before its commit point (the journal sync or the rename)
+//! — by an error or a panic alike — and the commit clears it. The dirty set
+//! stays transaction-local until the commit. So a failed `apply` leaves the
+//! engine exactly as it was and can simply be retried, and a successful one
+//! does memory work proportional to what it changes.
+//!
+//! The engine's **generation** counts commits of both kinds: the header's
+//! generation plus the committed batches of the journal tail. A reader
+//! opened at the path sees the last checkpoint. Its labels, sizes and query
+//! answers are those of the latest commit, because a journal-only commit
+//! changes none of them; its generation, condensation DAG and dirty set
+//! describe the checkpoint until the next one (`compact` forces one when
+//! the tail is not empty). The engine reports the live values.
 //!
 //! Logical I/O is priced end to end in the environment's
 //! [`IoStats`](ce_extmem::IoStats): classification pays the index point
@@ -94,7 +129,8 @@
 //! instance of a multi-edge at a time.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 use ce_extmem::file::CountedFile;
@@ -104,7 +140,7 @@ use crate::csr::CsrGraph;
 use crate::edgelist::EdgeListGraph;
 use crate::index::{
     align_up, bad, journal_path, page_hash, read_exact_at, Fnv, Header, SccIndex, SccIndexReader,
-    DAG_ENTRY, DIRTY_ENTRY, JOURNAL_ENTRY, SIZE_ENTRY,
+    DAG_ENTRY, JOURNAL_ENTRY, SIZE_ENTRY,
 };
 use crate::tarjan::tarjan_scc;
 use crate::types::{CountedEdge, Edge, NodeId};
@@ -152,11 +188,13 @@ impl DeltaBatch {
 /// What one [`DeltaEngine::apply`] did, with its exact logical I/O cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaReport {
-    /// Index generation after the apply (unchanged for an empty batch).
+    /// The engine's generation after the apply (unchanged for an empty
+    /// batch): every commit, journal-only or checkpoint, advances it by
+    /// one. A reader opened at the path reports the last checkpoint's.
     pub generation: u64,
     /// Insertions that landed inside an existing component (journal-only).
     pub intra_added: u64,
-    /// Insertions that appended a new condensation edge.
+    /// Insertions that added a new condensation edge.
     pub dag_appended: u64,
     /// Insertions that reinforced an existing condensation edge's count.
     pub dag_reinforced: u64,
@@ -170,11 +208,11 @@ pub struct DeltaReport {
     pub dirty_marked: u64,
     /// Deletions that decremented a condensation edge's count (still > 0).
     pub dag_weakened: u64,
-    /// Deletions that dropped a condensation edge to a tombstone.
+    /// Deletions that dropped a condensation edge (its count reached zero).
     pub dag_dropped: u64,
     /// Label pages rewritten (only pages owning affected nodes).
     pub label_pages_rewritten: u64,
-    /// Logical I/O of the whole apply (classification + materialization).
+    /// Logical I/O of the whole apply (classification + commit).
     pub ios: IoSnapshot,
 }
 
@@ -182,7 +220,8 @@ pub struct DeltaReport {
 /// trigger) did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactReport {
-    /// Index generation after the compact (unchanged if nothing was dirty).
+    /// The engine's generation after the compact (unchanged when nothing
+    /// was dirty and the journal tail was empty).
     pub generation: u64,
     /// Dirty components re-verified.
     pub components_reverified: u64,
@@ -191,9 +230,6 @@ pub struct CompactReport {
     pub components_after: u64,
     /// Nodes whose stored label changed.
     pub relabeled_nodes: u64,
-    /// Tombstoned condensation-DAG slots reclaimed (records whose count
-    /// had dropped to zero; the rewrite leaves only live edges on disk).
-    pub dag_slots_reclaimed: u64,
     /// Logical I/O of the whole compact.
     pub ios: IoSnapshot,
 }
@@ -380,7 +416,8 @@ impl DagAdj {
         }
     }
 
-    /// Live edges in `(src, dst)` order — the canonical rewrite form.
+    /// Live edges in `(src, dst)` order — the stored form of the DAG
+    /// section.
     fn live_sorted(&self) -> Vec<CountedEdge> {
         self.counts
             .iter()
@@ -431,7 +468,7 @@ impl Overlay {
     }
 }
 
-/// How the labels section changes in one materialization.
+/// How the labels section changes in one checkpoint.
 enum LabelPatch {
     /// No label changes.
     None,
@@ -441,40 +478,19 @@ enum LabelPatch {
     ByNode(HashMap<NodeId, NodeId>),
 }
 
-/// A fully classified, not-yet-written update: everything `materialize`
-/// needs besides the engine's (already mutated) DAG and the new dirty set.
-struct Plan {
-    journal: Vec<[u8; JOURNAL_ENTRY as usize]>,
-    label_patch: LabelPatch,
-    /// Full new size table (sorted by rep) when components changed.
-    sizes: Option<Vec<(NodeId, u64)>>,
-    /// Rewrite the whole DAG section from the engine's `DagAdj`.
-    rewrite_dag: bool,
-    /// In-place record patches `(key, final count)` — only when not
-    /// rewriting; `0` leaves a tombstone.
-    patches: Vec<((NodeId, NodeId), u32)>,
-    /// New records appended at the tail — only when not rewriting.
-    appends: Vec<CountedEdge>,
-    /// Dirty-set content changed (the section may still move with the DAG).
-    dirty_changed: bool,
-}
-
-impl Plan {
-    fn new() -> Plan {
-        Plan {
-            journal: Vec::new(),
-            label_patch: LabelPatch::None,
-            sizes: None,
-            rewrite_dag: false,
-            patches: Vec::new(),
-            appends: Vec::new(),
-            dirty_changed: false,
-        }
-    }
+/// What classifying one batch decided, besides its changes to the
+/// engine's DAG and the dirty set it was handed.
+struct Classified {
+    journal: Vec<JournalRecord>,
+    overlay: Overlay,
+    /// Representatives of each merged group (empty: the batch merges
+    /// nothing and commits to the journal alone).
+    merged_groups: Vec<Vec<NodeId>>,
 }
 
 /// An open transaction on the engine's DAG. On drop it rolls the DAG back
-/// to its state at [`Txn::begin`] unless [`DeltaEngine::materialize`] has
+/// to its state at [`Txn::begin`] unless a commit
+/// ([`DeltaEngine::commit_journal`] or [`DeltaEngine::checkpoint`]) has
 /// committed it, so an error return and a panic leave the engine alike.
 struct Txn<'e, 'a>(&'e mut DeltaEngine<'a>);
 
@@ -491,7 +507,17 @@ impl Drop for Txn<'_, '_> {
     }
 }
 
-fn journal_record(tag: u32, u: NodeId, v: NodeId) -> [u8; JOURNAL_ENTRY as usize] {
+/// One journal sidecar record: `(tag, u, v)` as three little-endian `u32`s.
+type JournalRecord = [u8; JOURNAL_ENTRY as usize];
+
+/// Journal tags: an inserted edge, a deleted edge, and a commit record
+/// whose two id words hold the running FNV-1a of every journal byte before
+/// it, low word first.
+const TAG_ADD: u32 = 0;
+const TAG_REMOVE: u32 = 1;
+const TAG_COMMIT: u32 = 2;
+
+fn journal_record(tag: u32, u: NodeId, v: NodeId) -> JournalRecord {
     let mut rec = [0u8; JOURNAL_ENTRY as usize];
     rec[0..4].copy_from_slice(&tag.to_le_bytes());
     rec[4..8].copy_from_slice(&u.to_le_bytes());
@@ -499,10 +525,39 @@ fn journal_record(tag: u32, u: NodeId, v: NodeId) -> [u8; JOURNAL_ENTRY as usize
     rec
 }
 
+/// The three little-endian `u32` words of a 12-byte record: `(tag, u, v)`
+/// of a journal record, `(src, dst, count)` of a stored DAG edge.
+fn words(raw: &[u8]) -> (u32, u32, u32) {
+    let word = |i: usize| u32::from_le_bytes(raw[4 * i..4 * i + 4].try_into().unwrap());
+    (word(0), word(1), word(2))
+}
+
+/// The commit record closing a batch, given the checksum of every journal
+/// byte before it.
+fn commit_record(sum: u64) -> JournalRecord {
+    journal_record(TAG_COMMIT, sum as u32, (sum >> 32) as u32)
+}
+
+/// Reads journal bytes `[from, to)` in page-sized reads, stopping early at
+/// the end of the file.
+fn read_journal(journal: &mut CountedFile, from: u64, to: u64, page: u64) -> io::Result<Vec<u8>> {
+    let to = to.min(journal.len_bytes()?);
+    let mut out = vec![0u8; to.saturating_sub(from) as usize];
+    for (at, chunk) in (from..)
+        .step_by(page as usize)
+        .zip(out.chunks_mut(page as usize))
+    {
+        if journal.read_at(at, chunk)? != chunk.len() {
+            return Err(bad("journal sidecar shrank while it was read"));
+        }
+    }
+    Ok(out)
+}
+
 /// The write handle over a stored index artifact: classifies and applies
 /// [`DeltaBatch`]es, maintains the dirty set, and re-verifies lazily. One
 /// engine owns the artifact's write path; concurrent readers keep using
-/// [`SccIndexReader`] handles and swap to the new generation whenever they
+/// [`SccIndexReader`] handles and swap to the new checkpoint whenever they
 /// choose to reopen.
 ///
 /// The engine holds the base graph the index was built from — deltas are
@@ -513,24 +568,30 @@ pub struct DeltaEngine<'a> {
     env: &'a DiskEnv,
     base: &'a EdgeListGraph,
     path: PathBuf,
-    /// The live generation, priced in `env`'s ledger.
+    /// The last checkpoint, priced in `env`'s ledger. Its labels and sizes
+    /// are current; its DAG and dirty sections may lag the journal tail.
     index: SccIndexReader,
     dag: DagAdj,
-    /// Record slot of every stored DAG record (tombstones included — a
-    /// re-added edge reuses its tombstone's slot).
-    dag_pos: HashMap<(NodeId, NodeId), u64>,
     dirty: BTreeSet<NodeId>,
     journal: CountedFile,
+    /// Committed end of the journal in bytes, and the running FNV-1a of
+    /// every byte before it.
+    journal_len: u64,
+    journal_fnv: u64,
+    /// Operation records through the committed end.
+    n_journal: u64,
+    /// The checkpoint's generation plus the committed tail batches.
+    generation: u64,
 }
 
 impl std::fmt::Debug for DeltaEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeltaEngine")
             .field("path", &self.path)
-            .field("generation", &self.index.generation())
+            .field("generation", &self.generation)
             .field("n_sccs", &self.index.n_sccs())
             .field("n_dirty", &(self.dirty.len() as u64))
-            .field("n_journal", &self.index.hdr.n_journal)
+            .field("n_journal", &self.n_journal)
             .finish()
     }
 }
@@ -540,7 +601,8 @@ impl<'a> DeltaEngine<'a> {
     /// (same protocol as [`SccIndex::open`]), requires the condensation DAG
     /// section, requires `env`'s block size to equal the artifact's page
     /// size, validates the journal sidecar against the header's
-    /// authenticated prefix, and loads the DAG adjacency and dirty set.
+    /// authenticated prefix, loads the DAG adjacency and dirty set, and
+    /// replays the journal's committed tail (see the module docs).
     pub fn open(
         env: &'a DiskEnv,
         base: &'a EdgeListGraph,
@@ -574,9 +636,7 @@ impl<'a> DeltaEngine<'a> {
             )));
         }
 
-        // DAG records (tombstones included: they own reusable slots).
         let mut dag = DagAdj::default();
-        let mut dag_pos = HashMap::new();
         let mut at = 0u64;
         let mut chunk = vec![0u8; hdr.page_size as usize];
         while at < hdr.n_dag_edges {
@@ -584,15 +644,9 @@ impl<'a> DeltaEngine<'a> {
             let bytes = (take * DAG_ENTRY) as usize;
             let off = hdr.dag_off + at * DAG_ENTRY;
             read_exact_at(&index.file, off, &mut chunk[..bytes], "dag section")?;
-            for i in 0..take as usize {
-                let raw = &chunk[i * DAG_ENTRY as usize..(i + 1) * DAG_ENTRY as usize];
-                let s = NodeId::from_le_bytes(raw[0..4].try_into().unwrap());
-                let d = NodeId::from_le_bytes(raw[4..8].try_into().unwrap());
-                let c = u32::from_le_bytes(raw[8..12].try_into().unwrap());
-                dag_pos.insert((s, d), at + i as u64);
-                if c > 0 {
-                    dag.add(s, d, c);
-                }
+            for raw in chunk[..bytes].chunks_exact(DAG_ENTRY as usize) {
+                let (s, d, c) = words(raw);
+                dag.add(s, d, c);
             }
             at += take;
         }
@@ -600,7 +654,8 @@ impl<'a> DeltaEngine<'a> {
         let dirty = index.dirty_components().collect::<io::Result<BTreeSet<NodeId>>>()?;
 
         // Journal sidecar: open (create when this generation has no
-        // entries), then validate exactly the authenticated prefix.
+        // entries), validate exactly the authenticated prefix, then read
+        // the tail behind it.
         let jpath = journal_path(path);
         let exists = std::fs::metadata(&jpath).is_ok();
         let mut journal = if exists {
@@ -614,36 +669,81 @@ impl<'a> DeltaEngine<'a> {
                 hdr.n_journal
             )));
         };
-        let mut fnv = Fnv::new();
-        let mut at = 0u64;
-        let end = hdr.n_journal * JOURNAL_ENTRY;
-        while at < end {
-            let take = ((end - at) as usize).min(chunk.len());
-            if journal.read_at(at, &mut chunk[..take])? != take {
-                return Err(bad("journal sidecar truncated below the header's prefix"));
-            }
-            fnv.update(&chunk[..take]);
-            at += take as u64;
+        let prefix_len = hdr.n_journal * JOURNAL_ENTRY;
+        let prefix = read_journal(&mut journal, 0, prefix_len, hdr.page_size)?;
+        if prefix.len() as u64 != prefix_len {
+            return Err(bad("journal sidecar truncated below the header's prefix"));
         }
+        let mut fnv = Fnv::new();
+        fnv.update(&prefix);
         if fnv.finish() != hdr.journal_fnv {
             return Err(bad("journal sidecar does not match the index header"));
         }
+        let n_journal = prefix
+            .chunks_exact(JOURNAL_ENTRY as usize)
+            .filter(|raw| words(raw).0 != TAG_COMMIT)
+            .count() as u64;
+        let tail = read_journal(&mut journal, prefix_len, u64::MAX, hdr.page_size)?;
 
-        Ok(DeltaEngine {
+        let mut eng = DeltaEngine {
             env,
             base,
             path: path.to_path_buf(),
             index,
             dag,
-            dag_pos,
             dirty,
             journal,
-        })
+            journal_len: prefix_len,
+            journal_fnv: hdr.journal_fnv,
+            n_journal,
+            generation: hdr.generation,
+        };
+        eng.replay(&tail)?;
+        Ok(eng)
     }
 
-    /// Current index generation.
+    /// Replays the journal tail behind the checkpoint's prefix: operation
+    /// records gather into a batch until a commit record whose checksum
+    /// matches, and each committed batch runs through [`Self::classify`].
+    /// The committed tail ends at the first short record, unknown tag or
+    /// checksum mismatch; what follows is ignored.
+    fn replay(&mut self, tail: &[u8]) -> io::Result<()> {
+        let start = self.journal_len;
+        let mut fnv = Fnv::from_state(self.journal_fnv);
+        let mut batch = DeltaBatch::new();
+        for (i, raw) in (1u64..).zip(tail.chunks_exact(JOURNAL_ENTRY as usize)) {
+            let (tag, u, v) = words(raw);
+            let sum = fnv.finish();
+            fnv.update(raw);
+            match tag {
+                TAG_ADD => batch.edges_added.push((u, v)),
+                TAG_REMOVE => batch.edges_removed.push((u, v)),
+                TAG_COMMIT if raw == commit_record(sum) => {
+                    let mut dirty = std::mem::take(&mut self.dirty);
+                    let classified = self.classify(&batch, &mut dirty, &mut DeltaReport::default());
+                    self.dirty = dirty;
+                    if !classified?.merged_groups.is_empty() {
+                        return Err(bad(
+                            "a committed journal batch merges components; only \
+                             checkpoints commit merges",
+                        ));
+                    }
+                    self.journal_len = start + i * JOURNAL_ENTRY;
+                    self.journal_fnv = fnv.finish();
+                    self.n_journal += batch.len() as u64;
+                    self.generation += 1;
+                    batch = DeltaBatch::new();
+                }
+                _ => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// The engine's generation: the last checkpoint's plus the journal-only
+    /// commits since it.
     pub fn generation(&self) -> u64 {
-        self.index.generation()
+        self.generation
     }
 
     /// Current number of stored components (dirty components count once —
@@ -667,9 +767,10 @@ impl<'a> DeltaEngine<'a> {
         self.dirty.iter().copied().collect()
     }
 
-    /// Journal entries accumulated since the build.
+    /// Journal operation records since the build, through the committed
+    /// tail (commit records are not counted).
     pub fn n_journal(&self) -> u64 {
-        self.index.hdr.n_journal
+        self.n_journal
     }
 
     /// Live condensation edges, `(src, dst)` sorted, from memory (no I/O).
@@ -678,59 +779,112 @@ impl<'a> DeltaEngine<'a> {
     }
 
     /// Applies one batch: classifies every operation against the current
-    /// index (span `delta_classify`), then journals and materializes a new
-    /// generation (span `delta_merge`). On error nothing is changed — the
-    /// engine and the artifact both stay at the current generation, and the
-    /// apply can be retried.
+    /// index (span `delta_classify`), then commits it (span `delta_merge`)
+    /// — to the journal alone when it merges nothing, as a checkpoint
+    /// otherwise. On error nothing is changed — the engine, the journal's
+    /// committed end and the artifact all stay at the current generation,
+    /// and the apply can be retried.
     pub fn apply(&mut self, batch: &DeltaBatch) -> io::Result<DeltaReport> {
         let before = self.env.stats().snapshot();
         if batch.is_empty() {
             return Ok(DeltaReport {
-                generation: self.index.generation(),
+                generation: self.generation,
                 ..DeltaReport::default()
             });
         }
+        let tx = Txn::begin(self);
+        let this = &mut *tx.0;
+        let mut dirty = this.dirty.clone();
+        let mut report = DeltaReport::default();
+        let Classified {
+            journal,
+            mut overlay,
+            merged_groups,
+        } = this.classify(batch, &mut dirty, &mut report)?;
+
+        let sp = ce_extmem::io_span!(
+            this.env,
+            "delta_merge",
+            merges = report.merges,
+            journal = journal.len(),
+        );
+        if merged_groups.is_empty() {
+            this.commit_journal(&journal, dirty)?;
+        } else {
+            // A merge rewrites the size table (components disappear). One
+            // pass over the stored table folds it through the final merge
+            // mapping: the table is sorted by representative, and every
+            // absorbed representative maps to its group's minimum, which
+            // comes first — so absorbed sizes add into an entry already
+            // emitted.
+            let relabel = overlay.relabel_map();
+            // How often each representative occurs across the groups (a
+            // group's minimum may be a member of a later group again).
+            let mut occurs: HashMap<NodeId, u64> = HashMap::new();
+            for &r in merged_groups.iter().flatten() {
+                *occurs.entry(r).or_insert(0) += 1;
+            }
+            let mut sizes: Vec<(NodeId, u64)> = Vec::with_capacity(this.index.n_sccs() as usize);
+            for entry in this.index.components() {
+                let (rep, size) = entry?;
+                report.merged_nodes += occurs.get(&rep).copied().unwrap_or(0) * size;
+                match relabel.get(&rep) {
+                    Some(l) => match sizes.binary_search_by_key(l, |e| e.0) {
+                        Ok(at) => sizes[at].1 += size,
+                        Err(_) => return Err(bad("size table misses a merge target")),
+                    },
+                    None => sizes.push((rep, size)),
+                }
+            }
+            report.label_pages_rewritten =
+                this.checkpoint(&journal, LabelPatch::ByRep(relabel), Some(sizes), dirty)?;
+        }
+        drop(sp);
+        report.generation = this.generation;
+        report.ios = this.env.stats().snapshot().since(&before);
+        Ok(report)
+    }
+
+    /// Classifies `batch` against the stored labels (span
+    /// `delta_classify`): mutates the engine's DAG in place and `dirty`,
+    /// and counts each operation's kind in `report`. Shared by
+    /// [`DeltaEngine::apply`] and the journal replay at open.
+    fn classify(
+        &mut self,
+        batch: &DeltaBatch,
+        dirty: &mut BTreeSet<NodeId>,
+        report: &mut DeltaReport,
+    ) -> io::Result<Classified> {
+        let n = self.index.n_nodes();
         for &(u, v) in batch.edges_added.iter().chain(&batch.edges_removed) {
-            if u as u64 >= self.index.n_nodes() || v as u64 >= self.index.n_nodes() {
+            if u as u64 >= n || v as u64 >= n {
                 return Err(bad(&format!(
-                    "edge ({u}, {v}) is outside the index's node universe (0..{}); \
-                     delta maintenance never grows the node set",
-                    self.index.n_nodes()
+                    "edge ({u}, {v}) is outside the index's node universe (0..{n}); \
+                     delta maintenance never grows the node set"
                 )));
             }
         }
-
-        // ---- Classification: the DAG in place, everything else local. ----
-        let tx = Txn::begin(self);
-        let this = &mut *tx.0;
-        let sp = ce_extmem::io_span!(
-            this.env,
+        let _sp = ce_extmem::io_span!(
+            self.env,
             "delta_classify",
             adds = batch.edges_added.len(),
             removes = batch.edges_removed.len(),
         );
-        let dag = &mut this.dag;
-        let mut dirty = this.dirty.clone();
-        let mut overlay = Overlay::default();
-        let mut plan = Plan::new();
-        let mut report = DeltaReport::default();
-        let mut merged_groups: Vec<Vec<NodeId>> = Vec::new();
-        // Keys whose stored record must change, split by whether a slot
-        // already exists on disk (tombstones reuse their slot).
-        let mut touched: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        let mut new_keys: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut new_seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+        let dag = &mut self.dag;
+        let mut out = Classified {
+            journal: Vec::with_capacity(batch.len()),
+            overlay: Overlay::default(),
+            merged_groups: Vec::new(),
+        };
+        let overlay = &mut out.overlay;
 
         for &(u, v) in &batch.edges_added {
-            let ru = overlay.find(this.index.component_of(u)?);
-            let rv = overlay.find(this.index.component_of(v)?);
-            plan.journal.push(journal_record(0, u, v));
+            let ru = overlay.find(self.index.component_of(u)?);
+            let rv = overlay.find(self.index.component_of(v)?);
+            out.journal.push(journal_record(TAG_ADD, u, v));
             if ru == rv {
                 report.intra_added += 1;
-                continue;
-            }
-            let key = (ru, rv);
-            if dag.count(ru, rv) > 0 {
+            } else if dag.count(ru, rv) > 0 {
                 dag.add(ru, rv, 1);
                 report.dag_reinforced += 1;
             } else if dag.reaches(rv, ru) {
@@ -782,112 +936,45 @@ impl<'a> DeltaEngine<'a> {
                     dag.remap(&set, l);
                     report.merges += 1;
                     report.merged_components += members.len() as u64;
-                    merged_groups.push(members);
+                    out.merged_groups.push(members);
                 }
-                continue; // the new edge became intra-component
             } else {
                 // No rv ⇝ ru path: the insert respects the DAG order.
                 dag.add(ru, rv, 1);
                 report.dag_appended += 1;
             }
-            if this.dag_pos.contains_key(&key) {
-                touched.insert(key);
-            } else if new_seen.insert(key) {
-                new_keys.push(key);
-            }
         }
 
         for &(u, v) in &batch.edges_removed {
-            let ru = overlay.find(this.index.component_of(u)?);
-            let rv = overlay.find(this.index.component_of(v)?);
-            plan.journal.push(journal_record(1, u, v));
+            let ru = overlay.find(self.index.component_of(u)?);
+            let rv = overlay.find(self.index.component_of(v)?);
+            out.journal.push(journal_record(TAG_REMOVE, u, v));
             if ru == rv {
                 // Intra-component: possibly splits — defer to lazy
                 // re-verification. Self-loop deletions can never split.
                 if u != v && dirty.insert(ru) {
                     report.dirty_marked += 1;
                 }
+                continue;
+            }
+            let c = dag.count(ru, rv);
+            if c == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "cannot remove edge ({u}, {v}): no {ru} → {rv} \
+                         condensation edge — the edge is not in the current graph"
+                    ),
+                ));
+            }
+            dag.set(ru, rv, c - 1);
+            if c == 1 {
+                report.dag_dropped += 1;
             } else {
-                let c = dag.count(ru, rv);
-                if c == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "cannot remove edge ({u}, {v}): no {ru} → {rv} \
-                             condensation edge — the edge is not in the current graph"
-                        ),
-                    ));
-                }
-                dag.set(ru, rv, c - 1);
-                if c == 1 {
-                    report.dag_dropped += 1;
-                } else {
-                    report.dag_weakened += 1;
-                }
-                let key = (ru, rv);
-                if this.dag_pos.contains_key(&key) {
-                    touched.insert(key);
-                } else if new_seen.insert(key) {
-                    new_keys.push(key);
-                }
+                report.dag_weakened += 1;
             }
         }
-        drop(sp);
-
-        // ---- Turn classification into a write plan. ----
-        plan.dirty_changed = dirty != this.dirty;
-        if merged_groups.is_empty() {
-            plan.patches = touched.iter().map(|&k| (k, dag.count(k.0, k.1))).collect();
-            plan.appends = new_keys
-                .iter()
-                .filter_map(|&(s, d)| {
-                    let c = dag.count(s, d);
-                    (c > 0).then_some(CountedEdge::new(s, d, c))
-                })
-                .collect();
-        } else {
-            // A merge rewrites the size table (components disappear) and
-            // therefore the sections behind it. One pass over the stored
-            // table folds it through the final merge mapping: the table is
-            // sorted by representative, and every absorbed representative
-            // maps to its group's minimum, which comes first — so absorbed
-            // sizes add into an entry already emitted.
-            plan.rewrite_dag = true;
-            let relabel = overlay.relabel_map();
-            // How often each representative occurs across the groups (a
-            // group's minimum may be a member of a later group again).
-            let mut occurs: HashMap<NodeId, u64> = HashMap::new();
-            for &r in merged_groups.iter().flatten() {
-                *occurs.entry(r).or_insert(0) += 1;
-            }
-            let mut sizes: Vec<(NodeId, u64)> = Vec::with_capacity(this.index.n_sccs() as usize);
-            for entry in this.index.components() {
-                let (rep, size) = entry?;
-                report.merged_nodes += occurs.get(&rep).copied().unwrap_or(0) * size;
-                match relabel.get(&rep) {
-                    Some(l) => match sizes.binary_search_by_key(l, |e| e.0) {
-                        Ok(at) => sizes[at].1 += size,
-                        Err(_) => return Err(bad("size table misses a merge target")),
-                    },
-                    None => sizes.push((rep, size)),
-                }
-            }
-            plan.sizes = Some(sizes);
-            plan.label_patch = LabelPatch::ByRep(relabel);
-        }
-
-        // ---- Materialize the new generation. ----
-        let sp = ce_extmem::io_span!(
-            this.env,
-            "delta_merge",
-            merges = report.merges,
-            journal = plan.journal.len(),
-        );
-        report.label_pages_rewritten = this.materialize(plan, dirty)?;
-        drop(sp);
-        report.generation = this.index.generation();
-        report.ios = this.env.stats().snapshot().since(&before);
-        Ok(report)
+        Ok(out)
     }
 
     /// The component representative for `u` against the **current** graph:
@@ -914,64 +1001,51 @@ impl<'a> DeltaEngine<'a> {
         self.index.component_size(u)
     }
 
-    /// Re-verifies **all** dirty components (span `delta_compact`),
-    /// materializing any splits into a new generation, and reclaims every
-    /// tombstoned condensation-DAG slot (records whose multiplicity dropped
-    /// to zero and that no re-add has reused): the DAG section is rewritten
-    /// with live edges only and the file shrinks to the new geometry.
-    /// Idempotent; a clean, tombstone-free index is a no-op at zero writes.
+    /// Re-verifies **all** dirty components (span `delta_compact`) into a
+    /// checkpoint that also folds in the journal tail. With nothing dirty,
+    /// a non-empty tail is still folded into a checkpoint, so a reader
+    /// opened afterwards reports the engine's generation, DAG and dirty
+    /// set. Idempotent; with nothing dirty and an empty tail it is a no-op
+    /// at zero writes.
     pub fn compact(&mut self) -> io::Result<CompactReport> {
-        let before = self.env.stats().snapshot();
         let dirty: Vec<NodeId> = self.dirty.iter().copied().collect();
-        let tombstones = self.dag_pos.len() as u64 - self.dag.counts.len() as u64;
-        let mut report = self.reverify(&dirty)?;
-        if !dirty.is_empty() {
-            // The re-verification rewrote the whole DAG section from the
-            // live adjacency, taking every tombstone with it.
-            report.dag_slots_reclaimed = tombstones;
-            return Ok(report);
+        if !dirty.is_empty() || self.generation == self.index.generation() {
+            return self.reverify(&dirty);
         }
-        if tombstones == 0 {
-            return Ok(report);
-        }
-        // Nothing dirty, but cross-component deletions left tombstoned
-        // slots behind: rewrite the DAG section compactly so the stored
-        // record count matches the live condensation again.
+        let before = self.env.stats().snapshot();
         let sp = ce_extmem::io_span!(self.env, "delta_compact", components = 0usize);
-        let plan = Plan {
-            rewrite_dag: true,
-            ..Plan::new()
-        };
-        self.materialize(plan, self.dirty.clone())?;
+        self.checkpoint(&[], LabelPatch::None, None, self.dirty.clone())?;
         drop(sp);
-        report.generation = self.index.generation();
-        report.dag_slots_reclaimed = tombstones;
-        report.ios = self.env.stats().snapshot().since(&before);
-        Ok(report)
+        Ok(CompactReport {
+            generation: self.generation,
+            ios: self.env.stats().snapshot().since(&before),
+            ..CompactReport::default()
+        })
     }
 
-    /// The full exact label vector (re-verifies everything dirty first) —
-    /// the conformance seam the differential harness compares against a
-    /// from-scratch rebuild.
+    /// The full exact label vector (re-verifies everything dirty first; a
+    /// clean journal tail stays unfolded) — the conformance seam the
+    /// differential harness compares against a from-scratch rebuild.
     pub fn labels_snapshot(&mut self) -> io::Result<Vec<NodeId>> {
-        self.compact()?;
+        let dirty: Vec<NodeId> = self.dirty.iter().copied().collect();
+        self.reverify(&dirty)?;
         let mut labels = Vec::with_capacity(self.index.n_nodes() as usize);
         self.scan_labels(|_, rep| labels.push(rep))?;
         Ok(labels)
     }
 
     /// Recomputes the SCCs of the listed dirty components' induced
-    /// subgraphs (non-dirty entries are skipped) and materializes the
+    /// subgraphs (non-dirty entries are skipped) and checkpoints the
     /// result. The induced subgraph comes from the base edge file plus the
-    /// journal — the current multiset — restricted to the components'
-    /// members.
+    /// journal through its committed end — the current multiset —
+    /// restricted to the components' members.
     fn reverify(&mut self, reps: &[NodeId]) -> io::Result<CompactReport> {
         let before = self.env.stats().snapshot();
         let targets: BTreeSet<NodeId> =
             reps.iter().copied().filter(|r| self.dirty.contains(r)).collect();
         if targets.is_empty() {
             return Ok(CompactReport {
-                generation: self.index.generation(),
+                generation: self.generation,
                 ..CompactReport::default()
             });
         }
@@ -1001,32 +1075,21 @@ impl<'a> DeltaEngine<'a> {
                 }
             }
         }
-        {
-            let mut chunk = vec![0u8; self.index.page_size() as usize];
-            let end = self.index.hdr.n_journal * JOURNAL_ENTRY;
-            let mut at = 0u64;
-            let mut rec = Vec::new();
-            while at < end {
-                let take = ((end - at) as usize).min(chunk.len());
-                if self.journal.read_at(at, &mut chunk[..take])? != take {
-                    return Err(bad("journal sidecar truncated below the header's prefix"));
-                }
-                rec.extend_from_slice(&chunk[..take]);
-                at += take as u64;
+        let page = self.index.page_size();
+        let journal = read_journal(&mut self.journal, 0, self.journal_len, page)?;
+        if journal.len() as u64 != self.journal_len {
+            return Err(bad("journal sidecar truncated below its committed end"));
+        }
+        for raw in journal.chunks_exact(JOURNAL_ENTRY as usize) {
+            let (tag, u, v) = words(raw);
+            if tag == TAG_COMMIT || !(member_set.contains(&u) || member_set.contains(&v)) {
+                continue;
             }
-            for raw in rec.chunks_exact(JOURNAL_ENTRY as usize) {
-                let tag = u32::from_le_bytes(raw[0..4].try_into().unwrap());
-                let u = NodeId::from_le_bytes(raw[4..8].try_into().unwrap());
-                let v = NodeId::from_le_bytes(raw[8..12].try_into().unwrap());
-                if !(member_set.contains(&u) || member_set.contains(&v)) {
-                    continue;
-                }
-                let e = incident.entry((u, v)).or_insert(0);
-                if tag == 0 {
-                    *e += 1;
-                } else if *e > 0 {
-                    *e -= 1;
-                }
+            let e = incident.entry((u, v)).or_insert(0);
+            if tag == TAG_ADD {
+                *e += 1;
+            } else if *e > 0 {
+                *e -= 1;
             }
         }
 
@@ -1122,21 +1185,11 @@ impl<'a> DeltaEngine<'a> {
             components_reverified: targets.len() as u64,
             components_after: groups.len() as u64,
             relabeled_nodes: changed.len() as u64,
-            dag_slots_reclaimed: 0,
             ios: IoSnapshot::default(),
         };
-        let plan = Plan {
-            journal: Vec::new(),
-            label_patch: LabelPatch::ByNode(changed),
-            sizes: Some(table),
-            rewrite_dag: true,
-            patches: Vec::new(),
-            appends: Vec::new(),
-            dirty_changed: true,
-        };
-        this.materialize(plan, dirty)?;
+        this.checkpoint(&[], LabelPatch::ByNode(changed), Some(table), dirty)?;
         drop(sp);
-        report.generation = this.index.generation();
+        report.generation = this.generation;
         report.ios = this.env.stats().snapshot().since(&before);
         Ok(report)
     }
@@ -1165,104 +1218,160 @@ impl<'a> DeltaEngine<'a> {
         Ok(())
     }
 
-    /// Commits a plan and the engine's DAG as generation `g + 1`: journal
-    /// first (synced; the old header ignores the tail), then fork-copy the
-    /// artifact, patch the copy through the counted pager, write the bumped
-    /// header, sync, and atomically rename over the path. Only after the
-    /// rename succeeds are the DAG's open transaction committed and the new
-    /// dirty set and slot map installed. Returns the number of label pages
-    /// rewritten.
-    fn materialize(&mut self, plan: Plan, dirty: BTreeSet<NodeId>) -> io::Result<u64> {
-        let hdr = self.index.hdr;
+    /// The journal-only commit: appends the batch's `records` and a commit
+    /// record in one write and syncs the sidecar. Only after the sync are
+    /// the DAG's open transaction committed and the new dirty set
+    /// installed.
+    fn commit_journal(
+        &mut self,
+        records: &[JournalRecord],
+        dirty: BTreeSet<NodeId>,
+    ) -> io::Result<()> {
+        let mut bytes = records.concat();
+        let mut fnv = Fnv::from_state(self.journal_fnv);
+        fnv.update(&bytes);
+        let commit = commit_record(fnv.finish());
+        fnv.update(&commit);
+        bytes.extend_from_slice(&commit);
+        self.append_journal(&bytes)?;
+        self.journal_len += bytes.len() as u64;
+        self.journal_fnv = fnv.finish();
+        self.n_journal += records.len() as u64;
+        self.generation += 1;
+        self.dag.commit();
+        self.dirty = dirty;
+        Ok(())
+    }
 
-        // 1. Journal append. Bytes past the authenticated prefix are
-        // ignored by every reader of the *current* header, so a fault
-        // after this point is invisible.
-        let mut jfnv = Fnv::from_state(hdr.journal_fnv);
-        if !plan.journal.is_empty() {
-            let mut bytes = Vec::with_capacity(plan.journal.len() * JOURNAL_ENTRY as usize);
-            for rec in &plan.journal {
-                bytes.extend_from_slice(rec);
-            }
-            self.journal
-                .write_at(hdr.n_journal * JOURNAL_ENTRY, &bytes)?;
-            self.journal.sync()?;
-            jfnv.update(&bytes);
-        }
-        let n_journal = hdr.n_journal + plan.journal.len() as u64;
-
-        // 2. Fork the artifact with an OS-level copy (not counted: a
-        // metadata-ish clone outside the I/O model). The engine never
-        // writes the live generation, so there is nothing to flush first.
+    /// The checkpoint commit: appends `records` without a commit record
+    /// (the new header commits them) and syncs them, writes the next
+    /// generation's artifact to a temporary file
+    /// ([`DeltaEngine::write_checkpoint`]) and atomically renames it over
+    /// the path. Only after the rename are the DAG's open transaction
+    /// committed and the new dirty set installed. Returns the number of
+    /// label pages rewritten.
+    fn checkpoint(
+        &mut self,
+        records: &[JournalRecord],
+        labels: LabelPatch,
+        sizes: Option<Vec<(NodeId, u64)>>,
+        dirty: BTreeSet<NodeId>,
+    ) -> io::Result<u64> {
+        let bytes = records.concat();
+        self.append_journal(&bytes)?;
+        let mut fnv = Fnv::from_state(self.journal_fnv);
+        fnv.update(&bytes);
+        let journal_len = self.journal_len + bytes.len() as u64;
+        let generation = self.generation + 1;
         let tmp = self.path.with_file_name(format!(
-            "{}.g{}.tmp",
+            "{}.g{generation}.tmp",
             self.path
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default(),
-            hdr.generation + 1
         ));
-        std::fs::copy(&self.path, &tmp)?;
-
-        let out = self.patch_fork(&tmp, plan, &dirty, n_journal, jfnv.finish());
-        match out {
-            Ok((new_hdr, file, pages, pos_update)) => {
-                if let Err(e) = std::fs::rename(&tmp, &self.path) {
-                    drop(file);
-                    self.env.evict(&tmp);
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e);
-                }
-                // Commit point passed. The pager interns files by path, so
-                // both names may alias stale state: the artifact path can
-                // still map to a pre-swap inode (a build in this
-                // environment interned it), and the tmp name maps to the
-                // renamed one. Evict both (the fork handle synced its
-                // frames), then read the new generation under its real
-                // name, trusting the header this commit just wrote.
-                drop(file);
-                self.env.evict(&self.path);
-                self.env.evict(&tmp);
-                self.index = SccIndexReader {
-                    file: SharedFile::open_in(self.env, &self.path)?,
-                    hdr: new_hdr,
-                };
-                self.dag.commit();
-                self.dirty = dirty;
-                match pos_update {
-                    DagPosUpdate::Keep => {}
-                    DagPosUpdate::Replace(pos) => self.dag_pos = pos,
-                    DagPosUpdate::Append(slots) => self.dag_pos.extend(slots),
-                }
-                Ok(pages)
-            }
+        let written = self
+            .write_checkpoint(&tmp, labels, sizes, &dirty, journal_len, fnv.finish())
+            .and_then(|(hdr, pages)| {
+                std::fs::rename(&tmp, &self.path)?;
+                Ok((hdr, pages))
+            });
+        let (hdr, pages) = match written {
+            Ok(done) => done,
             Err(e) => {
                 self.env.evict(&tmp);
                 let _ = std::fs::remove_file(&tmp);
-                Err(e)
+                self.cut_journal()?;
+                return Err(e);
             }
-        }
+        };
+        // Commit point passed. The pager interns files by path, so both
+        // names may alias stale state: the artifact path can still map to
+        // a pre-swap inode (a build in this environment interned it), and
+        // the tmp name maps to the renamed one. Evict both (the checkpoint
+        // synced its frames), then read the new generation under its real
+        // name, trusting the header this commit just wrote.
+        self.env.evict(&self.path);
+        self.env.evict(&tmp);
+        self.index = SccIndexReader {
+            file: SharedFile::open_in(self.env, &self.path)?,
+            hdr,
+        };
+        self.dag.commit();
+        self.dirty = dirty;
+        self.journal_len = journal_len;
+        self.journal_fnv = fnv.finish();
+        self.n_journal += records.len() as u64;
+        self.generation = generation;
+        Ok(pages)
     }
 
-    /// Patches the forked copy at `tmp` into generation `g + 1` and returns
-    /// the new header, the open handle, the label-page write count, and the
-    /// `dag_pos` change to install at commit.
-    fn patch_fork(
+    /// Writes `bytes` at the journal's committed end and syncs it. On
+    /// failure the journal is cut back to the committed end first.
+    fn append_journal(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        let synced = self
+            .journal
+            .write_at(self.journal_len, bytes)
+            .and_then(|()| self.journal.sync());
+        if let Err(e) = synced {
+            self.cut_journal()?;
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Cuts the journal sidecar back to its committed end after a failed
+    /// commit: drops its pager frames (a dirty frame would otherwise serve
+    /// the failed append to the next engine opened in this environment),
+    /// truncates the file and reopens it.
+    fn cut_journal(&mut self) -> io::Result<()> {
+        let jpath = journal_path(&self.path);
+        self.env.evict(&jpath);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&jpath)?
+            .set_len(self.journal_len)?;
+        self.journal = CountedFile::open_rw(self.env, &jpath)?;
+        Ok(())
+    }
+
+    /// Writes the next generation to `tmp` and syncs it: returns its header
+    /// and the label-page write count. Copies from the live artifact only
+    /// the bytes the checkpoint keeps — the header page and the labels
+    /// (patched here), plus the size table when `sizes` is `None` — and
+    /// rewrites everything behind them; the header authenticates
+    /// `journal_len` bytes of journal with checksum `journal_fnv`.
+    fn write_checkpoint(
         &self,
         tmp: &Path,
-        plan: Plan,
+        labels: LabelPatch,
+        sizes: Option<Vec<(NodeId, u64)>>,
         dirty: &BTreeSet<NodeId>,
-        n_journal: u64,
+        journal_len: u64,
         journal_fnv: u64,
-    ) -> io::Result<(Header, CountedFile, u64, DagPosUpdate)> {
+    ) -> io::Result<(Header, u64)> {
         let hdr = self.index.hdr;
         let page = hdr.page_size;
+        // An OS-level ranged copy (`copy_file_range` on Linux), not counted:
+        // a clone outside the I/O model.
+        let keep = if sizes.is_some() {
+            hdr.sizes_off
+        } else {
+            hdr.dag_off
+        };
+        io::copy(
+            &mut File::open(&self.path)?.take(keep),
+            &mut File::create(tmp)?,
+        )?;
         let mut f = CountedFile::open_rw(self.env, tmp)?;
 
         // Labels: sequential scan, write only pages whose bytes change.
         let mut labels_xor = hdr.labels_xor;
         let mut pages_rewritten = 0u64;
-        if !matches!(plan.label_patch, LabelPatch::None) {
+        if !matches!(labels, LabelPatch::None) {
             let per = page / 4;
             let mut buf = vec![0u8; page as usize];
             for p in 0..hdr.label_pages() {
@@ -1279,7 +1388,7 @@ impl<'a> DeltaEngine<'a> {
                     }
                     let at = (slot * 4) as usize;
                     let old = NodeId::from_le_bytes(newbuf[at..at + 4].try_into().unwrap());
-                    let new = match &plan.label_patch {
+                    let new = match &labels {
                         LabelPatch::ByRep(m) => m.get(&old),
                         LabelPatch::ByNode(m) => m.get(&(node as NodeId)),
                         LabelPatch::None => None,
@@ -1300,7 +1409,7 @@ impl<'a> DeltaEngine<'a> {
         }
 
         // Size table (full rewrite when present).
-        let (n_sccs, sizes_xor) = match &plan.sizes {
+        let (n_sccs, sizes_xor, dag_off) = match &sizes {
             Some(entries) => {
                 let mut out: Vec<u8> = Vec::with_capacity(entries.len() * SIZE_ENTRY as usize);
                 for &(rep, size) in entries {
@@ -1310,79 +1419,26 @@ impl<'a> DeltaEngine<'a> {
                     out.extend_from_slice(&rec);
                 }
                 let xor = write_padded(&mut f, hdr.sizes_off, page, &out)?;
-                (entries.len() as u64, xor)
+                let n = entries.len() as u64;
+                (n, xor, align_up(hdr.sizes_off + SIZE_ENTRY * n, page))
             }
-            None => (hdr.n_sccs, hdr.sizes_xor),
+            None => (hdr.n_sccs, hdr.sizes_xor, hdr.dag_off),
         };
 
-        // DAG section.
-        let dag_off = if plan.sizes.is_some() {
-            align_up(hdr.sizes_off + SIZE_ENTRY * n_sccs, page)
-        } else {
-            hdr.dag_off
-        };
-        let (n_dag, dag_xor, pos_update) = if plan.rewrite_dag {
-            let recs = self.dag.live_sorted();
-            let mut out: Vec<u8> = Vec::with_capacity(recs.len() * DAG_ENTRY as usize);
-            let mut pos = HashMap::with_capacity(recs.len());
-            for (i, e) in recs.iter().enumerate() {
-                let mut rec = [0u8; DAG_ENTRY as usize];
-                rec[0..4].copy_from_slice(&e.src.to_le_bytes());
-                rec[4..8].copy_from_slice(&e.dst.to_le_bytes());
-                rec[8..12].copy_from_slice(&e.count.to_le_bytes());
-                out.extend_from_slice(&rec);
-                pos.insert((e.src, e.dst), i as u64);
+        // DAG section: the live edges, sorted.
+        let mut out: Vec<u8> = Vec::with_capacity(self.dag.counts.len() * DAG_ENTRY as usize);
+        for (&(s, d), &c) in &self.dag.counts {
+            for w in [s, d, c] {
+                out.extend_from_slice(&w.to_le_bytes());
             }
-            let xor = write_padded(&mut f, dag_off, page, &out)?;
-            (recs.len() as u64, xor, DagPosUpdate::Replace(pos))
-        } else if plan.patches.is_empty() && plan.appends.is_empty() {
-            (hdr.n_dag_edges, hdr.dag_xor, DagPosUpdate::Keep)
-        } else {
-            // In-place patches + tail appends with O(1) per-page checksum
-            // updates.
-            let mut writes: Vec<(u64, [u8; DAG_ENTRY as usize])> = Vec::new();
-            for &((s, d), c) in &plan.patches {
-                let slot = *self.dag_pos.get(&(s, d)).expect("patched key has a slot");
-                let mut rec = [0u8; DAG_ENTRY as usize];
-                rec[0..4].copy_from_slice(&s.to_le_bytes());
-                rec[4..8].copy_from_slice(&d.to_le_bytes());
-                rec[8..12].copy_from_slice(&c.to_le_bytes());
-                writes.push((slot * DAG_ENTRY, rec));
-            }
-            let mut appended_pos: Vec<((NodeId, NodeId), u64)> = Vec::new();
-            for (i, e) in plan.appends.iter().enumerate() {
-                let slot = hdr.n_dag_edges + i as u64;
-                let mut rec = [0u8; DAG_ENTRY as usize];
-                rec[0..4].copy_from_slice(&e.src.to_le_bytes());
-                rec[4..8].copy_from_slice(&e.dst.to_le_bytes());
-                rec[8..12].copy_from_slice(&e.count.to_le_bytes());
-                writes.push((slot * DAG_ENTRY, rec));
-                appended_pos.push(((e.src, e.dst), slot));
-            }
-            let old_pages =
-                (align_up(hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges, page) - hdr.dag_off) / page;
-            let mut xor = hdr.dag_xor;
-            patch_pages(&mut f, dag_off, page, old_pages, &mut xor, &writes)?;
-            (
-                hdr.n_dag_edges + plan.appends.len() as u64,
-                xor,
-                DagPosUpdate::Append(appended_pos),
-            )
-        };
+        }
+        let dag_xor = write_padded(&mut f, dag_off, page, &out)?;
+        let n_dag_edges = self.dag.counts.len() as u64;
 
-        // Dirty section: rewritten when its content changed or the DAG
-        // moved/grew under it.
-        let dirty_off = align_up(dag_off + DAG_ENTRY * n_dag, page);
-        let (n_dirty, dirty_xor) = if plan.dirty_changed || dirty_off != hdr.dirty_off {
-            let mut out: Vec<u8> = Vec::with_capacity(dirty.len() * DIRTY_ENTRY as usize);
-            for &r in dirty {
-                out.extend_from_slice(&r.to_le_bytes());
-            }
-            let xor = write_padded(&mut f, dirty_off, page, &out)?;
-            (dirty.len() as u64, xor)
-        } else {
-            (hdr.n_dirty, hdr.dirty_xor)
-        };
+        // Dirty section.
+        let dirty_off = align_up(dag_off + DAG_ENTRY * n_dag_edges, page);
+        let out: Vec<u8> = dirty.iter().flat_map(|r| r.to_le_bytes()).collect();
+        let dirty_xor = write_padded(&mut f, dirty_off, page, &out)?;
 
         let new_hdr = Header {
             page_size: page,
@@ -1391,37 +1447,21 @@ impl<'a> DeltaEngine<'a> {
             labels_off: hdr.labels_off,
             sizes_off: hdr.sizes_off,
             dag_off,
-            n_dag_edges: n_dag,
+            n_dag_edges,
             labels_xor,
             sizes_xor,
             dag_xor,
             dirty_off,
-            n_dirty,
+            n_dirty: dirty.len() as u64,
             dirty_xor,
-            generation: hdr.generation + 1,
-            n_journal,
+            generation: self.generation + 1,
+            n_journal: journal_len / JOURNAL_ENTRY,
             journal_fnv,
         };
         f.write_at(0, &new_hdr.encode())?;
         f.sync()?;
-        // Shrink to the exact new geometry when sections contracted. A raw
-        // metadata truncate, like the fork copy: not a block transfer.
-        let want = new_hdr.file_len();
-        if f.len_bytes()? > want {
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(tmp)?
-                .set_len(want)?;
-        }
-        Ok((new_hdr, f, pages_rewritten, pos_update))
+        Ok((new_hdr, pages_rewritten))
     }
-}
-
-/// How `dag_pos` changes when a materialization commits.
-enum DagPosUpdate {
-    Keep,
-    Replace(HashMap<(NodeId, NodeId), u64>),
-    Append(Vec<((NodeId, NodeId), u64)>),
 }
 
 /// Writes `bytes` at `off` padded to whole pages and returns the XOR of
@@ -1438,49 +1478,6 @@ fn write_padded(f: &mut CountedFile, off: u64, page: u64, bytes: &[u8]) -> io::R
     }
     Ok(xor)
 }
-
-/// Applies byte-range `writes` (section-relative offsets) to a page-hashed
-/// section: reads each affected page once, XORs its old hash out (if the
-/// page existed), applies the overlapping slices, writes it back, and XORs
-/// the new hash in. Fresh pages beyond `old_pages` start as zeros.
-fn patch_pages(
-    f: &mut CountedFile,
-    sec_off: u64,
-    page: u64,
-    old_pages: u64,
-    xor: &mut u64,
-    writes: &[(u64, [u8; DAG_ENTRY as usize])],
-) -> io::Result<()> {
-    let mut by_page: BTreeMap<u64, Vec<(usize, &[u8])>> = BTreeMap::new();
-    for (off, bytes) in writes {
-        let mut rel = *off;
-        let mut rest: &[u8] = bytes;
-        while !rest.is_empty() {
-            let p = rel / page;
-            let in_page = (rel % page) as usize;
-            let take = rest.len().min((page as usize) - in_page);
-            by_page.entry(p).or_default().push((in_page, &rest[..take]));
-            rest = &rest[take..];
-            rel += take as u64;
-        }
-    }
-    for (p, slices) in by_page {
-        let mut buf = vec![0u8; page as usize];
-        if p < old_pages {
-            if f.read_at(sec_off + p * page, &mut buf)? != buf.len() {
-                return Err(bad("section truncated during patch"));
-            }
-            *xor ^= page_hash(p, &buf);
-        }
-        for (at, bytes) in slices {
-            buf[at..at + bytes.len()].copy_from_slice(bytes);
-        }
-        f.write_at(sec_off + p * page, &buf)?;
-        *xor ^= page_hash(p, &buf);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1518,6 +1515,26 @@ mod tests {
     fn scratch(n: u64, edges: &[(u32, u32)]) -> Vec<NodeId> {
         let es: Vec<Edge> = edges.iter().map(|&(u, v)| Edge::new(u, v)).collect();
         tarjan_scc(&CsrGraph::from_edges(n, &es)).canonical_reps()
+    }
+
+    /// An engine's generation, condensation edges (counts dropped) and
+    /// dirty set.
+    fn engine_view(eng: &DeltaEngine<'_>) -> (u64, Vec<Edge>, Vec<NodeId>) {
+        let dag = eng
+            .condensation_edges()
+            .iter()
+            .map(|e| Edge::new(e.src, e.dst))
+            .collect();
+        (eng.generation(), dag, eng.dirty_components())
+    }
+
+    /// The same three as a fresh reader of the artifact at `path` reports
+    /// them — the last checkpoint's.
+    fn reader_view(e: &DiskEnv, path: &Path) -> (u64, Vec<Edge>, Vec<NodeId>) {
+        let idx = SccIndex::open(e, path).unwrap();
+        let dag = idx.condensation_edges().map(|r| r.unwrap()).collect();
+        let dirty = idx.dirty_components().map(|r| r.unwrap()).collect();
+        (idx.generation(), dag, dirty)
     }
 
     #[test]
@@ -1583,16 +1600,28 @@ mod tests {
                 CountedEdge::new(4, 2, 1),
             ]
         );
-        // The artifact revalidates and agrees after reopen.
+        // A journal-only commit: the artifact stays the generation-0
+        // checkpoint. A reopened engine replays the tail to the same state,
+        // and a compact folds it into a checkpoint a fresh reader agrees
+        // with.
+        let live = engine_view(&eng);
+        assert_eq!(rep.generation, 1);
+        assert_eq!(live.0, 1);
+        assert_eq!(reader_view(&e, &path), (0, vec![Edge::new(0, 2)], vec![]));
         drop(eng);
-        let idx = SccIndex::open(&e, &path).unwrap();
-        assert_eq!(idx.generation(), 1);
-        let mut edges: Vec<Edge> = idx.condensation_edges().map(|r| r.unwrap()).collect();
-        edges.sort_unstable();
+        let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+        assert_eq!(engine_view(&eng), live);
+        assert_eq!(eng.condensation_edges()[0], CountedEdge::new(0, 2, 2));
+        assert_eq!(eng.compact().unwrap().generation, 2);
         assert_eq!(
-            edges,
-            vec![Edge::new(0, 2), Edge::new(0, 4), Edge::new(4, 2)]
+            reader_view(&e, &path),
+            (
+                2,
+                vec![Edge::new(0, 2), Edge::new(0, 4), Edge::new(4, 2)],
+                vec![]
+            )
         );
+        assert_eq!(reader_view(&e, &path), engine_view(&eng));
     }
 
     #[test]
@@ -1687,22 +1716,24 @@ mod tests {
         let err = eng.apply(&DeltaBatch::new().remove(0, 3)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(eng.generation(), gen);
-        // A tombstoned slot is reused on re-add (no section growth).
-        let n_before = SccIndex::open(&e, &path).unwrap().n_dag_edges();
+        // A dropped edge can be added again, and the replayed tail
+        // reproduces the whole sequence.
         eng.apply(&DeltaBatch::new().add(0, 2)).unwrap();
         assert_eq!(eng.condensation_edges(), vec![CountedEdge::new(0, 2, 1)]);
+        let live = engine_view(&eng);
         drop(eng);
-        let idx = SccIndex::open(&e, &path).unwrap();
-        assert_eq!(idx.n_dag_edges(), n_before, "tombstone slot was reused");
+        let eng = DeltaEngine::open(&e, &g, &path).unwrap();
+        assert_eq!(engine_view(&eng), live);
+        assert_eq!(eng.condensation_edges(), vec![CountedEdge::new(0, 2, 1)]);
     }
 
     #[test]
-    fn compact_reclaims_tombstoned_dag_slots() {
+    fn compact_folds_a_clean_journal_tail_into_a_checkpoint() {
         let e = env();
         // Two condensation edges out of {0,1}: -> {2,3} and -> {4,5}.
         let (g, path) = setup(
             &e,
-            "reclaim",
+            "fold",
             6,
             &[(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4), (0, 2), (0, 4)],
         );
@@ -1712,38 +1743,43 @@ mod tests {
             vec![CountedEdge::new(0, 2, 1), CountedEdge::new(0, 4, 1)]
         );
 
-        // Dropping the only support of 0 -> 2 tombstones its record: the
-        // stored section still holds both slots.
+        // Dropping the only support of 0 -> 2 commits to the journal alone:
+        // the stored DAG still holds both edges until a checkpoint.
         eng.apply(&DeltaBatch::new().remove(0, 2)).unwrap();
         assert_eq!(SccIndex::open(&e, &path).unwrap().n_dag_edges(), 2);
 
-        // Nothing is dirty, but compact must still rewrite the DAG
-        // compactly and shrink the stored record count to the live edges.
-        let gen = eng.generation();
+        // Nothing is dirty, but compact still folds the tail into a
+        // checkpoint, whose DAG holds the live edges only.
         let rep = eng.compact().unwrap();
         assert_eq!(rep.components_reverified, 0);
-        assert_eq!(rep.dag_slots_reclaimed, 1);
-        assert!(rep.generation > gen, "reclamation is a new generation");
+        assert_eq!(rep.generation, 2, "the fold is a new generation");
+        assert_eq!(eng.generation(), 2);
         let idx = SccIndex::open(&e, &path).unwrap();
-        assert_eq!(idx.n_dag_edges(), 1, "post-compact DAG holds live edges only");
+        assert_eq!(idx.n_dag_edges(), 1, "the checkpoint holds live edges only");
         assert_eq!(eng.condensation_edges(), vec![CountedEdge::new(0, 4, 1)]);
+        assert_eq!(reader_view(&e, &path), engine_view(&eng));
 
-        // Idempotent: a second compact finds nothing to reclaim and leaves
-        // the generation alone.
-        let gen = eng.generation();
+        // Idempotent: with the tail folded, a second compact writes nothing
+        // and leaves the generation alone.
+        let before = e.stats().snapshot();
         let rep = eng.compact().unwrap();
-        assert_eq!(rep.dag_slots_reclaimed, 0);
-        assert_eq!(eng.generation(), gen);
+        assert_eq!(rep.generation, 2);
+        assert_eq!(e.stats().snapshot().since(&before).total_ios(), 0);
 
-        // With its tombstone gone, a re-added 0 -> 2 must append a fresh
-        // slot — and the engine must keep working across the reclamation.
+        // The engine keeps working across the checkpoint: a re-added 0 -> 2
+        // replays after a reopen and lands in the next checkpoint.
         eng.apply(&DeltaBatch::new().add(0, 2)).unwrap();
         assert_eq!(
             eng.condensation_edges(),
             vec![CountedEdge::new(0, 2, 1), CountedEdge::new(0, 4, 1)]
         );
+        let live = engine_view(&eng);
         drop(eng);
+        let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+        assert_eq!(engine_view(&eng), live);
+        eng.compact().unwrap();
         assert_eq!(SccIndex::open(&e, &path).unwrap().n_dag_edges(), 2);
+        assert_eq!(reader_view(&e, &path), engine_view(&eng));
     }
 
     #[test]
@@ -1761,10 +1797,17 @@ mod tests {
         assert_eq!(rep.dirty_marked, 1);
         assert_eq!(eng.n_dirty(), 1);
         assert_eq!(eng.dirty_components(), vec![0]);
-        // The stored labels are a coarsening until someone looks.
+        // The stored labels are a coarsening until someone looks. The dirty
+        // mark lives in the journal tail: the artifact is still the
+        // generation-0 checkpoint, and a reopened engine replays the mark.
         let idx = SccIndex::open(&e, &path).unwrap();
         assert_eq!(idx.n_sccs(), 2);
-        assert_eq!(idx.dirty_components().map(|r| r.unwrap()).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(reader_view(&e, &path), (0, vec![Edge::new(0, 3)], vec![]));
+        let live = engine_view(&eng);
+        assert_eq!(live, (1, vec![Edge::new(0, 3)], vec![0]));
+        drop(eng);
+        let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+        assert_eq!(engine_view(&eng), live);
 
         // First query on the dirty component re-verifies: 0->1->2 is now a
         // path, three singletons.
@@ -1793,6 +1836,7 @@ mod tests {
         let idx = SccIndex::open(&e, &path).unwrap();
         assert_eq!(idx.n_sccs(), 4);
         assert_eq!(idx.n_dirty(), 0);
+        assert_eq!(idx.generation(), 2, "the re-verification checkpoint");
     }
 
     #[test]
@@ -1877,6 +1921,161 @@ mod tests {
             assert!(idx.same_component(0, 2).unwrap());
         }
         assert!(faulted >= 3, "the sweep must actually hit mid-apply faults");
+    }
+
+    #[test]
+    fn a_reopened_engine_replays_a_long_journal_tail() {
+        // Eight 5-cycles; cross edges only run from a lower cycle to a
+        // higher one, so no insert can close a cycle and every batch
+        // commits to the journal alone.
+        let e = env();
+        let n = 40u64;
+        let mut current: Vec<(u32, u32)> = Vec::new();
+        for c in 0..8u32 {
+            for i in 0..5 {
+                current.push((5 * c + i, 5 * c + (i + 1) % 5));
+            }
+        }
+        current.extend([(4, 5), (9, 30), (12, 39)]);
+        let (g, path) = setup(&e, "replay", n, &current);
+        let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+        let mut x = 0x7e11u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut total = DeltaReport::default();
+        for step in 0..120 {
+            let batch = if step % 3 == 2 {
+                let (u, v) = current.swap_remove(next() as usize % current.len());
+                DeltaBatch::new().remove(u, v)
+            } else {
+                let (mut u, mut v) = ((next() % n) as u32, (next() % n) as u32);
+                if u / 5 > v / 5 {
+                    std::mem::swap(&mut u, &mut v);
+                }
+                current.push((u, v));
+                DeltaBatch::new().add(u, v)
+            };
+            let rep = eng.apply(&batch).unwrap();
+            assert_eq!(rep.merges, 0, "step {step}");
+            assert_eq!(rep.label_pages_rewritten, 0, "step {step}");
+            total.intra_added += rep.intra_added;
+            total.dag_appended += rep.dag_appended;
+            total.dag_reinforced += rep.dag_reinforced;
+            total.dag_weakened += rep.dag_weakened;
+            total.dag_dropped += rep.dag_dropped;
+            total.dirty_marked += rep.dirty_marked;
+        }
+        for (kind, count) in [
+            ("intra", total.intra_added),
+            ("append", total.dag_appended),
+            ("reinforce", total.dag_reinforced),
+            ("weaken", total.dag_weakened),
+            ("drop", total.dag_dropped),
+            ("dirty", total.dirty_marked),
+        ] {
+            assert!(count > 0, "the stream never took the {kind} path");
+        }
+        assert_eq!(eng.generation(), 120);
+        assert_eq!(SccIndex::open(&e, &path).unwrap().generation(), 0);
+
+        // Drop the engine and the sidecar's pager frames, then replay.
+        let state = |eng: &DeltaEngine<'_>| {
+            (
+                eng.generation(),
+                eng.condensation_edges(),
+                eng.dirty_components(),
+                eng.n_sccs(),
+                eng.n_journal(),
+            )
+        };
+        let live = state(&eng);
+        assert_eq!(live.4, 120);
+        drop(eng);
+        e.evict(&journal_path(&path));
+        let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+        assert_eq!(state(&eng), live);
+
+        // A compact folds the tail into a checkpoint a fresh reader agrees
+        // with, and the labels are exact.
+        eng.compact().unwrap();
+        assert_eq!(reader_view(&e, &path), engine_view(&eng));
+        assert_eq!(eng.labels_snapshot().unwrap(), scratch(n, &current));
+    }
+
+    #[test]
+    fn bytes_past_the_committed_journal_end_are_ignored_and_overwritten() {
+        // A 3-cycle {0,1,2} and isolated 3, 4. Deleting 2 -> 0 dirties the
+        // cycle; a stray `+2 0` past the committed end, if it were
+        // counted, would keep the cycle whole through re-verification.
+        let stray = journal_record(TAG_ADD, 2, 0);
+        for (case, extra) in [
+            "half a record",
+            "a batch without a commit record",
+            "a bad checksum",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let e = env();
+            let (g, path) = setup(&e, "torn", 5, &[(0, 1), (1, 2), (2, 0)]);
+            let jpath = journal_path(&path);
+            let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+            eng.apply(&DeltaBatch::new().remove(2, 0)).unwrap();
+            drop(eng);
+            let committed = std::fs::read(&jpath).unwrap();
+            let mut torn = committed.clone();
+            match case {
+                0 => torn.extend_from_slice(&stray[..6]),
+                1 => (0..3).for_each(|_| torn.extend_from_slice(&stray)),
+                _ => {
+                    torn.extend_from_slice(&stray);
+                    let mut fnv = Fnv::new();
+                    fnv.update(&torn);
+                    torn.extend_from_slice(&commit_record(fnv.finish() ^ 1));
+                }
+            }
+            std::fs::write(&jpath, &torn).unwrap();
+            e.evict(&jpath);
+
+            let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+            assert_eq!((eng.generation(), eng.n_journal()), (1, 1), "{extra}");
+            assert_eq!(eng.dirty_components(), vec![0], "{extra}");
+            // The next apply overwrites the stray bytes from the committed
+            // end on.
+            eng.apply(&DeltaBatch::new().add(3, 4)).unwrap();
+            let mut fnv = Fnv::new();
+            fnv.update(&committed);
+            let add = journal_record(TAG_ADD, 3, 4);
+            fnv.update(&add);
+            let on_disk = std::fs::read(&jpath).unwrap();
+            let end = committed.len();
+            assert_eq!(&on_disk[..end], &committed[..], "{extra}");
+            assert_eq!(&on_disk[end..end + 12], &add[..], "{extra}");
+            assert_eq!(
+                &on_disk[end + 12..end + 24],
+                &commit_record(fnv.finish())[..],
+                "{extra}"
+            );
+            drop(eng);
+            e.evict(&jpath);
+
+            let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+            assert_eq!((eng.generation(), eng.n_journal()), (2, 2), "{extra}");
+            assert_eq!(
+                eng.condensation_edges(),
+                vec![CountedEdge::new(3, 4, 1)],
+                "{extra}"
+            );
+            assert_eq!(
+                eng.labels_snapshot().unwrap(),
+                vec![0, 1, 2, 3, 4],
+                "{extra}: re-verification counted a stray edge"
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! many readers run concurrently. Both forms validate and answer through
 //! the same code, so they price every query identically.
 //!
-//! ## On-disk layout (version 3, all integers little-endian)
+//! ## On-disk layout (version 4, all integers little-endian)
 //!
 //! ```text
 //! page 0         header: magic "CESI", version, page size, counts,
@@ -49,10 +49,10 @@
 //! dag_off        condensation edges (src: u32, dst: u32, count: u32),
 //!                page-padded (absent when dag_off == 0); `count` is the
 //!                number of base-graph edge instances crossing the
-//!                component pair. Builds write the records sorted by
-//!                (src, dst); delta generations may append past the sorted
-//!                prefix and leave `count == 0` tombstones, both folded
-//!                back into sorted form by the next merge or compact
+//!                component pair. Records are sorted by (src, dst) and
+//!                every count is positive: builds write them so, and every
+//!                delta checkpoint rewrites the section from the live
+//!                condensation
 //! dirty_off      dirty component representatives (u32, ascending),
 //!                page-padded — components whose partition must be
 //!                re-verified by the delta engine before it is exact
@@ -69,25 +69,27 @@
 //! first *write-after-build* path, and two format properties make its
 //! localized updates possible:
 //!
-//! * **Generation counter** (header word 13). Every successful
-//!   [`delta::DeltaEngine::apply`](crate::delta::DeltaEngine::apply) or
-//!   `compact` writes a complete new artifact *file* — fork the current
-//!   one, patch the touched pages, bump the generation, atomically
-//!   `rename(2)` over the old path. Readers that opened generation `g`
-//!   keep their file descriptor to the old inode and never observe a torn
-//!   index; a crash mid-update leaves the previous generation at the path
-//!   untouched. [`SccIndexReader::generation`] exposes the counter.
+//! * **Generation counter** (header word 13). The delta engine commits
+//!   an update in one of two ways (see [`crate::delta`]): a batch that
+//!   merges nothing is committed by the journal sidecar alone, and a
+//!   merge, a re-verification or a `compact` writes a **checkpoint** — a
+//!   complete new artifact *file*, built from the kept prefix of the
+//!   current one with the touched pages patched, atomically `rename(2)`d
+//!   over the old path. Generations count commits of both kinds; a
+//!   checkpoint's header stores the generation it was written at. Readers
+//!   that opened generation `g` keep their file descriptor to the old
+//!   inode and never observe a torn index; a crash mid-update leaves the
+//!   previous checkpoint at the path untouched.
+//!   [`SccIndexReader::generation`] exposes the stored counter.
 //! * **Per-page checksums.** Every section is covered by the XOR over its
 //!   pages of `page_hash(page_index, page bytes)`, padding included
 //!   (header words `labels_xor`, `sizes_xor`, `dag_xor`, `dirty_xor`).
 //!   Patching one page updates its section's checksum in `O(1)` — XOR the
 //!   old page's hash out, the new page's hash in — instead of re-streaming
 //!   the section. This is what lets a component merge rewrite *only* the
-//!   label pages owning affected nodes, and keeps a metadata-only edge
-//!   insert (a DAG record reinforced, weakened, tombstoned at zero or
-//!   appended at the tail) at `O(1)` page writes. The size table and the
-//!   dirty section are rewritten wholesale when they change and fold each
-//!   page into their XOR as it is written.
+//!   label pages owning affected nodes. The size table, the DAG section
+//!   and the dirty section are rewritten wholesale by the checkpoints that
+//!   change them and fold each page into their XOR as it is written.
 //!
 //! Version 3 changes only the checksums. Version 2 hashed labels and DAG
 //! pages with FNV-1a one byte at a time and kept a running FNV-1a over the
@@ -111,14 +113,26 @@
 //! word (a giant component's label pages, zero padding) from collapsing
 //! onto a few hash values.
 //!
+//! Version 4 changes what the journal may hold, not the layout: its
+//! authenticated prefix can now contain commit records, which a version-3
+//! reader would replay as deletions.
+//!
 //! The header additionally records the length and running checksum of the
 //! **journal sidecar** (`<artifact>.dlog`, see [`crate::delta`]): the
-//! append-only log of delta operations since the build. The sidecar is
-//! *not* read by plain query handles — only the delta engine needs it (to
-//! reconstruct the current edge multiset when lazily re-verifying a dirty
-//! component) — and the header's `(n_journal, journal_fnv)` pair
-//! authenticates exactly the prefix belonging to this generation, so bytes
-//! a crashed update appended past it are ignored on reopen.
+//! append-only write-ahead log of delta operations since the build, in
+//! 12-byte records `(tag, u, v)`. Tag 0 inserts the edge `(u, v)`, tag 1
+//! deletes one instance of it, and tag 2 is a **commit record**: its two
+//! id words hold the running FNV-1a of every journal byte before it. The
+//! sidecar is *not* read by plain query handles — only the delta engine
+//! needs it (to replay journal-only commits at open and to reconstruct the
+//! current edge multiset when lazily re-verifying a dirty component). The
+//! header's `(n_journal, journal_fnv)` pair — `n_journal` counts records
+//! of every tag — authenticates the prefix the checkpoint folded in. Past
+//! it lies the **committed tail**: batches of operation records, each
+//! closed by a commit record whose checksum matches. The tail ends at the
+//! first record that is short, carries an unknown tag or fails its
+//! checksum, so bytes a crashed update appended past it are ignored on
+//! reopen.
 //!
 //! The header checksum (144 bytes) and the journal's resumable running
 //! checksum (12-byte appends) stay byte-wise FNV-1a. A flipped byte in the
@@ -135,9 +149,9 @@ use crate::types::{CountedEdge, Edge, NodeId, SccLabel};
 
 /// Magic bytes of the index format.
 const MAGIC: &[u8; 4] = b"CESI";
-/// Current format version (3: word-wise page checksums on every section;
-/// see the module docs for what changed relative to versions 1 and 2).
-const VERSION: u32 = 3;
+/// Current format version (4: journal commit records; see the module docs
+/// for what changed relative to versions 1–3).
+const VERSION: u32 = 4;
 /// Serialized header length in bytes (the rest of page 0 is zero padding).
 pub(crate) const HEADER_LEN: usize = 144;
 /// Bytes per entry of the component-size table.
@@ -764,7 +778,8 @@ impl SccIndexReader {
         self.hdr.dag_off != 0
     }
 
-    /// Number of condensation edges stored (0 when absent).
+    /// Number of condensation edges stored (0 when absent) — the last
+    /// checkpoint's; see [`SccIndexReader::condensation_edges`].
     pub fn n_dag_edges(&self) -> u64 {
         self.hdr.n_dag_edges
     }
@@ -774,16 +789,20 @@ impl SccIndexReader {
         self.hdr.page_size
     }
 
-    /// Index generation of the artifact this handle opened: 0 at build,
-    /// bumped by every delta engine update (see the module docs). Clones
-    /// keep serving this generation even after a delta update renames a
-    /// newer one over the path — swap in a freshly opened reader to
-    /// advance.
+    /// Index generation of the checkpoint this handle opened: 0 at build,
+    /// then the delta engine's generation when it wrote the checkpoint (see
+    /// the module docs). Journal-only commits since then advance the
+    /// engine's generation but not this one; their labels and sizes, and
+    /// so every query answer, are already current here. Clones keep
+    /// serving this checkpoint even after a delta update renames a newer
+    /// one over the path — swap in a freshly opened reader to advance.
     pub fn generation(&self) -> u64 {
         self.hdr.generation
     }
 
-    /// Number of dirty components awaiting delta-engine re-verification.
+    /// Number of dirty components awaiting delta-engine re-verification,
+    /// as of the last checkpoint (see
+    /// [`SccIndexReader::dirty_components`]).
     pub fn n_dirty(&self) -> u64 {
         self.hdr.n_dirty
     }
@@ -897,9 +916,13 @@ impl SccIndexReader {
     }
 
     /// Streams the stored condensation DAG edges (component representatives
-    /// as endpoints, multiplicities dropped). Empty when the artifact was
-    /// built without a DAG; check [`SccIndexReader::has_condensation`] to
-    /// distinguish.
+    /// as endpoints, multiplicities dropped), sorted by `(src, dst)`. Empty
+    /// when the artifact was built without a DAG; check
+    /// [`SccIndexReader::has_condensation`] to distinguish. After delta
+    /// updates this is the last checkpoint's DAG: journal-only commits
+    /// since then (DAG appends, reinforcements, weakenings, drops) show up
+    /// once the delta engine writes the next checkpoint — `compact` forces
+    /// one — and the engine's own `condensation_edges` is always live.
     pub fn condensation_edges(&self) -> DagEdgesIter<'_> {
         let h = &self.hdr;
         let total = if h.dag_off == 0 { 0 } else { h.n_dag_edges };
@@ -910,7 +933,9 @@ impl SccIndexReader {
 
     /// Streams the representatives of dirty components (ascending) — the
     /// components whose labels are a conservative coarsening until the
-    /// delta engine re-verifies them.
+    /// delta engine re-verifies them — as of the last checkpoint. Dirty
+    /// marks committed to the journal alone since then are reported by
+    /// the delta engine and land here at its next checkpoint.
     pub fn dirty_components(&self) -> DirtyIter<'_> {
         let h = &self.hdr;
         DirtyIter {
@@ -993,8 +1018,7 @@ impl Iterator for ComponentsIter<'_> {
     }
 }
 
-/// Iterator over stored condensation edges. Skips `count == 0` tombstones
-/// left by delta-engine deletions (cleaned up by the next merge/compact).
+/// Iterator over stored condensation edges.
 /// See [`SccIndexReader::condensation_edges`].
 pub struct DagEdgesIter<'a> {
     cursor: SectionCursor<'a>,
@@ -1004,20 +1028,13 @@ impl Iterator for DagEdgesIter<'_> {
     type Item = io::Result<Edge>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match self.cursor.next_record() {
-                Err(e) => return Some(Err(e)),
-                Ok(None) => return None,
-                Ok(Some(raw)) => {
-                    if u32::from_le_bytes(raw[8..12].try_into().unwrap()) == 0 {
-                        continue; // tombstone
-                    }
-                    return Some(Ok(Edge::new(
-                        NodeId::from_le_bytes(raw[0..4].try_into().unwrap()),
-                        NodeId::from_le_bytes(raw[4..8].try_into().unwrap()),
-                    )));
-                }
-            }
+        match self.cursor.next_record() {
+            Err(e) => Some(Err(e)),
+            Ok(None) => None,
+            Ok(Some(raw)) => Some(Ok(Edge::new(
+                NodeId::from_le_bytes(raw[0..4].try_into().unwrap()),
+                NodeId::from_le_bytes(raw[4..8].try_into().unwrap()),
+            ))),
         }
     }
 }
@@ -1614,24 +1631,27 @@ mod tests {
     }
 
     #[test]
-    fn version_2_headers_are_rejected_with_the_rebuild_message() {
+    fn version_2_and_3_headers_are_rejected_with_the_rebuild_message() {
         let build_env = env();
         let labels = sample_labels(&build_env);
-        let path = idx_path(&build_env, "v2");
-        SccIndex::build(&build_env, &path, &labels, 6, None).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // A well-formed version-2 header: its own checksum recomputed.
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let mut fnv = Fnv::new();
-        fnv.update(&bytes[..HEADER_LEN - 8]);
-        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&fnv.finish().to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = SccIndex::open(&env(), &path).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported index version 2"),
-            "{err}"
-        );
-        assert!(err.to_string().contains("rebuild"), "{err}");
+        for version in [2u32, 3] {
+            let path = idx_path(&build_env, &format!("v{version}"));
+            SccIndex::build(&build_env, &path, &labels, 6, None).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            // A well-formed older header: its own checksum recomputed.
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let mut fnv = Fnv::new();
+            fnv.update(&bytes[..HEADER_LEN - 8]);
+            bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&fnv.finish().to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = SccIndex::open(&env(), &path).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported index version {version}")),
+                "{err}"
+            );
+            assert!(err.to_string().contains("rebuild"), "{err}");
+        }
     }
 
     #[test]

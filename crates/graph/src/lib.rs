@@ -33,7 +33,7 @@
 //! * [`delta`] — [`delta::DeltaEngine`]: incremental maintenance of a stored
 //!   index under edge insertions/deletions (classification against the
 //!   condensation DAG, localized merges, lazy re-verification, crash-safe
-//!   generation swaps).
+//!   commits: a write-ahead journal with checkpoint artifacts).
 
 pub mod algo;
 pub mod delta;

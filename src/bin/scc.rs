@@ -55,10 +55,11 @@
 //!
 //! The `+U V` / `-U V` mutation ops are enabled by giving `scc serve` the
 //! base graph the index was built from (`--input graph.txt`): a single
-//! writer applies each mutation through the incremental delta engine
-//! ([`ce_graph::delta::DeltaEngine`]), materializes a new crash-safe index
-//! generation on disk, and the loop atomically swaps the shared reader
-//! handle — queries after the mutation line observe the new generation.
+//! writer commits each mutation crash-safely through the incremental delta
+//! engine ([`ce_graph::delta::DeltaEngine`]) — to the journal sidecar
+//! alone unless it merges components, which writes a new checkpoint
+//! artifact — and the loop atomically swaps the shared reader handle, so
+//! queries after the mutation line observe the mutation.
 //! Mutations serialize in line order; runs of queries between them still
 //! fan out across the worker threads. Without `--input`, mutation lines
 //! are answered with an inline `error:` line, like any other bad input.
@@ -67,8 +68,9 @@
 //! classifies `--add`/`--remove` pairs (or a `--deltas FILE` of `+U V` /
 //! `-U V` lines) against the stored condensation DAG and commits one new
 //! generation; `scc index compact` eagerly re-verifies every
-//! deletion-dirtied component. Both require an index built with the
-//! condensation DAG embedded (`scc index build --with-condensation`).
+//! deletion-dirtied component and folds the journal tail into a
+//! checkpoint. Both require an index built with the condensation DAG
+//! embedded (`scc index build --with-condensation`).
 //!
 //! `--queries K` serves a deterministic generated workload instead of
 //! stdin and reports throughput; `--self-test` builds a scratch index from
@@ -832,7 +834,7 @@ fn run_index_apply(args: &[String]) -> Result<ExitCode, String> {
 
 /// `scc index compact` — eagerly re-verify every deletion-dirtied
 /// component (the explicit form of the lazy re-verification queries
-/// perform).
+/// perform) and fold the journal tail into a checkpoint.
 fn run_index_compact(args: &[String]) -> Result<ExitCode, String> {
     let mut index: Option<PathBuf> = None;
     let mut input: Option<PathBuf> = None;
@@ -869,13 +871,12 @@ fn run_index_compact(args: &[String]) -> Result<ExitCode, String> {
         let r = eng.compact()?;
         println!(
             "compacted {}: generation {before} -> {}, {} of {dirty} dirty components \
-             re-verified into {} ({} nodes relabeled, {} tombstoned DAG slots reclaimed)",
+             re-verified into {} ({} nodes relabeled)",
             index.display(),
             r.generation,
             r.components_reverified,
             r.components_after,
-            r.relabeled_nodes,
-            r.dag_slots_reclaimed
+            r.relabeled_nodes
         );
         println!(
             "  index now: {} components ({} dirty), {} journal records",
@@ -994,9 +995,9 @@ fn answer_run(
 ///
 /// With a writer (`--input` gave the loop the base graph), `+U V` / `-U V`
 /// lines mutate the index: the writer classifies the edge through the
-/// delta engine, materializes a new crash-safe generation on disk, and the
-/// loop swaps the shared reader handle — every query after the mutation
-/// line observes the new generation. Mutations serialize in line order; a
+/// delta engine, commits a new crash-safe generation, and the loop swaps
+/// the shared reader handle — every query after the mutation line
+/// observes the mutation. Mutations serialize in line order; a
 /// failed mutation leaves the artifact at its current generation and is
 /// answered with an inline `error:` line. Returns (queries answered,
 /// mutations applied).
@@ -1005,7 +1006,7 @@ fn serve_stdin(
     idx: &mut SccIndexReader,
     threads: usize,
     cache_blocks: usize,
-    mut writer: Option<DeltaEngine<'_>>,
+    mut writer: Option<&mut DeltaEngine<'_>>,
 ) -> Result<(u64, u64), Box<dyn std::error::Error>> {
     const CHUNK: usize = 4096;
     // Larger than std's 8 KiB stdin buffer, so every fill reads the pipe
@@ -1308,7 +1309,7 @@ fn run_serve(args: &[String]) -> Result<ExitCode, String> {
                 // sniffed from the artifact so the delta engine's page
                 // patches line up with the stored geometry.
                 let writer_session;
-                let writer = match &input {
+                let mut writer = match &input {
                     Some(graph) => {
                         let s = open_maintenance_session(index, graph, mem)?;
                         writer_session = s;
@@ -1324,11 +1325,13 @@ fn run_serve(args: &[String]) -> Result<ExitCode, String> {
                     None => None,
                 };
                 let (served, mutated) =
-                    serve_stdin(index, &mut reader, threads, cache_blocks, writer)?;
-                if mutated > 0 {
+                    serve_stdin(index, &mut reader, threads, cache_blocks, writer.as_mut())?;
+                // The engine's generation: the reader's lags it after
+                // journal-only mutations.
+                if let Some(eng) = writer.as_ref().filter(|_| mutated > 0) {
                     eprintln!(
                         "applied {mutated} mutations; index at generation {}",
-                        reader.generation()
+                        eng.generation()
                     );
                 }
                 served

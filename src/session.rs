@@ -277,7 +277,7 @@ impl SccSession {
     }
 
     /// Applies one [`DeltaBatch`] of edge insertions/deletions to the
-    /// session's live index, materializing a new crash-safe generation.
+    /// session's live index, committing a new crash-safe generation.
     /// Convenience over [`SccSession::delta_engine`] — opens the engine,
     /// applies, drops it (per-batch validation cost; stream through
     /// [`SccSession::delta_engine`] to amortize).
@@ -286,7 +286,8 @@ impl SccSession {
     }
 
     /// Re-verifies every dirty component of the session's live index (the
-    /// explicit form of the lazy re-verification queries perform).
+    /// explicit form of the lazy re-verification queries perform) and
+    /// folds the journal tail into a checkpoint.
     pub fn compact_index(&self) -> io::Result<CompactReport> {
         self.delta_engine()?.compact()
     }

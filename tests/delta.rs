@@ -1,7 +1,7 @@
 //! Integration gates for incremental index maintenance: the session-level
 //! `apply_delta` / `compact_index` surface, the ce-harness delta-stream
-//! differential matrix, the O(1)-page cost pins, and a crash-safety smoke
-//! under injected I/O faults.
+//! differential matrix, the O(1)-page cost pins, and fault sweeps over a
+//! checkpointing and a journal-only apply under injected I/O faults.
 
 use contract_expand::prelude::*;
 
@@ -107,10 +107,10 @@ fn differential_matrix_200_steps_across_three_families() {
         assert!(row.ok(), "{row}");
         assert_eq!(row.steps, 200);
         assert!(row.adds > 0 && row.removes > 0, "{row}");
-        // Sublinear maintenance: non-merge steps never rewrite the label
-        // section (constant pages: journal + header + DAG/dirty).
+        // Sublinear maintenance: non-merge steps commit to the journal
+        // alone — one block for a single-edge batch and its commit record.
         assert!(
-            row.max_metadata_write_ios <= 8,
+            row.max_metadata_write_ios <= 1,
             "metadata step wrote {} pages: {row}",
             row.max_metadata_write_ios
         );
@@ -237,6 +237,25 @@ fn engine_state(eng: &DeltaEngine<'_>) -> (u64, Vec<CountedEdge>, Vec<NodeId>, u
     )
 }
 
+/// Four triangles A = {0,1,2}, B = {3,4,5}, C = {6,7,8}, D = {9,10,11},
+/// with A -> B (2 -> 3) and C -> D (8 -> 9).
+fn four_triangles() -> Vec<(u32, u32)> {
+    let mut edges = Vec::new();
+    for t in 0..4u32 {
+        let b = 3 * t;
+        edges.extend([(b, b + 1), (b + 1, b + 2), (b + 2, b)]);
+    }
+    edges.extend([(2, 3), (8, 9)]);
+    edges
+}
+
+/// The journal sidecar of the artifact at `path`.
+fn sidecar(path: &std::path::Path) -> std::path::PathBuf {
+    let mut name = path.file_name().unwrap().to_os_string();
+    name.push(".dlog");
+    path.with_file_name(name)
+}
+
 #[test]
 fn a_failed_apply_rolls_the_engine_back_exactly() {
     // Four triangles A = {0,1,2}, B = {3,4,5}, C = {6,7,8}, D = {9,10,11},
@@ -245,12 +264,7 @@ fn a_failed_apply_rolls_the_engine_back_exactly() {
     // reinforces it (1 -> 7), dirties the merged component (2 -> 3 is
     // intra-component by then) and drops C -> D (8 -> 9).
     let dir = scratch_dir("rollback");
-    let mut edges = Vec::new();
-    for t in 0..4u32 {
-        let b = 3 * t;
-        edges.extend([(b, b + 1), (b + 1, b + 2), (b + 2, b)]);
-    }
-    edges.extend([(2, 3), (8, 9)]);
+    let edges = four_triangles();
     let dirty_d = DeltaBatch::new().remove(9, 10);
     let batch = DeltaBatch::new()
         .add(5, 0)
@@ -279,6 +293,21 @@ fn a_failed_apply_rolls_the_engine_back_exactly() {
     );
     let want_state = engine_state(&eng);
     drop(eng);
+    // The merge wrote a checkpoint that folds in D's journal-only dirty
+    // mark: a fresh reader agrees with the engine.
+    let idx = SccIndex::open(reference.env(), &dir.join("ref.sccidx")).unwrap();
+    assert_eq!(idx.generation(), want_state.0);
+    let stored: Vec<Edge> = idx.condensation_edges().map(|e| e.unwrap()).collect();
+    let live: Vec<Edge> = want_state
+        .1
+        .iter()
+        .map(|e| Edge::new(e.src, e.dst))
+        .collect();
+    assert_eq!(stored, live);
+    let dirty: Vec<NodeId> = idx.dirty_components().map(|r| r.unwrap()).collect();
+    assert_eq!(dirty, want_state.2);
+    assert_eq!(dirty, vec![0, 9]);
+    drop(idx);
 
     // Fault after k physical transfers, for every k until the apply
     // succeeds.
@@ -329,5 +358,93 @@ fn a_failed_apply_rolls_the_engine_back_exactly() {
         faulted >= 3,
         "the sweep must hit mid-apply faults ({faulted})"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_journal_only_apply_leaves_nothing_a_later_open_can_see() {
+    // On the four triangles, a batch that appends A -> C (0 -> 6),
+    // reinforces it (1 -> 7), drops C -> D (8 -> 9) and dirties A
+    // (0 -> 1) merges nothing, so it commits to the journal alone.
+    let dir = scratch_dir("journal-fault");
+    let batch = DeltaBatch::new()
+        .add(0, 6)
+        .add(1, 7)
+        .remove(8, 9)
+        .remove(0, 1);
+
+    // The fault-free reference, on a fresh engine like every retry below.
+    let reference = session_over(&dir.join("ref.sccidx"), 12, four_triangles());
+    let mut eng = reference.delta_engine().unwrap();
+    let want = eng.apply(&batch).unwrap();
+    assert_eq!(
+        (
+            want.merges,
+            want.dag_appended,
+            want.dag_reinforced,
+            want.dag_dropped,
+            want.dirty_marked
+        ),
+        (0, 1, 1, 1, 1),
+        "{want:?}"
+    );
+    let want_state = engine_state(&eng);
+    drop(eng);
+
+    // Fault after k physical transfers, for every k until the apply
+    // succeeds. Evicting the sidecar drops its unflushed pager frames: the
+    // analogue of a crash.
+    let mut faulted = 0u64;
+    for k in 1u64.. {
+        assert!(k <= 1000, "the apply never outran the fault");
+        let path = dir.join(format!("k{k}.sccidx"));
+        let session = session_over(&path, 12, four_triangles());
+        let crash_reopen = || {
+            session.env().evict(&sidecar(&path));
+            session.delta_engine().unwrap()
+        };
+        let mut eng = session.delta_engine().unwrap();
+        let before = engine_state(&eng);
+
+        session.env().inject_fault_after(k);
+        let attempt = eng.apply(&batch);
+        session.env().clear_fault();
+        match attempt {
+            Ok(report) => {
+                assert_eq!(report, want, "k = {k}");
+                assert_eq!(engine_state(&eng), want_state, "k = {k}");
+                drop(eng);
+                // An acknowledged commit survives the crash analogue.
+                assert_eq!(engine_state(&crash_reopen()), want_state, "k = {k}");
+                break;
+            }
+            Err(err) => {
+                faulted += 1;
+                assert_ne!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "k = {k}: {err}"
+                );
+                assert_eq!(engine_state(&eng), before, "failed engine, k = {k}");
+                drop(eng);
+                let fresh = session.delta_engine().unwrap();
+                assert_eq!(engine_state(&fresh), before, "fresh engine, k = {k}");
+                drop(fresh);
+                let mut eng = crash_reopen();
+                assert_eq!(
+                    engine_state(&eng),
+                    before,
+                    "after the crash analogue, k = {k}"
+                );
+                assert_eq!(
+                    eng.apply(&batch).unwrap(),
+                    want,
+                    "retry after a fault at {k}"
+                );
+                assert_eq!(engine_state(&eng), want_state, "k = {k}");
+            }
+        }
+    }
+    assert!(faulted >= 1, "the sweep must hit the journal's write-back");
     std::fs::remove_dir_all(&dir).ok();
 }
