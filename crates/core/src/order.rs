@@ -26,8 +26,6 @@
 //! dictionary) uses [`sort_key`], so one definition keeps all comparisons
 //! consistent.
 
-use ce_graph::types::NodeDegrees;
-
 /// Which `>` operator to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderKind {
@@ -50,15 +48,6 @@ pub struct NodeKey {
 }
 
 impl NodeKey {
-    /// Builds a key from a degree-table record.
-    pub fn from_degrees(d: &NodeDegrees) -> NodeKey {
-        NodeKey {
-            deg: d.total(),
-            prod: d.product(),
-            id: d.node,
-        }
-    }
-
     /// Builds a key from raw fields (used when keys travel inside edge
     /// records).
     pub fn new(id: u32, deg_in: u32, deg_out: u32) -> NodeKey {

@@ -50,11 +50,6 @@ impl IoConfig {
         (self.mem_budget / self.block_size).saturating_sub(1).max(2)
     }
 
-    /// Number of bytes of records an in-memory sort run may hold.
-    pub fn sort_run_bytes(&self) -> usize {
-        self.mem_budget
-    }
-
     /// How many records of `record_size` bytes fit into the memory budget.
     pub fn records_in_memory(&self, record_size: usize) -> usize {
         (self.mem_budget / record_size.max(1)).max(1)

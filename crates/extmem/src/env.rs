@@ -9,7 +9,6 @@ use std::sync::Arc;
 use ce_pager::{BackendKind, Pager, PhysSnapshot};
 
 use crate::config::IoConfig;
-use crate::file::CountedFile;
 use crate::record::Record;
 use crate::stats::IoStats;
 use crate::stream::RecordWriter;
@@ -256,14 +255,6 @@ impl DiskEnv {
     /// environments, from the filesystem).
     pub(crate) fn remove_scratch(&self, path: &Path) {
         let _ = self.inner.pager.remove(path);
-    }
-
-    /// Creates a raw counted byte file on a fresh scratch path. Most callers
-    /// want the typed [`DiskEnv::writer`] instead; this is the low-level
-    /// surface used by page-level data structures and tests.
-    pub fn raw_file(&self, label: &str) -> io::Result<CountedFile> {
-        let path = self.fresh_path(label);
-        CountedFile::create(self, &path)
     }
 
     /// Opens a typed record writer on a fresh scratch file.

@@ -90,7 +90,7 @@ pub use join::{
 pub use record::Record;
 pub use shared::SharedFile;
 pub use sort::{
-    dedup_sorted, is_sorted_by_key, sort_by_key, sort_dedup_by_key, sort_dedup_streaming_by_key,
+    is_sorted_by_key, sort_by_key, sort_dedup_by_key, sort_dedup_streaming_by_key,
     sort_streaming_by_key, MergeStream, SortedRuns,
 };
 pub use sorted::{FileStream, Peeked, SortedSource, SortedStream, DEFAULT_BATCH};

@@ -543,24 +543,6 @@ where
 
 stream_is_source!(impl[T: Record, K: Ord, F: Fn(&T) -> K] MergeStream<T, K, F> => T);
 
-/// Removes consecutive records with equal keys from an already-sorted file.
-pub fn dedup_sorted<T, K, F>(
-    env: &DiskEnv,
-    input: &ExtFile<T>,
-    label: &str,
-    key: F,
-) -> io::Result<ExtFile<T>>
-where
-    T: Record,
-    K: PartialEq,
-    F: Fn(&T) -> K,
-{
-    input
-        .stream()?
-        .dedup_by_key(key)
-        .materialize(env, &format!("{label}-dedup"))
-}
-
 /// Checks that a file is sorted (non-decreasing) under `key`. Test helper.
 pub fn is_sorted_by_key<T, K, F>(input: &ExtFile<T>, key: F) -> io::Result<bool>
 where

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use ce_extmem::file::CountedFile;
 use ce_extmem::{
-    anti_join, anti_join_stream, dedup_sorted, is_sorted_by_key, left_lookup_join,
+    anti_join, anti_join_stream, is_sorted_by_key, left_lookup_join,
     left_lookup_join_stream, lookup_join, lookup_join_stream, merge_union, merge_union_stream,
     semi_join, semi_join_stream, sort_by_key, sort_dedup_by_key, sort_dedup_streaming_by_key,
     sort_streaming_by_key, BackendKind, DiskEnv, EnvOptions, IoConfig, SortedStream,
@@ -276,7 +276,14 @@ proptest! {
         items.sort_unstable();
         let env = tiny_env();
         let f = env.file_from_slice("a", &items).unwrap();
-        let got = dedup_sorted(&env, &f, "d", |&k| k).unwrap().read_all().unwrap();
+        let got = f
+            .stream()
+            .unwrap()
+            .dedup_by_key(|&k| k)
+            .materialize(&env, "d")
+            .unwrap()
+            .read_all()
+            .unwrap();
         let mut want = items.clone();
         want.dedup();
         prop_assert_eq!(got, want);

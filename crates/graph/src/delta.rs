@@ -69,16 +69,17 @@
 //!   whole commit: `O(1)` page writes, no artifact write.
 //! * **A merge, a re-verification or a [`DeltaEngine::compact`]** writes a
 //!   **checkpoint**. A merging batch's records are appended without a
-//!   commit record and synced; then the next artifact is written to a
-//!   temporary file. Only the bytes it keeps are copied from the live one —
-//!   the header page and the labels, plus the size table when it does not
-//!   change — the label pages owning affected nodes are patched through the
-//!   counted pager, and the size table, the DAG section (sorted and live,
-//!   from memory) and the dirty section are rewritten. Its header, written
-//!   last, authenticates the whole journal with `(n_journal, journal_fnv)`;
-//!   the file is synced and atomically renamed over the path. The new
-//!   header commits the merging batch's records and folds in every
-//!   journal-only commit since the previous checkpoint.
+//!   commit record and synced; then the index's checkpoint writer writes
+//!   the next artifact to a temporary file. Only the bytes it keeps are
+//!   copied from the live one — the header page and the labels, plus the
+//!   size table when it does not change — the label pages owning affected
+//!   nodes are patched through the counted pager, and the size table, the
+//!   DAG section (sorted and live, from memory) and the dirty section are
+//!   rewritten. Its header, written last, authenticates the whole journal
+//!   with `(n_journal, journal_fnv)`; the file is synced and atomically
+//!   renamed over the path. The new header commits the merging batch's
+//!   records and folds in every journal-only commit since the previous
+//!   checkpoint.
 //!
 //! [`DeltaEngine::open`] validates the header's journal prefix and then
 //! **replays** the committed tail: operation records gather into a batch
@@ -88,6 +89,19 @@
 //! tail ends at the first short record, unknown tag or checksum mismatch,
 //! or at the end of the file; bytes past it are ignored, and the next
 //! append overwrites them.
+//!
+//! ## Who owns which format
+//!
+//! This module owns the journal sidecar (`<artifact>.dlog`): 12-byte
+//! records `(tag, u, v)` of little-endian `u32`s. Tag 0 inserts the edge
+//! `(u, v)`, tag 1 deletes one instance of it, and tag 2 is a commit
+//! record, whose two id words hold the checksum above, low word first. A
+//! checkpoint's header authenticates a prefix of the journal with
+//! `(n_journal, journal_fnv)`, `n_journal` counting records of every tag.
+//! The artifact's bytes belong to [`crate::index`]: the engine hands its
+//! checkpoint writer a label mapping, the new size table when it changes,
+//! the live DAG and the dirty set, and reads the stored labels and DAG
+//! through the reader's streams.
 //!
 //! ## Crash safety and generations
 //!
@@ -129,19 +143,15 @@
 //! instance of a multi-edge at a time.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use ce_extmem::file::CountedFile;
-use ce_extmem::{DiskEnv, IoSnapshot, SharedFile};
+use ce_extmem::{DiskEnv, IoSnapshot};
 
 use crate::csr::CsrGraph;
 use crate::edgelist::EdgeListGraph;
-use crate::index::{
-    align_up, bad, journal_path, page_hash, read_exact_at, Fnv, Header, SccIndex, SccIndexReader,
-    DAG_ENTRY, JOURNAL_ENTRY, SIZE_ENTRY,
-};
+use crate::index::{bad, journal_path, Checkpoint, Fnv, SccIndex, SccIndexReader};
 use crate::tarjan::tarjan_scc;
 use crate::types::{CountedEdge, Edge, NodeId};
 
@@ -418,11 +428,10 @@ impl DagAdj {
 
     /// Live edges in `(src, dst)` order — the stored form of the DAG
     /// section.
-    fn live_sorted(&self) -> Vec<CountedEdge> {
+    fn live(&self) -> impl ExactSizeIterator<Item = CountedEdge> + '_ {
         self.counts
             .iter()
             .map(|(&(s, d), &c)| CountedEdge::new(s, d, c))
-            .collect()
     }
 }
 
@@ -468,16 +477,6 @@ impl Overlay {
     }
 }
 
-/// How the labels section changes in one checkpoint.
-enum LabelPatch {
-    /// No label changes.
-    None,
-    /// Merge: every stored label equal to a key maps to its value.
-    ByRep(HashMap<NodeId, NodeId>),
-    /// Re-verification: listed nodes get new labels.
-    ByNode(HashMap<NodeId, NodeId>),
-}
-
 /// What classifying one batch decided, besides its changes to the
 /// engine's DAG and the dirty set it was handed.
 struct Classified {
@@ -507,6 +506,9 @@ impl Drop for Txn<'_, '_> {
     }
 }
 
+/// Bytes per journal sidecar record.
+const JOURNAL_ENTRY: u64 = 12;
+
 /// One journal sidecar record: `(tag, u, v)` as three little-endian `u32`s.
 type JournalRecord = [u8; JOURNAL_ENTRY as usize];
 
@@ -525,8 +527,7 @@ fn journal_record(tag: u32, u: NodeId, v: NodeId) -> JournalRecord {
     rec
 }
 
-/// The three little-endian `u32` words of a 12-byte record: `(tag, u, v)`
-/// of a journal record, `(src, dst, count)` of a stored DAG edge.
+/// The `(tag, u, v)` words of a journal record.
 fn words(raw: &[u8]) -> (u32, u32, u32) {
     let word = |i: usize| u32::from_le_bytes(raw[4 * i..4 * i + 4].try_into().unwrap());
     (word(0), word(1), word(2))
@@ -617,74 +618,64 @@ impl<'a> DeltaEngine<'a> {
                  (`SccSession::condensation(true)` from the API)",
             ));
         }
-        let hdr = index.hdr;
+        let page = index.page_size();
         let block = env.config().block_size as u64;
-        if block != hdr.page_size {
+        if block != page {
             return Err(bad(&format!(
                 "environment block size {block} does not match the artifact's page \
-                 size {} — delta updates patch whole pages, so the geometries must \
-                 agree (sniff the page size first; `scc index apply` does)",
-                hdr.page_size
+                 size {page} — delta updates patch whole pages, so the geometries must \
+                 agree (sniff the page size first; `scc index apply` does)"
             )));
         }
-        if base.n_nodes() != hdr.n_nodes {
+        if base.n_nodes() != index.n_nodes() {
             return Err(bad(&format!(
                 "base graph covers {} nodes but the index covers {} — the delta \
                  engine needs the graph the index was built from",
                 base.n_nodes(),
-                hdr.n_nodes
+                index.n_nodes()
             )));
         }
 
         let mut dag = DagAdj::default();
-        let mut at = 0u64;
-        let mut chunk = vec![0u8; hdr.page_size as usize];
-        while at < hdr.n_dag_edges {
-            let take = (hdr.n_dag_edges - at).min(chunk.len() as u64 / DAG_ENTRY);
-            let bytes = (take * DAG_ENTRY) as usize;
-            let off = hdr.dag_off + at * DAG_ENTRY;
-            read_exact_at(&index.file, off, &mut chunk[..bytes], "dag section")?;
-            for raw in chunk[..bytes].chunks_exact(DAG_ENTRY as usize) {
-                let (s, d, c) = words(raw);
-                dag.add(s, d, c);
-            }
-            at += take;
+        for e in index.counted_dag_edges() {
+            let e = e?;
+            dag.add(e.src, e.dst, e.count);
         }
-
         let dirty = index.dirty_components().collect::<io::Result<BTreeSet<NodeId>>>()?;
 
         // Journal sidecar: open (create when this generation has no
         // entries), validate exactly the authenticated prefix, then read
         // the tail behind it.
+        let (n_prefix, prefix_fnv) = index.journal_prefix();
         let jpath = journal_path(path);
         let exists = std::fs::metadata(&jpath).is_ok();
         let mut journal = if exists {
             CountedFile::open_rw(env, &jpath)?
-        } else if hdr.n_journal == 0 {
+        } else if n_prefix == 0 {
             CountedFile::create_persistent(env, &jpath)?
         } else {
             return Err(bad(&format!(
-                "journal sidecar {} is missing but the header records {} entries",
-                jpath.display(),
-                hdr.n_journal
+                "journal sidecar {} is missing but the header records {n_prefix} entries",
+                jpath.display()
             )));
         };
-        let prefix_len = hdr.n_journal * JOURNAL_ENTRY;
-        let prefix = read_journal(&mut journal, 0, prefix_len, hdr.page_size)?;
+        let prefix_len = n_prefix * JOURNAL_ENTRY;
+        let prefix = read_journal(&mut journal, 0, prefix_len, page)?;
         if prefix.len() as u64 != prefix_len {
             return Err(bad("journal sidecar truncated below the header's prefix"));
         }
         let mut fnv = Fnv::new();
         fnv.update(&prefix);
-        if fnv.finish() != hdr.journal_fnv {
+        if fnv.finish() != prefix_fnv {
             return Err(bad("journal sidecar does not match the index header"));
         }
         let n_journal = prefix
             .chunks_exact(JOURNAL_ENTRY as usize)
             .filter(|raw| words(raw).0 != TAG_COMMIT)
             .count() as u64;
-        let tail = read_journal(&mut journal, prefix_len, u64::MAX, hdr.page_size)?;
+        let tail = read_journal(&mut journal, prefix_len, u64::MAX, page)?;
 
+        let generation = index.generation();
         let mut eng = DeltaEngine {
             env,
             base,
@@ -694,9 +685,9 @@ impl<'a> DeltaEngine<'a> {
             dirty,
             journal,
             journal_len: prefix_len,
-            journal_fnv: hdr.journal_fnv,
+            journal_fnv: prefix_fnv,
             n_journal,
-            generation: hdr.generation,
+            generation,
         };
         eng.replay(&tail)?;
         Ok(eng)
@@ -775,7 +766,7 @@ impl<'a> DeltaEngine<'a> {
 
     /// Live condensation edges, `(src, dst)` sorted, from memory (no I/O).
     pub fn condensation_edges(&self) -> Vec<CountedEdge> {
-        self.dag.live_sorted()
+        self.dag.live().collect()
     }
 
     /// Applies one batch: classifies every operation against the current
@@ -836,8 +827,9 @@ impl<'a> DeltaEngine<'a> {
                     None => sizes.push((rep, size)),
                 }
             }
+            let by_rep = |_, old| relabel.get(&old).copied().unwrap_or(old);
             report.label_pages_rewritten =
-                this.checkpoint(&journal, LabelPatch::ByRep(relabel), Some(sizes), dirty)?;
+                this.checkpoint(&journal, Some(&by_rep), Some(&sizes), dirty)?;
         }
         drop(sp);
         report.generation = this.generation;
@@ -1014,7 +1006,7 @@ impl<'a> DeltaEngine<'a> {
         }
         let before = self.env.stats().snapshot();
         let sp = ce_extmem::io_span!(self.env, "delta_compact", components = 0usize);
-        self.checkpoint(&[], LabelPatch::None, None, self.dirty.clone())?;
+        self.checkpoint(&[], None, None, self.dirty.clone())?;
         drop(sp);
         Ok(CompactReport {
             generation: self.generation,
@@ -1029,9 +1021,7 @@ impl<'a> DeltaEngine<'a> {
     pub fn labels_snapshot(&mut self) -> io::Result<Vec<NodeId>> {
         let dirty: Vec<NodeId> = self.dirty.iter().copied().collect();
         self.reverify(&dirty)?;
-        let mut labels = Vec::with_capacity(self.index.n_nodes() as usize);
-        self.scan_labels(|_, rep| labels.push(rep))?;
-        Ok(labels)
+        self.index.labels().collect()
     }
 
     /// Recomputes the SCCs of the listed dirty components' induced
@@ -1054,12 +1044,13 @@ impl<'a> DeltaEngine<'a> {
         // Members of the target components, with their stored labels.
         let mut members: Vec<NodeId> = Vec::new();
         let mut old_label: HashMap<NodeId, NodeId> = HashMap::new();
-        self.scan_labels(|node, rep| {
+        for (rep, node) in self.index.labels().zip(0..) {
+            let rep = rep?;
             if targets.contains(&rep) {
                 members.push(node);
                 old_label.insert(node, rep);
             }
-        })?;
+        }
         let member_set: HashSet<NodeId> = members.iter().copied().collect();
 
         // Current multiset of edges incident to the members:
@@ -1187,35 +1178,12 @@ impl<'a> DeltaEngine<'a> {
             relabeled_nodes: changed.len() as u64,
             ios: IoSnapshot::default(),
         };
-        this.checkpoint(&[], LabelPatch::ByNode(changed), Some(table), dirty)?;
+        let by_node = |node, old| changed.get(&node).copied().unwrap_or(old);
+        this.checkpoint(&[], Some(&by_node), Some(&table), dirty)?;
         drop(sp);
         report.generation = this.generation;
         report.ios = this.env.stats().snapshot().since(&before);
         Ok(report)
-    }
-
-    /// Streams every `(node, stored label)` pair sequentially.
-    fn scan_labels(&self, mut f: impl FnMut(NodeId, NodeId)) -> io::Result<()> {
-        let hdr = &self.index.hdr;
-        let page = hdr.page_size;
-        let per = page / 4;
-        let mut buf = vec![0u8; page as usize];
-        for p in 0..hdr.label_pages() {
-            let off = hdr.labels_off + p * page;
-            read_exact_at(&self.index.file, off, &mut buf, "labels section")?;
-            for slot in 0..per {
-                let node = p * per + slot;
-                if node >= hdr.n_nodes {
-                    break;
-                }
-                let at = (slot * 4) as usize;
-                f(
-                    node as NodeId,
-                    NodeId::from_le_bytes(buf[at..at + 4].try_into().unwrap()),
-                );
-            }
-        }
-        Ok(())
     }
 
     /// The journal-only commit: appends the batch's `records` and a commit
@@ -1244,17 +1212,18 @@ impl<'a> DeltaEngine<'a> {
     }
 
     /// The checkpoint commit: appends `records` without a commit record
-    /// (the new header commits them) and syncs them, writes the next
-    /// generation's artifact to a temporary file
-    /// ([`DeltaEngine::write_checkpoint`]) and atomically renames it over
-    /// the path. Only after the rename are the DAG's open transaction
-    /// committed and the new dirty set installed. Returns the number of
-    /// label pages rewritten.
+    /// (the new header commits them) and syncs them, has the index write
+    /// the next generation's artifact to a temporary file and atomically
+    /// renames it over the path. `relabel` maps `(node, stored label)` to
+    /// the node's new label (`None`: no label changes) and `sizes` is the
+    /// new size table (`None`: unchanged). Only after the rename are the
+    /// DAG's open transaction committed and the new dirty set installed.
+    /// Returns the number of label pages rewritten.
     fn checkpoint(
         &mut self,
         records: &[JournalRecord],
-        labels: LabelPatch,
-        sizes: Option<Vec<(NodeId, u64)>>,
+        relabel: Option<&dyn Fn(NodeId, NodeId) -> NodeId>,
+        sizes: Option<&[(NodeId, u64)]>,
         dirty: BTreeSet<NodeId>,
     ) -> io::Result<u64> {
         let bytes = records.concat();
@@ -1270,13 +1239,23 @@ impl<'a> DeltaEngine<'a> {
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default(),
         ));
+        let cp = Checkpoint {
+            relabel,
+            sizes,
+            dag: self.dag.live(),
+            dirty: dirty.iter().copied(),
+            generation,
+            n_journal: journal_len / JOURNAL_ENTRY,
+            journal_fnv: fnv.finish(),
+        };
         let written = self
-            .write_checkpoint(&tmp, labels, sizes, &dirty, journal_len, fnv.finish())
-            .and_then(|(hdr, pages)| {
+            .index
+            .write_checkpoint(self.env, &self.path, &tmp, cp)
+            .and_then(|written| {
                 std::fs::rename(&tmp, &self.path)?;
-                Ok((hdr, pages))
+                Ok(written)
             });
-        let (hdr, pages) = match written {
+        let written = match written {
             Ok(done) => done,
             Err(e) => {
                 self.env.evict(&tmp);
@@ -1293,17 +1272,14 @@ impl<'a> DeltaEngine<'a> {
         // name, trusting the header this commit just wrote.
         self.env.evict(&self.path);
         self.env.evict(&tmp);
-        self.index = SccIndexReader {
-            file: SharedFile::open_in(self.env, &self.path)?,
-            hdr,
-        };
+        self.index = written.open(self.env, &self.path)?;
         self.dag.commit();
         self.dirty = dirty;
         self.journal_len = journal_len;
         self.journal_fnv = fnv.finish();
         self.n_journal += records.len() as u64;
         self.generation = generation;
-        Ok(pages)
+        Ok(written.label_pages)
     }
 
     /// Writes `bytes` at the journal's committed end and syncs it. On
@@ -1337,147 +1313,8 @@ impl<'a> DeltaEngine<'a> {
         self.journal = CountedFile::open_rw(self.env, &jpath)?;
         Ok(())
     }
-
-    /// Writes the next generation to `tmp` and syncs it: returns its header
-    /// and the label-page write count. Copies from the live artifact only
-    /// the bytes the checkpoint keeps — the header page and the labels
-    /// (patched here), plus the size table when `sizes` is `None` — and
-    /// rewrites everything behind them; the header authenticates
-    /// `journal_len` bytes of journal with checksum `journal_fnv`.
-    fn write_checkpoint(
-        &self,
-        tmp: &Path,
-        labels: LabelPatch,
-        sizes: Option<Vec<(NodeId, u64)>>,
-        dirty: &BTreeSet<NodeId>,
-        journal_len: u64,
-        journal_fnv: u64,
-    ) -> io::Result<(Header, u64)> {
-        let hdr = self.index.hdr;
-        let page = hdr.page_size;
-        // An OS-level ranged copy (`copy_file_range` on Linux), not counted:
-        // a clone outside the I/O model.
-        let keep = if sizes.is_some() {
-            hdr.sizes_off
-        } else {
-            hdr.dag_off
-        };
-        io::copy(
-            &mut File::open(&self.path)?.take(keep),
-            &mut File::create(tmp)?,
-        )?;
-        let mut f = CountedFile::open_rw(self.env, tmp)?;
-
-        // Labels: sequential scan, write only pages whose bytes change.
-        let mut labels_xor = hdr.labels_xor;
-        let mut pages_rewritten = 0u64;
-        if !matches!(labels, LabelPatch::None) {
-            let per = page / 4;
-            let mut buf = vec![0u8; page as usize];
-            for p in 0..hdr.label_pages() {
-                let off = hdr.labels_off + p * page;
-                if f.read_at(off, &mut buf)? != buf.len() {
-                    return Err(bad("labels section truncated"));
-                }
-                let mut newbuf = buf.clone();
-                let mut changed = false;
-                for slot in 0..per {
-                    let node = p * per + slot;
-                    if node >= hdr.n_nodes {
-                        break;
-                    }
-                    let at = (slot * 4) as usize;
-                    let old = NodeId::from_le_bytes(newbuf[at..at + 4].try_into().unwrap());
-                    let new = match &labels {
-                        LabelPatch::ByRep(m) => m.get(&old),
-                        LabelPatch::ByNode(m) => m.get(&(node as NodeId)),
-                        LabelPatch::None => None,
-                    };
-                    if let Some(&nl) = new {
-                        if nl != old {
-                            newbuf[at..at + 4].copy_from_slice(&nl.to_le_bytes());
-                            changed = true;
-                        }
-                    }
-                }
-                if changed {
-                    f.write_at(off, &newbuf)?;
-                    labels_xor ^= page_hash(p, &buf) ^ page_hash(p, &newbuf);
-                    pages_rewritten += 1;
-                }
-            }
-        }
-
-        // Size table (full rewrite when present).
-        let (n_sccs, sizes_xor, dag_off) = match &sizes {
-            Some(entries) => {
-                let mut out: Vec<u8> = Vec::with_capacity(entries.len() * SIZE_ENTRY as usize);
-                for &(rep, size) in entries {
-                    let mut rec = [0u8; SIZE_ENTRY as usize];
-                    rec[0..4].copy_from_slice(&rep.to_le_bytes());
-                    rec[8..16].copy_from_slice(&size.to_le_bytes());
-                    out.extend_from_slice(&rec);
-                }
-                let xor = write_padded(&mut f, hdr.sizes_off, page, &out)?;
-                let n = entries.len() as u64;
-                (n, xor, align_up(hdr.sizes_off + SIZE_ENTRY * n, page))
-            }
-            None => (hdr.n_sccs, hdr.sizes_xor, hdr.dag_off),
-        };
-
-        // DAG section: the live edges, sorted.
-        let mut out: Vec<u8> = Vec::with_capacity(self.dag.counts.len() * DAG_ENTRY as usize);
-        for (&(s, d), &c) in &self.dag.counts {
-            for w in [s, d, c] {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        let dag_xor = write_padded(&mut f, dag_off, page, &out)?;
-        let n_dag_edges = self.dag.counts.len() as u64;
-
-        // Dirty section.
-        let dirty_off = align_up(dag_off + DAG_ENTRY * n_dag_edges, page);
-        let out: Vec<u8> = dirty.iter().flat_map(|r| r.to_le_bytes()).collect();
-        let dirty_xor = write_padded(&mut f, dirty_off, page, &out)?;
-
-        let new_hdr = Header {
-            page_size: page,
-            n_nodes: hdr.n_nodes,
-            n_sccs,
-            labels_off: hdr.labels_off,
-            sizes_off: hdr.sizes_off,
-            dag_off,
-            n_dag_edges,
-            labels_xor,
-            sizes_xor,
-            dag_xor,
-            dirty_off,
-            n_dirty: dirty.len() as u64,
-            dirty_xor,
-            generation: self.generation + 1,
-            n_journal: journal_len / JOURNAL_ENTRY,
-            journal_fnv,
-        };
-        f.write_at(0, &new_hdr.encode())?;
-        f.sync()?;
-        Ok((new_hdr, pages_rewritten))
-    }
 }
 
-/// Writes `bytes` at `off` padded to whole pages and returns the XOR of
-/// the pages' hashes — the section checksum. Writes nothing (not even a
-/// padding page) when `bytes` is empty.
-fn write_padded(f: &mut CountedFile, off: u64, page: u64, bytes: &[u8]) -> io::Result<u64> {
-    let mut xor = 0u64;
-    let mut buf = vec![0u8; page as usize];
-    for (p, chunk) in (0u64..).zip(bytes.chunks(page as usize)) {
-        buf[..chunk.len()].copy_from_slice(chunk);
-        buf[chunk.len()..].fill(0);
-        f.write_at(off + p * page, &buf)?;
-        xor ^= page_hash(p, &buf);
-    }
-    Ok(xor)
-}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -61,6 +61,18 @@
 //! The page size is the building environment's block size, so sections are
 //! block-aligned for the device that wrote them.
 //!
+//! ## One codec
+//!
+//! This module owns every byte of the artifact: the section offsets (one
+//! function places them for the build, the checkpoint writer and the open
+//! check), one encoder and decoder per section record (shared by the
+//! section writer and the section cursor), the page hash and the header.
+//! [`SccIndex::build`] and the crate-private checkpoint writer that the
+//! delta engine ([`crate::delta`]) calls write through the same section
+//! writer and header assembly. The engine decides what a checkpoint holds
+//! and when; it reads the artifact through the reader's streams. The
+//! journal sidecar is the engine's format.
+//!
 //! ## Generations and page checksums
 //!
 //! Version 1 was write-once: one monolithic payload checksum over every
@@ -117,29 +129,20 @@
 //! authenticated prefix can now contain commit records, which a version-3
 //! reader would replay as deletions.
 //!
-//! The header additionally records the length and running checksum of the
-//! **journal sidecar** (`<artifact>.dlog`, see [`crate::delta`]): the
-//! append-only write-ahead log of delta operations since the build, in
-//! 12-byte records `(tag, u, v)`. Tag 0 inserts the edge `(u, v)`, tag 1
-//! deletes one instance of it, and tag 2 is a **commit record**: its two
-//! id words hold the running FNV-1a of every journal byte before it. The
-//! sidecar is *not* read by plain query handles — only the delta engine
-//! needs it (to replay journal-only commits at open and to reconstruct the
-//! current edge multiset when lazily re-verifying a dirty component). The
-//! header's `(n_journal, journal_fnv)` pair — `n_journal` counts records
-//! of every tag — authenticates the prefix the checkpoint folded in. Past
-//! it lies the **committed tail**: batches of operation records, each
-//! closed by a commit record whose checksum matches. The tail ends at the
-//! first record that is short, carries an unknown tag or fails its
-//! checksum, so bytes a crashed update appended past it are ignored on
-//! reopen.
+//! The header also records `(n_journal, journal_fnv)`: how many records of
+//! the **journal sidecar** (`<artifact>.dlog`) the checkpoint folded in,
+//! and the running FNV-1a of their bytes. The sidecar is the delta engine's
+//! write-ahead log; its records and the committed tail past this prefix
+//! are [`crate::delta`]'s format, and plain query handles never read it.
 //!
 //! The header checksum (144 bytes) and the journal's resumable running
-//! checksum (12-byte appends) stay byte-wise FNV-1a. A flipped byte in the
-//! header or in any page of any section is rejected at [`SccIndex::open`]
-//! with a checksum or geometry error instead of producing garbage.
+//! checksum stay byte-wise FNV-1a. A flipped byte in the header or in any
+//! page of any section is rejected at [`SccIndex::open`] with a checksum or
+//! geometry error instead of producing garbage.
 
-use std::io;
+use std::io::{self, Read as _};
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ce_extmem::file::CountedFile;
@@ -153,15 +156,13 @@ const MAGIC: &[u8; 4] = b"CESI";
 /// for what changed relative to versions 1–3).
 const VERSION: u32 = 4;
 /// Serialized header length in bytes (the rest of page 0 is zero padding).
-pub(crate) const HEADER_LEN: usize = 144;
+const HEADER_LEN: usize = 144;
 /// Bytes per entry of the component-size table.
-pub(crate) const SIZE_ENTRY: u64 = 16;
+const SIZE_ENTRY: u64 = 16;
 /// Bytes per stored condensation edge (src, dst, count).
-pub(crate) const DAG_ENTRY: u64 = 12;
+const DAG_ENTRY: u64 = 12;
 /// Bytes per dirty-component entry (one representative id).
-pub(crate) const DIRTY_ENTRY: u64 = 4;
-/// Bytes per journal sidecar record (tag, src, dst).
-pub(crate) const JOURNAL_ENTRY: u64 = 12;
+const DIRTY_ENTRY: u64 = 4;
 /// Geometry sanity bounds enforced at open (see [`open_checked`]).
 const MAX_PAGE: u64 = 1 << 31;
 const MAX_NODES: u64 = (u32::MAX as u64) + 1;
@@ -230,7 +231,7 @@ fn page_fold(h: u64, v: u64) -> u64 {
 /// result. A section's checksum is the XOR of these over its pages, so
 /// patching one page is an `O(1)` checksum update and pages cannot be
 /// swapped undetected. See the module docs for why four lanes.
-pub(crate) fn page_hash(page_idx: u64, bytes: &[u8]) -> u64 {
+fn page_hash(page_idx: u64, bytes: &[u8]) -> u64 {
     let s = page_idx;
     let mut lanes = [
         s.wrapping_add(PAGE_P1).wrapping_add(PAGE_P2),
@@ -260,28 +261,28 @@ pub(crate) fn journal_path(path: &Path) -> PathBuf {
 }
 
 /// Parsed header of an open index.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Header {
-    pub(crate) page_size: u64,
-    pub(crate) n_nodes: u64,
-    pub(crate) n_sccs: u64,
-    pub(crate) labels_off: u64,
-    pub(crate) sizes_off: u64,
-    pub(crate) dag_off: u64,
-    pub(crate) n_dag_edges: u64,
-    pub(crate) labels_xor: u64,
-    pub(crate) sizes_xor: u64,
-    pub(crate) dag_xor: u64,
-    pub(crate) dirty_off: u64,
-    pub(crate) n_dirty: u64,
-    pub(crate) dirty_xor: u64,
-    pub(crate) generation: u64,
-    pub(crate) n_journal: u64,
-    pub(crate) journal_fnv: u64,
+#[derive(Debug, Clone, Copy, Default)]
+struct Header {
+    page_size: u64,
+    n_nodes: u64,
+    n_sccs: u64,
+    labels_off: u64,
+    sizes_off: u64,
+    dag_off: u64,
+    n_dag_edges: u64,
+    labels_xor: u64,
+    sizes_xor: u64,
+    dag_xor: u64,
+    dirty_off: u64,
+    n_dirty: u64,
+    dirty_xor: u64,
+    generation: u64,
+    n_journal: u64,
+    journal_fnv: u64,
 }
 
 impl Header {
-    pub(crate) fn encode(&self) -> [u8; HEADER_LEN] {
+    fn encode(&self) -> [u8; HEADER_LEN] {
         let mut buf = [0u8; HEADER_LEN];
         buf[0..4].copy_from_slice(MAGIC);
         buf[4..8].copy_from_slice(&VERSION.to_le_bytes());
@@ -314,7 +315,7 @@ impl Header {
         buf
     }
 
-    pub(crate) fn decode(buf: &[u8; HEADER_LEN]) -> io::Result<Header> {
+    fn decode(buf: &[u8; HEADER_LEN]) -> io::Result<Header> {
         if &buf[0..4] != MAGIC {
             return Err(bad("not an SCC index (bad magic)"));
         }
@@ -352,14 +353,16 @@ impl Header {
         })
     }
 
-    /// Total file length implied by the header (every section page-padded).
-    pub(crate) fn file_len(&self) -> u64 {
-        align_up(self.dirty_off + DIRTY_ENTRY * self.n_dirty, self.page_size)
+    /// Where this header's counts place the sections (an artifact has a DAG
+    /// section exactly when `dag_off != 0`).
+    fn layout(&self) -> Layout {
+        let n_dag_edges = (self.dag_off != 0).then_some(self.n_dag_edges);
+        layout(self.page_size, self.n_nodes, self.n_sccs, n_dag_edges, self.n_dirty)
     }
 
-    /// Number of pages in the labels section.
-    pub(crate) fn label_pages(&self) -> u64 {
-        (self.sizes_off - self.labels_off) / self.page_size
+    /// Total file length implied by the header (every section page-padded).
+    fn file_len(&self) -> u64 {
+        self.layout().dirty.end
     }
 }
 
@@ -367,78 +370,173 @@ pub(crate) fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("scc index: {msg}"))
 }
 
-pub(crate) fn align_up(v: u64, page: u64) -> u64 {
+fn align_up(v: u64, page: u64) -> u64 {
     v.div_ceil(page) * page
 }
 
-/// What [`SectionWriter::finish`] hands back: the offset just past the
-/// padded section and the XOR of its per-page hashes (padding included).
-struct SectionDigest {
-    end: u64,
-    xor: u64,
+/// The page-padded byte range of each section. An absent DAG section is
+/// the empty range `0..0`.
+struct Layout {
+    labels: Range<u64>,
+    sizes: Range<u64>,
+    dag: Range<u64>,
+    dirty: Range<u64>,
 }
 
-/// Section writer: buffers records into page-sized chunks, writes them
-/// sequentially through the [`CountedFile`], and folds each page's hash
-/// into the section checksum.
-struct SectionWriter<'a> {
-    file: &'a mut CountedFile,
-    page: usize,
+/// Places the sections of an artifact with these counts: each starts on
+/// the first page boundary past the header or the section before it, so an
+/// offset depends only on the counts before it. `n_dag_edges` is `None`
+/// for an artifact without the DAG section. The one computation of section
+/// offsets: the build, the checkpoint writer and [`open_checked`] all call
+/// it.
+fn layout(page: u64, n_nodes: u64, n_sccs: u64, n_dag_edges: Option<u64>, n_dirty: u64) -> Layout {
+    let section = |start: u64, bytes: u64| start..align_up(start + bytes, page);
+    let labels = section(align_up(HEADER_LEN as u64, page), 4 * n_nodes);
+    let sizes = section(labels.end, SIZE_ENTRY * n_sccs);
+    let dag = n_dag_edges.map_or(0..0, |n| section(sizes.end, DAG_ENTRY * n));
+    // An absent DAG section takes no space.
+    let dirty = section(dag.end.max(sizes.end), DIRTY_ENTRY * n_dirty);
+    Layout {
+        labels,
+        sizes,
+        dag,
+        dirty,
+    }
+}
+
+/// One fixed-size record of a section: its one little-endian encoder and
+/// decoder, shared by [`write_section`] and [`SectionCursor`].
+trait SectionRecord: Sized {
+    /// Encoded length in bytes.
+    const LEN: usize;
+    /// Encodes into `out`, which is exactly [`SectionRecord::LEN`] bytes.
+    fn encode(&self, out: &mut [u8]);
+    /// Decodes `raw`, which is exactly [`SectionRecord::LEN`] bytes.
+    fn decode(raw: &[u8]) -> Self;
+}
+
+/// A label (the representative of one node) or a dirty representative.
+impl SectionRecord for NodeId {
+    const LEN: usize = DIRTY_ENTRY as usize;
+
+    fn encode(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
+
+    fn decode(raw: &[u8]) -> NodeId {
+        NodeId::from_le_bytes(raw.try_into().unwrap())
+    }
+}
+
+/// A size-table entry: representative, four zero bytes, component size.
+impl SectionRecord for (NodeId, u64) {
+    const LEN: usize = SIZE_ENTRY as usize;
+
+    fn encode(&self, out: &mut [u8]) {
+        out[0..4].copy_from_slice(&self.0.to_le_bytes());
+        out[4..8].fill(0);
+        out[8..16].copy_from_slice(&self.1.to_le_bytes());
+    }
+
+    fn decode(raw: &[u8]) -> (NodeId, u64) {
+        (
+            NodeId::from_le_bytes(raw[0..4].try_into().unwrap()),
+            u64::from_le_bytes(raw[8..16].try_into().unwrap()),
+        )
+    }
+}
+
+/// A condensation edge: source, destination and multiplicity.
+impl SectionRecord for CountedEdge {
+    const LEN: usize = DAG_ENTRY as usize;
+
+    fn encode(&self, out: &mut [u8]) {
+        out[0..4].copy_from_slice(&self.src.to_le_bytes());
+        out[4..8].copy_from_slice(&self.dst.to_le_bytes());
+        out[8..12].copy_from_slice(&self.count.to_le_bytes());
+    }
+
+    fn decode(raw: &[u8]) -> CountedEdge {
+        let word = |i: usize| u32::from_le_bytes(raw[4 * i..4 * i + 4].try_into().unwrap());
+        CountedEdge::new(word(0), word(1), word(2))
+    }
+}
+
+/// The section writer of the build and the checkpoint alike: writes
+/// `records` as one section from `start`, a page at a time through the
+/// counted file with the last page zero-padded (an empty section writes
+/// nothing), and folds every page's hash into the section checksum.
+/// Returns the record count and the checksum.
+fn write_section<R: SectionRecord>(
+    file: &mut CountedFile,
+    page: u64,
     start: u64,
-    at: u64,
-    buf: Vec<u8>,
-    xor: u64,
+    records: impl Iterator<Item = io::Result<R>>,
+) -> io::Result<(u64, u64)> {
+    let (mut count, mut xor, mut at) = (0u64, 0u64, start);
+    let mut flush = |bytes: &[u8]| -> io::Result<()> {
+        file.write_at(at, bytes)?;
+        xor ^= page_hash((at - start) / page, bytes);
+        at += page;
+        Ok(())
+    };
+    let len = page as usize;
+    let mut buf = Vec::with_capacity(len + R::LEN);
+    for record in records {
+        let end = buf.len();
+        buf.resize(end + R::LEN, 0);
+        record?.encode(&mut buf[end..]);
+        count += 1;
+        while buf.len() >= len {
+            flush(&buf[..len])?;
+            buf.drain(..len);
+        }
+    }
+    if !buf.is_empty() {
+        buf.resize(len, 0);
+        flush(&buf)?;
+    }
+    Ok((count, xor))
 }
 
-impl<'a> SectionWriter<'a> {
-    fn new(file: &'a mut CountedFile, page: usize, start: u64) -> Self {
-        SectionWriter {
-            file,
-            page,
-            start,
-            at: start,
-            buf: Vec::with_capacity(page),
-            xor: 0,
-        }
+/// The common tail of [`SccIndex::build`] and
+/// [`SccIndexReader::write_checkpoint`]: writes the size table (unless
+/// `sizes` is `None`, when `hdr` already holds the kept table's count and
+/// checksum), the DAG section (when given) and the dirty section where
+/// [`layout`] places them, then `hdr` at offset 0, pads the file to the
+/// length the header implies and syncs it.
+fn write_tail(
+    file: &mut CountedFile,
+    mut hdr: Header,
+    sizes: Option<impl Iterator<Item = io::Result<(NodeId, u64)>>>,
+    dag: Option<impl ExactSizeIterator<Item = io::Result<CountedEdge>>>,
+    dirty: impl ExactSizeIterator<Item = NodeId>,
+) -> io::Result<Header> {
+    let page = hdr.page_size;
+    if let Some(sizes) = sizes {
+        (hdr.n_sccs, hdr.sizes_xor) = write_section(file, page, hdr.sizes_off, sizes)?;
     }
-
-    fn push(&mut self, bytes: &[u8]) -> io::Result<()> {
-        debug_assert!(bytes.len() <= self.page, "records never span two flushes");
-        self.buf.extend_from_slice(bytes);
-        while self.buf.len() >= self.page {
-            let page_idx = (self.at - self.start) / self.page as u64;
-            self.file.write_at(self.at, &self.buf[..self.page])?;
-            self.xor ^= page_hash(page_idx, &self.buf[..self.page]);
-            self.at += self.page as u64;
-            self.buf.drain(..self.page);
-        }
-        Ok(())
+    let n_dag_edges = dag.as_ref().map(|d| d.len() as u64);
+    let at = layout(page, hdr.n_nodes, hdr.n_sccs, n_dag_edges, dirty.len() as u64);
+    (hdr.dag_off, hdr.dirty_off) = (at.dag.start, at.dirty.start);
+    if let Some(dag) = dag {
+        (hdr.n_dag_edges, hdr.dag_xor) = write_section(file, page, at.dag.start, dag)?;
     }
-
-    /// Pads the tail to a page boundary and flushes it.
-    fn finish(mut self) -> io::Result<SectionDigest> {
-        if !self.buf.is_empty() {
-            self.buf.resize(self.page, 0);
-            let page_idx = (self.at - self.start) / self.page as u64;
-            self.file.write_at(self.at, &self.buf)?;
-            self.xor ^= page_hash(page_idx, &self.buf);
-            self.at += self.page as u64;
-        }
-        Ok(SectionDigest {
-            end: self.at,
-            xor: self.xor,
-        })
+    (hdr.n_dirty, hdr.dirty_xor) = write_section(file, page, at.dirty.start, dirty.map(Ok))?;
+    file.write_at(0, &hdr.encode())?;
+    // An all-empty payload leaves the file shorter than the padded header
+    // page; extend so the length always matches the header.
+    let have = file.len_bytes()?;
+    if have < at.dirty.end {
+        file.write_at(have, &vec![0u8; (at.dirty.end - have) as usize])?;
     }
+    file.sync()?;
+    Ok(hdr)
 }
 
 /// Reads exactly `buf.len()` bytes at `offset` or fails with a truncation
 /// error naming `what`.
-pub(crate) fn read_exact_at(
-    file: &SharedFile,
-    offset: u64,
-    buf: &mut [u8],
-    what: &str,
-) -> io::Result<()> {
+fn read_exact_at(file: &SharedFile, offset: u64, buf: &mut [u8], what: &str) -> io::Result<()> {
     if file.read_at(offset, buf)? != buf.len() {
         return Err(bad(&format!("{what} truncated")));
     }
@@ -469,22 +567,14 @@ fn open_checked(file: SharedFile) -> io::Result<SccIndexReader> {
     {
         return Err(bad("implausible header geometry"));
     }
-    let sizes_end = hdr.sizes_off + SIZE_ENTRY * hdr.n_sccs;
-    let dag_end = hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges;
-    let dirty_expect = if hdr.dag_off != 0 {
-        align_up(dag_end, page)
-    } else {
-        align_up(sizes_end, page)
-    };
-    if hdr.labels_off != align_up(HEADER_LEN as u64, page)
-        || hdr.sizes_off != align_up(hdr.labels_off + 4 * hdr.n_nodes, page)
+    let at = hdr.layout();
+    if [hdr.labels_off, hdr.sizes_off, hdr.dag_off, hdr.dirty_off]
+        != [at.labels.start, at.sizes.start, at.dag.start, at.dirty.start]
         || (hdr.dag_off == 0 && hdr.n_dag_edges != 0)
-        || (hdr.dag_off != 0 && hdr.dag_off != align_up(sizes_end, page))
-        || hdr.dirty_off != dirty_expect
     {
         return Err(bad("inconsistent section geometry"));
     }
-    let want_len = hdr.file_len();
+    let want_len = at.dirty.end;
     if file.len_bytes() != want_len {
         return Err(bad(&format!(
             "file is {} bytes, header implies {want_len}",
@@ -495,18 +585,16 @@ fn open_checked(file: SharedFile) -> io::Result<SccIndexReader> {
     // included (an absent DAG section is empty). The labels go last, so a
     // reader's fresh pool ends up holding label pages — the pages its
     // first queries read.
-    let dirty_end = hdr.dirty_off + DIRTY_ENTRY * hdr.n_dirty;
-    let labels_end = hdr.labels_off + 4 * hdr.n_nodes;
     let mut chunk = vec![0u8; page as usize];
-    for (start, end, want, what) in [
-        (hdr.sizes_off, sizes_end, hdr.sizes_xor, "size table"),
-        (hdr.dag_off, dag_end, hdr.dag_xor, "dag section"),
-        (hdr.dirty_off, dirty_end, hdr.dirty_xor, "dirty section"),
-        (hdr.labels_off, labels_end, hdr.labels_xor, "labels section"),
+    for (range, want, what) in [
+        (at.sizes, hdr.sizes_xor, "size table"),
+        (at.dag, hdr.dag_xor, "dag section"),
+        (at.dirty, hdr.dirty_xor, "dirty section"),
+        (at.labels, hdr.labels_xor, "labels section"),
     ] {
         let mut xor = 0u64;
-        for p in 0..(align_up(end, page) - start) / page {
-            read_exact_at(&file, start + p * page, &mut chunk, what)?;
+        for p in 0..(range.end - range.start) / page {
+            read_exact_at(&file, range.start + p * page, &mut chunk, what)?;
             xor ^= page_hash(p, &chunk);
         }
         if xor != want {
@@ -539,7 +627,6 @@ fn label_page(hdr: &Header, u: NodeId) -> u64 {
 pub fn sniff_page_size(path: &Path) -> io::Result<u64> {
     let mut raw = [0u8; HEADER_LEN];
     {
-        use std::io::Read as _;
         let mut f = std::fs::File::open(path)?;
         let mut done = 0;
         while done < HEADER_LEN {
@@ -595,104 +682,70 @@ impl SccIndex {
         let _sp = ce_extmem::io_span!(env, "index_build", nodes = n_nodes);
         let page = env.config().block_size as u64;
         let mut file = CountedFile::create_persistent(env, path)?;
+        // The labels and the size table start where they do whatever the
+        // counts behind them turn out to be.
+        let head = layout(page, n_nodes, 0, None, 0);
 
         // Section 1: node -> representative, u32 per node in node order.
         // (Page-aligned; multiple header pages when the block size is
         // smaller than the header.)
-        let labels_off = align_up(HEADER_LEN as u64, page);
-        let mut w = SectionWriter::new(&mut file, page as usize, labels_off);
         let mut r = labels.reader()?;
-        let mut expected = 0u64;
-        while let Some(l) = r.next()? {
-            if l.node as u64 != expected {
-                return Err(bad(&format!("label file not dense/sorted at node {}", l.node)));
-            }
-            w.push(&l.scc.to_le_bytes())?;
-            expected += 1;
-        }
-        let labels_digest = w.finish()?;
-        let sizes_off = labels_digest.end;
+        let reps = (0..n_nodes).map(|u| match r.next()? {
+            Some(l) if l.node as u64 == u => Ok(l.scc),
+            l => Err(bad(&format!(
+                "label file not dense/sorted at node {}",
+                l.map_or(u, |l| l.node as u64)
+            ))),
+        });
+        let (_, labels_xor) = write_section(&mut file, page, head.labels.start, reps)?;
 
         // Section 2: (rep, size) per component, sorted by rep — the
         // external sort of the labels streams its final merge straight into
         // the run-length scan (no by-rep file is written).
         let mut by_rep = sort_streaming_by_key(env, labels, "idx-by-rep", |l: &SccLabel| l.scc)?
             .into_stream()?;
-        let mut w = SectionWriter::new(&mut file, page as usize, sizes_off);
-        let mut n_sccs = 0u64;
-        let entry = |w: &mut SectionWriter<'_>, rep: NodeId, size: u64| -> io::Result<()> {
-            let mut e = [0u8; SIZE_ENTRY as usize];
-            e[0..4].copy_from_slice(&rep.to_le_bytes());
-            e[8..16].copy_from_slice(&size.to_le_bytes());
-            w.push(&e)
-        };
-        let mut current: Option<(NodeId, u64)> = None;
-        while let Some(l) = by_rep.next()? {
-            match current {
-                Some((rep, size)) if rep == l.scc => current = Some((rep, size + 1)),
-                Some((rep, size)) => {
-                    entry(&mut w, rep, size)?;
-                    n_sccs += 1;
-                    current = Some((l.scc, 1));
-                }
-                None => current = Some((l.scc, 1)),
+        let mut run: Option<(NodeId, u64)> = None;
+        let sizes = std::iter::from_fn(|| loop {
+            match by_rep.next() {
+                Err(e) => return Some(Err(e)),
+                Ok(Some(l)) => match &mut run {
+                    Some((rep, size)) if *rep == l.scc => *size += 1,
+                    _ => {
+                        if let Some(done) = run.replace((l.scc, 1)) {
+                            return Some(Ok(done));
+                        }
+                    }
+                },
+                Ok(None) => return run.take().map(Ok),
             }
-        }
-        if let Some((rep, size)) = current {
-            entry(&mut w, rep, size)?;
-            n_sccs += 1;
-        }
-        let sizes_digest = w.finish()?;
+        });
 
-        // Section 3 (optional): counted condensation DAG edges.
-        let (dag_off, n_dag_edges, dag_xor, after_dag) = match dag {
+        // Section 3 (optional): counted condensation DAG edges. Section 4,
+        // the dirty components, is empty at build.
+        let dag = match dag {
             Some(edges) => {
-                let mut w = SectionWriter::new(&mut file, page as usize, sizes_digest.end);
                 let mut r = edges.reader()?;
-                while let Some(e) = r.next()? {
-                    let mut buf = [0u8; DAG_ENTRY as usize];
-                    buf[0..4].copy_from_slice(&e.src.to_le_bytes());
-                    buf[4..8].copy_from_slice(&e.dst.to_le_bytes());
-                    buf[8..12].copy_from_slice(&e.count.to_le_bytes());
-                    w.push(&buf)?;
-                }
-                let d = w.finish()?;
-                (sizes_digest.end, edges.len(), d.xor, d.end)
+                let records = (0..edges.len() as usize).map(move |_| {
+                    r.next()?
+                        .ok_or_else(|| bad("condensation file ended early"))
+                });
+                Some(records)
             }
-            None => (0, 0, 0, sizes_digest.end),
+            None => None,
         };
 
-        // Section 4: dirty components — empty at build.
-        let dirty_off = after_dag;
-
-        // Header last, now that every digest is known.
+        // Generation 0 with an empty journal; `write_tail` fills in the rest
+        // of the header and writes it last.
         let hdr = Header {
             page_size: page,
             n_nodes,
-            n_sccs,
-            labels_off,
-            sizes_off,
-            dag_off,
-            n_dag_edges,
-            labels_xor: labels_digest.xor,
-            sizes_xor: sizes_digest.xor,
-            dag_xor,
-            dirty_off,
-            n_dirty: 0,
-            dirty_xor: 0,
-            generation: 0,
-            n_journal: 0,
+            labels_off: head.labels.start,
+            sizes_off: head.sizes.start,
+            labels_xor,
             journal_fnv: Fnv::new().finish(),
+            ..Header::default()
         };
-        file.write_at(0, &hdr.encode())?;
-        // An all-empty payload leaves the file shorter than the padded
-        // header page; extend so the length always matches the header.
-        let want = hdr.file_len();
-        let have = file.len_bytes()?;
-        if have < want {
-            file.write_at(have, &vec![0u8; (want - have) as usize])?;
-        }
-        file.sync()?;
+        let hdr = write_tail(&mut file, hdr, Some(sizes), dag, std::iter::empty())?;
         // A journal sidecar from an earlier artifact at this path would be
         // misattributed to the fresh generation-0 index: drop it.
         match std::fs::remove_file(journal_path(path)) {
@@ -700,7 +753,7 @@ impl SccIndex {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        Ok(n_sccs)
+        Ok(hdr.n_sccs)
     }
 
     /// Reopens an artifact in `O(1)` memory: reads the header, validates
@@ -733,6 +786,43 @@ impl SccIndex {
     }
 }
 
+/// What one delta checkpoint changes, decided by the delta engine.
+pub(crate) struct Checkpoint<'a, D, R> {
+    /// `(node, stored label)` to the node's new label; `None`: no label
+    /// changes, and the labels are copied without being read.
+    pub(crate) relabel: Option<&'a dyn Fn(NodeId, NodeId) -> NodeId>,
+    /// The new size table, ascending; `None` keeps the stored one.
+    pub(crate) sizes: Option<&'a [(NodeId, u64)]>,
+    /// The live condensation edges, ascending by `(src, dst)`.
+    pub(crate) dag: D,
+    /// The dirty representatives, ascending.
+    pub(crate) dirty: R,
+    pub(crate) generation: u64,
+    /// Journal records (all kinds) the header authenticates, and the
+    /// running FNV-1a of their bytes.
+    pub(crate) n_journal: u64,
+    pub(crate) journal_fnv: u64,
+}
+
+/// A checkpoint written and synced to its temporary file.
+pub(crate) struct WrittenCheckpoint {
+    hdr: Header,
+    pub(crate) label_pages: u64,
+}
+
+impl WrittenCheckpoint {
+    /// The checkpoint's reader once it is renamed to `path`, priced in
+    /// `env`'s ledger. It trusts the header just written instead of
+    /// validating the file again.
+    pub(crate) fn open(&self, env: &DiskEnv, path: &Path) -> io::Result<SccIndexReader> {
+        let file = SharedFile::open_in(env, path)?;
+        Ok(SccIndexReader {
+            file,
+            hdr: self.hdr,
+        })
+    }
+}
+
 /// The query handle on one open artifact, from [`SccIndex::open`] or
 /// [`SccIndex::open_shared`]. `Send + Sync`; queries take `&self`. See the
 /// module docs for the format and the I/O cost of each query.
@@ -746,8 +836,8 @@ impl SccIndex {
 /// thread.
 #[derive(Clone)]
 pub struct SccIndexReader {
-    pub(crate) file: SharedFile,
-    pub(crate) hdr: Header,
+    file: SharedFile,
+    hdr: Header,
 }
 
 impl std::fmt::Debug for SccIndexReader {
@@ -810,6 +900,12 @@ impl SccIndexReader {
     /// Total artifact size in bytes.
     pub fn len_bytes(&self) -> u64 {
         self.hdr.file_len()
+    }
+
+    /// The journal prefix this checkpoint folded in: its record count (all
+    /// kinds) and the running FNV-1a of its bytes.
+    pub(crate) fn journal_prefix(&self) -> (u64, u64) {
+        (self.hdr.n_journal, self.hdr.journal_fnv)
     }
 
     /// This handle's logical I/O counters — the environment's ledger for a
@@ -908,11 +1004,9 @@ impl SccIndexReader {
 
     /// Streams `(representative, size)` for every component, ascending by
     /// representative — `O(n_sccs / B)` sequential block reads.
-    pub fn components(&self) -> ComponentsIter<'_> {
+    pub fn components(&self) -> impl Iterator<Item = io::Result<(NodeId, u64)>> + '_ {
         let h = &self.hdr;
-        ComponentsIter {
-            cursor: SectionCursor::new(&self.file, h.page_size, h.sizes_off, SIZE_ENTRY, h.n_sccs),
-        }
+        SectionCursor::new(&self.file, h.page_size, h.sizes_off, h.n_sccs)
     }
 
     /// Streams the stored condensation DAG edges (component representatives
@@ -923,12 +1017,9 @@ impl SccIndexReader {
     /// since then (DAG appends, reinforcements, weakenings, drops) show up
     /// once the delta engine writes the next checkpoint — `compact` forces
     /// one — and the engine's own `condensation_edges` is always live.
-    pub fn condensation_edges(&self) -> DagEdgesIter<'_> {
-        let h = &self.hdr;
-        let total = if h.dag_off == 0 { 0 } else { h.n_dag_edges };
-        DagEdgesIter {
-            cursor: SectionCursor::new(&self.file, h.page_size, h.dag_off, DAG_ENTRY, total),
-        }
+    pub fn condensation_edges(&self) -> impl Iterator<Item = io::Result<Edge>> + '_ {
+        self.counted_dag_edges()
+            .map(|e| e.map(|e| Edge::new(e.src, e.dst)))
     }
 
     /// Streams the representatives of dirty components (ascending) — the
@@ -936,124 +1027,150 @@ impl SccIndexReader {
     /// delta engine re-verifies them — as of the last checkpoint. Dirty
     /// marks committed to the journal alone since then are reported by
     /// the delta engine and land here at its next checkpoint.
-    pub fn dirty_components(&self) -> DirtyIter<'_> {
+    pub fn dirty_components(&self) -> impl Iterator<Item = io::Result<NodeId>> + '_ {
         let h = &self.hdr;
-        DirtyIter {
-            cursor: SectionCursor::new(
-                &self.file,
-                h.page_size,
-                h.dirty_off,
-                DIRTY_ENTRY,
-                h.n_dirty,
-            ),
+        SectionCursor::new(&self.file, h.page_size, h.dirty_off, h.n_dirty)
+    }
+
+    /// Every node's stored label, in node order, read a whole page at a
+    /// time (padding included).
+    pub(crate) fn labels(&self) -> impl Iterator<Item = io::Result<NodeId>> + '_ {
+        let h = &self.hdr;
+        let slots = (h.sizes_off - h.labels_off) / NodeId::LEN as u64;
+        SectionCursor::new(&self.file, h.page_size, h.labels_off, slots).take(h.n_nodes as usize)
+    }
+
+    /// The stored condensation edges with their multiplicities, sorted by
+    /// `(src, dst)`.
+    pub(crate) fn counted_dag_edges(&self) -> impl Iterator<Item = io::Result<CountedEdge>> + '_ {
+        let h = &self.hdr;
+        let total = if h.dag_off == 0 { 0 } else { h.n_dag_edges };
+        SectionCursor::new(&self.file, h.page_size, h.dag_off, total)
+    }
+
+    /// Writes the next checkpoint of this artifact, which lives at `live`,
+    /// to `tmp` and syncs it. Copies only the bytes the checkpoint keeps —
+    /// the header page and the labels, plus the size table when
+    /// `cp.sizes` is `None` — with an OS-level ranged copy
+    /// (`copy_file_range` on Linux) outside the I/O model. Then rewrites,
+    /// through `env`'s pager, the label pages whose labels `cp.relabel`
+    /// changes, and writes the rest through the build's section writer and
+    /// header assembly.
+    pub(crate) fn write_checkpoint<D, R>(
+        &self,
+        env: &DiskEnv,
+        live: &Path,
+        tmp: &Path,
+        cp: Checkpoint<'_, D, R>,
+    ) -> io::Result<WrittenCheckpoint>
+    where
+        D: ExactSizeIterator<Item = CountedEdge>,
+        R: ExactSizeIterator<Item = NodeId>,
+    {
+        let hdr = &self.hdr;
+        let page = hdr.page_size;
+        let keep = if cp.sizes.is_some() {
+            hdr.sizes_off
+        } else {
+            hdr.dag_off
+        };
+        io::copy(
+            &mut std::fs::File::open(live)?.take(keep),
+            &mut std::fs::File::create(tmp)?,
+        )?;
+        let mut file = CountedFile::open_rw(env, tmp)?;
+
+        // Labels: a sequential scan that writes only the pages whose bytes
+        // change, each an O(1) checksum update.
+        let mut labels_xor = hdr.labels_xor;
+        let mut label_pages = 0u64;
+        if let Some(relabel) = cp.relabel {
+            let per = page / NodeId::LEN as u64;
+            let mut old = vec![0u8; page as usize];
+            let mut new = vec![0u8; page as usize];
+            for p in 0..(hdr.sizes_off - hdr.labels_off) / page {
+                let off = hdr.labels_off + p * page;
+                if file.read_at(off, &mut old)? != old.len() {
+                    return Err(bad("labels section truncated"));
+                }
+                new.copy_from_slice(&old);
+                let slots = new.chunks_exact_mut(NodeId::LEN);
+                for (node, raw) in (p * per..hdr.n_nodes).zip(slots) {
+                    relabel(node as NodeId, NodeId::decode(raw)).encode(raw);
+                }
+                if new != old {
+                    file.write_at(off, &new)?;
+                    labels_xor ^= page_hash(p, &old) ^ page_hash(p, &new);
+                    label_pages += 1;
+                }
+            }
         }
+
+        let hdr = Header {
+            labels_xor,
+            generation: cp.generation,
+            n_journal: cp.n_journal,
+            journal_fnv: cp.journal_fnv,
+            ..*hdr
+        };
+        let sizes = cp.sizes.map(|s| s.iter().map(|&e| Ok(e)));
+        let dag = Some(cp.dag.map(Ok));
+        let hdr = write_tail(&mut file, hdr, sizes, dag, cp.dirty)?;
+        Ok(WrittenCheckpoint { hdr, label_pages })
     }
 }
 
-/// Buffered sequential cursor over one fixed-record section.
-struct SectionCursor<'a> {
+/// Buffered sequential cursor over the records of one section.
+struct SectionCursor<'a, R> {
     file: &'a SharedFile,
     page_size: u64,
-    record: u64,
     start: u64,
     total: u64,
     next: u64,
     buf: Vec<u8>,
     buf_first: u64,
+    record: PhantomData<fn() -> R>,
 }
 
-impl<'a> SectionCursor<'a> {
-    fn new(file: &'a SharedFile, page_size: u64, start: u64, record: u64, total: u64) -> Self {
+impl<'a, R: SectionRecord> SectionCursor<'a, R> {
+    fn new(file: &'a SharedFile, page_size: u64, start: u64, total: u64) -> Self {
         SectionCursor {
             file,
             page_size,
-            record,
             start,
             total,
             next: 0,
             buf: Vec::with_capacity(page_size as usize),
             buf_first: u64::MAX,
+            record: PhantomData,
         }
     }
+}
 
-    fn next_record(&mut self) -> io::Result<Option<&[u8]>> {
+impl<R: SectionRecord> Iterator for SectionCursor<'_, R> {
+    type Item = io::Result<R>;
+
+    fn next(&mut self) -> Option<io::Result<R>> {
         if self.next >= self.total {
-            return Ok(None);
+            return None;
         }
-        let per_buf = (self.page_size / self.record).max(1);
+        let record = R::LEN as u64;
+        let per_buf = (self.page_size / record).max(1);
         if self.buf_first == u64::MAX || self.next >= self.buf_first + per_buf {
             let first = (self.next / per_buf) * per_buf;
-            let want = ((self.total - first).min(per_buf) * self.record) as usize;
+            let want = ((self.total - first).min(per_buf) * record) as usize;
             self.buf.resize(want, 0);
-            let off = self.start + first * self.record;
-            if self.file.read_at(off, &mut self.buf)? != want {
-                return Err(bad("section truncated mid-iteration"));
+            let off = self.start + first * record;
+            match self.file.read_at(off, &mut self.buf) {
+                Ok(got) if got == want => {}
+                Ok(_) => return Some(Err(bad("section truncated mid-iteration"))),
+                Err(e) => return Some(Err(e)),
             }
             self.buf_first = first;
         }
-        let at = ((self.next - self.buf_first) * self.record) as usize;
+        let at = ((self.next - self.buf_first) * record) as usize;
         self.next += 1;
-        Ok(Some(&self.buf[at..at + self.record as usize]))
-    }
-}
-
-/// Iterator over `(representative, component size)` pairs.
-/// See [`SccIndexReader::components`].
-pub struct ComponentsIter<'a> {
-    cursor: SectionCursor<'a>,
-}
-
-impl Iterator for ComponentsIter<'_> {
-    type Item = io::Result<(NodeId, u64)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.cursor.next_record() {
-            Err(e) => Some(Err(e)),
-            Ok(None) => None,
-            Ok(Some(raw)) => Some(Ok((
-                NodeId::from_le_bytes(raw[0..4].try_into().unwrap()),
-                u64::from_le_bytes(raw[8..16].try_into().unwrap()),
-            ))),
-        }
-    }
-}
-
-/// Iterator over stored condensation edges.
-/// See [`SccIndexReader::condensation_edges`].
-pub struct DagEdgesIter<'a> {
-    cursor: SectionCursor<'a>,
-}
-
-impl Iterator for DagEdgesIter<'_> {
-    type Item = io::Result<Edge>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.cursor.next_record() {
-            Err(e) => Some(Err(e)),
-            Ok(None) => None,
-            Ok(Some(raw)) => Some(Ok(Edge::new(
-                NodeId::from_le_bytes(raw[0..4].try_into().unwrap()),
-                NodeId::from_le_bytes(raw[4..8].try_into().unwrap()),
-            ))),
-        }
-    }
-}
-
-/// Iterator over dirty component representatives.
-/// See [`SccIndexReader::dirty_components`].
-pub struct DirtyIter<'a> {
-    cursor: SectionCursor<'a>,
-}
-
-impl Iterator for DirtyIter<'_> {
-    type Item = io::Result<NodeId>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.cursor.next_record() {
-            Err(e) => Some(Err(e)),
-            Ok(None) => None,
-            Ok(Some(raw)) => Some(Ok(NodeId::from_le_bytes(raw[0..4].try_into().unwrap()))),
-        }
+        Some(Ok(R::decode(&self.buf[at..at + R::LEN])))
     }
 }
 

@@ -508,11 +508,6 @@ impl Pager {
         inner.state(id)?.backend.sync()
     }
 
-    /// Writes every dirty frame back (no backend fsync).
-    pub fn flush_all(&self) -> io::Result<()> {
-        self.lock().flush_all_frames()
-    }
-
     /// Removes `path`: its frames are discarded (without write-back), its
     /// backend is dropped, and — for files this pager created on the real
     /// filesystem — the on-disk file is deleted.

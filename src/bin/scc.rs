@@ -58,8 +58,13 @@
 //! writer commits each mutation crash-safely through the incremental delta
 //! engine ([`ce_graph::delta::DeltaEngine`]) — to the journal sidecar
 //! alone unless it merges components, which writes a new checkpoint
-//! artifact — and the loop atomically swaps the shared reader handle, so
-//! queries after the mutation line observe the mutation.
+//! artifact — so queries after the mutation line observe the mutation. A
+//! deletion inside a component only marks it dirty, and its labels may
+//! then be too coarse: before answering the next query line the writer
+//! re-verifies every dirty component (one compact covers a run of
+//! deletions), which writes a checkpoint too. The loop atomically swaps
+//! the shared reader handle after a checkpoint and keeps it after a
+//! journal-only commit, which changes no label or size.
 //! Mutations serialize in line order; runs of queries between them still
 //! fan out across the worker threads. Without `--input`, mutation lines
 //! are answered with an inline `error:` line, like any other bad input.
@@ -995,12 +1000,15 @@ fn answer_run(
 ///
 /// With a writer (`--input` gave the loop the base graph), `+U V` / `-U V`
 /// lines mutate the index: the writer classifies the edge through the
-/// delta engine, commits a new crash-safe generation, and the loop swaps
-/// the shared reader handle — every query after the mutation line
-/// observes the mutation. Mutations serialize in line order; a
-/// failed mutation leaves the artifact at its current generation and is
-/// answered with an inline `error:` line. Returns (queries answered,
-/// mutations applied).
+/// delta engine and commits a new crash-safe generation, and every query
+/// after the mutation line observes the mutation. Before the next query
+/// line is answered, the writer re-verifies every component a deletion
+/// dirtied (one compact for a run of deletions), and the loop swaps the
+/// shared reader handle if a merge or that re-verification wrote a
+/// checkpoint; a journal-only commit changes no label or size, so the
+/// reader stays. Mutations serialize in line order; a failed mutation
+/// leaves the artifact at its current generation and is answered with an
+/// inline `error:` line. Returns (queries answered, mutations applied).
 fn serve_stdin(
     index_path: &std::path::Path,
     idx: &mut SccIndexReader,
@@ -1017,6 +1025,8 @@ fn serve_stdin(
     let mut mutated = 0u64;
     let mut line = String::new();
     let mut eof = false;
+    // A checkpoint was renamed over the path since `idx` was opened.
+    let mut stale = false;
     while !eof {
         let mut chunk: Vec<ServeLine> = Vec::with_capacity(CHUNK);
         while chunk.len() < CHUNK {
@@ -1043,6 +1053,17 @@ fn serve_stdin(
         while i < chunk.len() {
             match &chunk[i] {
                 ServeLine::Query(_) => {
+                    if let Some(eng) = writer.as_mut().filter(|eng| eng.n_dirty() > 0) {
+                        eng.compact()?;
+                        stale = true;
+                    }
+                    if stale {
+                        // Atomic generation swap: reopen the renamed
+                        // artifact behind a fresh shared pool and rebind
+                        // the handle the query workers clone from.
+                        *idx = SccIndex::open_shared(index_path, cache_blocks)?;
+                        stale = false;
+                    }
                     let mut j = i;
                     while j < chunk.len() && matches!(chunk[j], ServeLine::Query(_)) {
                         j += 1;
@@ -1075,11 +1096,7 @@ fn serve_stdin(
                             };
                             match eng.apply(&batch) {
                                 Ok(r) => {
-                                    // Atomic generation swap: reopen the
-                                    // renamed artifact behind a fresh shared
-                                    // pool and rebind the handle the query
-                                    // workers clone from.
-                                    *idx = SccIndex::open_shared(index_path, cache_blocks)?;
+                                    stale |= r.merges > 0;
                                     mutated += 1;
                                     let kind = if add {
                                         if r.merges > 0 {

@@ -554,6 +554,66 @@ fn serve_answers_each_query_before_stdin_closes() {
 }
 
 #[test]
+fn serve_answers_from_re_verified_labels_after_a_splitting_deletion() {
+    // On the triangle 0 -> 1 -> 2 -> 0, `+0 2` lands inside the component
+    // (a journal-only commit), and deleting 2 -> 0 then leaves the path
+    // 0 -> 1 -> 2 plus 0 -> 2: three singletons. The deletion only marks
+    // the component dirty, so the queries after it must not be answered
+    // from the stored labels.
+    use std::io::Write as _;
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("scc-cli-serve-split-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("g.txt");
+    std::fs::write(&input, "0 1\n1 2\n2 0\n").unwrap();
+    let idx = dir.join("g.sccidx");
+    let build = scc_bin()
+        .args(["index", "build", "--with-condensation", "--input"])
+        .arg(&input)
+        .arg("--out")
+        .arg(&idx)
+        .output()
+        .unwrap();
+    assert!(build.status.success(), "{}", String::from_utf8_lossy(&build.stderr));
+
+    let mut child = scc_bin()
+        .args(["serve", "--index"])
+        .arg(&idx)
+        .arg("--input")
+        .arg(&input)
+        .args(["--threads", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"s 0 1\n+0 2\ns 0 2\n-2 0\ns 0 1\nz 0\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout.lines().collect::<Vec<_>>(),
+        vec![
+            "same_component(0, 1) = true",
+            "applied +(0, 2): intra-component, generation 1",
+            "same_component(0, 2) = true",
+            "applied -(2, 0): dirty-marked, generation 2",
+            "same_component(0, 1) = false",
+            "component_size(0) = 1",
+        ],
+        "{stdout}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_generated_workload_reports_qps() {
     let dir = std::env::temp_dir().join(format!("scc-cli-serveq-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

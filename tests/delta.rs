@@ -1,7 +1,8 @@
 //! Integration gates for incremental index maintenance: the session-level
 //! `apply_delta` / `compact_index` surface, the ce-harness delta-stream
-//! differential matrix, the O(1)-page cost pins, and fault sweeps over a
-//! checkpointing and a journal-only apply under injected I/O faults.
+//! differential matrix, the O(1)-page cost pins, fault sweeps over a
+//! checkpointing and a journal-only apply under injected I/O faults, and a
+//! byte comparison of a checkpoint with a fresh build of the same state.
 
 use contract_expand::prelude::*;
 
@@ -225,6 +226,82 @@ fn fault_mid_apply_leaves_the_previous_generation_queryable() {
         assert!(eng.same_component(0, 5).unwrap(), "fault point {k}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_checkpoint_writes_the_bytes_a_build_of_the_same_state_writes() {
+    // A random single-edge stream through one engine, then a compact: the
+    // artifact must equal, from the labels to the end, a fresh build of the
+    // engine's labels and the counted condensation of the current edge
+    // multiset. Only the header differs (generation and journal prefix).
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |bound: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % bound
+    };
+    let n = 300u64;
+    for page in [64usize, 256, 4096] {
+        let dir = scratch_dir(&format!("same-bytes-{page}"));
+        let path = dir.join("g.sccidx");
+        let mut current: Vec<(u32, u32)> =
+            (0..700).map(|_| (next(n) as u32, next(n) as u32)).collect();
+        let cfg = IoConfig::new(page, 1 << 20);
+        let mut session = SccSession::open(cfg, EnvOptions::pooled(&cfg))
+            .unwrap()
+            .source(GraphSource::in_memory(n, current.clone()))
+            .unwrap()
+            .condensation(true);
+        session.build_index(&path).unwrap();
+
+        let mut eng = session.delta_engine().unwrap();
+        let (mut merges, mut dirty_marked) = (0, 0);
+        for _ in 0..150 {
+            let batch = if next(100) < 60 {
+                let (u, v) = (next(n) as u32, next(n) as u32);
+                current.push((u, v));
+                DeltaBatch::new().add(u, v)
+            } else {
+                let (u, v) = current.swap_remove(next(current.len() as u64) as usize);
+                DeltaBatch::new().remove(u, v)
+            };
+            let report = eng.apply(&batch).unwrap();
+            merges += report.merges;
+            dirty_marked += report.dirty_marked;
+        }
+        assert!(
+            merges > 0 && dirty_marked > 0,
+            "page {page}: {merges} merges, {dirty_marked} dirty marks"
+        );
+        eng.compact().unwrap();
+        let reps = eng.labels_snapshot().unwrap();
+        drop(eng);
+
+        let env = session.env();
+        let edges: Vec<Edge> = current.iter().map(|&(u, v)| Edge::new(u, v)).collect();
+        let g = EdgeListGraph::new(env.file_from_slice("now-edges", &edges).unwrap(), n);
+        let labels: Vec<SccLabel> = (0..)
+            .zip(&reps)
+            .map(|(u, &r)| SccLabel::new(u, r))
+            .collect();
+        let labels = env.file_from_slice("now-labels", &labels).unwrap();
+        let dag = contract_expand::graph::labels::condense_counted(env, &g, &labels).unwrap();
+        let fresh = dir.join("fresh.sccidx");
+        SccIndex::build(env, &fresh, &labels, n, Some(&dag)).unwrap();
+
+        let kept = std::fs::read(&path).unwrap();
+        let built = std::fs::read(&fresh).unwrap();
+        // The labels start on the first page boundary past the 144-byte
+        // header.
+        let labels_off = 144usize.div_ceil(page) * page;
+        assert_eq!(kept.len(), built.len(), "page {page}");
+        assert!(
+            kept[labels_off..] == built[labels_off..],
+            "page {page}: the sections differ"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// What a failed apply must leave exactly as it found it.
