@@ -1,9 +1,11 @@
-//! Criterion comparison of storage substrates on the end-to-end Ext-SCC-Op
+//! Criterion comparison of storage settings on the end-to-end Ext-SCC-Op
 //! workload: the unpooled seed-faithful path vs. the buffer pool vs. the
-//! in-memory backend. Logical model I/Os are identical across all three by
-//! construction (asserted here); what changes is physical traffic and
-//! wall-clock.
+//! buffer pool over a scratch directory on a tmpfs (`/dev/shm` where it
+//! exists: scratch in RAM). Logical model I/Os are identical across all
+//! three by construction (asserted here); what changes is physical traffic
+//! and wall-clock.
 
+use std::path::Path;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -23,14 +25,29 @@ fn bench_pager(c: &mut Criterion) {
         &IoConfig::new(8 << 10, 64 << 10),
     ) as usize;
     let cfg = IoConfig::new(8 << 10, budget);
+    let shm = Path::new("/dev/shm");
+    let tmpfs = if shm.is_dir() {
+        shm.to_path_buf()
+    } else {
+        std::env::temp_dir()
+    };
+    let tmpfs_dir = tmpfs.join(format!("ce-bench-pager-{}", std::process::id()));
 
     let mut logical: Vec<(&str, IoSnapshot)> = Vec::new();
-    for (name, opts) in [
-        ("ext_scc_op_unpooled", EnvOptions::unpooled()),
-        ("ext_scc_op_pooled", EnvOptions::pooled(&cfg)),
-        ("ext_scc_op_mem", EnvOptions::mem(&cfg)),
+    for (name, scratch, opts) in [
+        ("ext_scc_op_unpooled", None, EnvOptions::unpooled()),
+        ("ext_scc_op_pooled", None, EnvOptions::pooled(&cfg)),
+        (
+            "ext_scc_op_tmpfs",
+            Some(&tmpfs_dir),
+            EnvOptions::pooled(&cfg),
+        ),
     ] {
-        let env = DiskEnv::new_temp_with(cfg, opts).expect("env");
+        let env = match scratch {
+            Some(dir) => DiskEnv::new_in_with(dir, cfg, opts),
+            None => DiskEnv::new_temp_with(cfg, opts),
+        }
+        .expect("env");
         let spec = SyntheticSpec::table1(Dataset::Large, n, 4.0, 88);
         let graph = gen::planted_scc_graph(&env, &spec).unwrap();
         let io0 = env.stats().snapshot();
@@ -52,6 +69,7 @@ fn bench_pager(c: &mut Criterion) {
         );
         logical.push((name, per_run_logical));
     }
+    std::fs::remove_dir_all(&tmpfs_dir).ok();
     for (name, snap) in &logical[1..] {
         assert_eq!(
             snap, &logical[0].1,

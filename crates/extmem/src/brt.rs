@@ -24,11 +24,10 @@
 //!   `ce-dfs-scc`.)
 //!
 //! Like every other structure in this crate, the tree performs its I/O
-//! through [`CountedFile`], so its runs live in whatever backend the
-//! environment's pager was configured with and its random probes are
-//! natural beneficiaries of the buffer pool: a probe of a recently merged
-//! (and therefore recently written) block is a cache hit — one *logical*
-//! random read, zero *physical* transfers.
+//! through [`CountedFile`], so its runs live in the environment's pager and
+//! its random probes are natural beneficiaries of the buffer pool: a probe
+//! of a recently merged (and therefore recently written) block is a cache
+//! hit — one *logical* random read, zero *physical* transfers.
 
 use std::io;
 

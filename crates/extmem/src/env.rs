@@ -6,22 +6,22 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ce_pager::{BackendKind, Pager, PhysSnapshot};
+use ce_pager::{Pager, PhysSnapshot};
 
 use crate::config::IoConfig;
 use crate::record::Record;
 use crate::stats::IoStats;
 use crate::stream::RecordWriter;
 
-/// Storage options of a [`DiskEnv`]: which [`BackendKind`] stores scratch
-/// blocks and how many block frames the buffer pool holds.
+/// Storage options of a [`DiskEnv`]: how many block frames the buffer pool
+/// in front of its scratch files holds.
 ///
-/// The default (`file` backend, no pool) reproduces the seed behaviour
-/// exactly: every logical block access is one physical transfer.
+/// The default (no pool) reproduces the seed behaviour exactly: every
+/// logical block access is one physical transfer. Scratch files always
+/// live in the environment's directory; to keep them in RAM, put that
+/// directory on a tmpfs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnvOptions {
-    /// Substrate for scratch files.
-    pub backend: BackendKind,
     /// Buffer-pool capacity in block frames; 0 disables the pool
     /// (pass-through: nothing is cached and every block of every access is
     /// a physical transfer — plus a read-modify-write read for writes that
@@ -30,26 +30,16 @@ pub struct EnvOptions {
 }
 
 impl EnvOptions {
-    /// Seed-faithful mode: on-disk files, no buffer pool.
+    /// Seed-faithful mode: no buffer pool.
     pub fn unpooled() -> EnvOptions {
         EnvOptions::default()
     }
 
-    /// On-disk files behind a pool sized from the memory budget (`M / B`
-    /// frames — the buffer pool models the machine's real page cache, which
-    /// the I/O model prices at zero logical cost).
+    /// A pool sized from the memory budget (`M / B` frames — the buffer pool
+    /// models the machine's real page cache, which the I/O model prices at
+    /// zero logical cost).
     pub fn pooled(cfg: &IoConfig) -> EnvOptions {
         EnvOptions {
-            backend: BackendKind::File,
-            cache_blocks: cfg.blocks_in_memory(),
-        }
-    }
-
-    /// Pure in-memory storage (serving-style workloads, fast tests), with a
-    /// budget-sized pool in front.
-    pub fn mem(cfg: &IoConfig) -> EnvOptions {
-        EnvOptions {
-            backend: BackendKind::Mem,
             cache_blocks: cfg.blocks_in_memory(),
         }
     }
@@ -80,19 +70,7 @@ impl EnvOptions {
         let total_blocks = mem / block;
         let pool = (total_blocks / 2).min(total_blocks.saturating_sub(2));
         let cfg = IoConfig::new(block, mem - pool * block);
-        (
-            cfg,
-            EnvOptions {
-                backend: BackendKind::File,
-                cache_blocks: pool,
-            },
-        )
-    }
-
-    /// Replaces the backend kind.
-    pub fn with_backend(mut self, backend: BackendKind) -> EnvOptions {
-        self.backend = backend;
-        self
+        (cfg, EnvOptions { cache_blocks: pool })
     }
 
     /// Replaces the pool capacity (0 disables the pool).
@@ -109,11 +87,11 @@ impl EnvOptions {
 ///   the namespace outlives all files created in it;
 /// * all I/O through files created here is counted in one [`IoStats`]
 ///   (**logical** model I/Os) and in one [`PhysSnapshot`] (**physical**
-///   backend transfers) — see the crate docs for the distinction;
-/// * blocks live wherever [`EnvOptions::backend`] says, behind an optional
+///   block transfers) — see the crate docs for the distinction;
+/// * blocks live in files under [`DiskEnv::root`], behind an optional
 ///   buffer pool ([`EnvOptions::cache_blocks`]);
-/// * supports deterministic fault injection ("fail the N-th *physical* block
-///   transfer from now") so tests can verify that every algorithm surfaces
+/// * supports deterministic fault injection ("fail the N-th *physical*
+///   operation from now") so tests can verify that every algorithm surfaces
 ///   I/O errors instead of panicking or producing truncated results.
 #[derive(Clone)]
 pub struct DiskEnv {
@@ -140,18 +118,13 @@ impl DiskEnv {
         DiskEnv::new_temp_with(cfg, EnvOptions::unpooled())
     }
 
-    /// Like [`DiskEnv::new_temp`], with explicit storage options. With the
-    /// in-memory backend no directory is created (the "paths" are pure
-    /// namespace keys).
+    /// Like [`DiskEnv::new_temp`], with explicit storage options.
     pub fn new_temp_with(cfg: IoConfig, opts: EnvOptions) -> io::Result<DiskEnv> {
         let mut base = std::env::temp_dir();
         let unique = format!("ce-scc-{}-{:x}", std::process::id(), fresh_dir_nonce());
         base.push(unique);
-        let owns_dir = opts.backend == BackendKind::File;
-        if owns_dir {
-            std::fs::create_dir_all(&base)?;
-        }
-        Ok(DiskEnv::build(base, cfg, opts, owns_dir))
+        std::fs::create_dir_all(&base)?;
+        Ok(DiskEnv::build(base, cfg, opts, true))
     }
 
     /// Uses an existing directory as scratch space. The directory is *not*
@@ -162,9 +135,7 @@ impl DiskEnv {
 
     /// Like [`DiskEnv::new_in`], with explicit storage options.
     pub fn new_in_with(dir: &Path, cfg: IoConfig, opts: EnvOptions) -> io::Result<DiskEnv> {
-        if opts.backend == BackendKind::File {
-            std::fs::create_dir_all(dir)?;
-        }
+        std::fs::create_dir_all(dir)?;
         Ok(DiskEnv::build(dir.to_path_buf(), cfg, opts, false))
     }
 
@@ -172,7 +143,7 @@ impl DiskEnv {
         DiskEnv {
             inner: Arc::new(EnvInner {
                 root,
-                pager: Pager::new(cfg.block_size, opts.cache_blocks, opts.backend),
+                pager: Pager::new(cfg.block_size, opts.cache_blocks),
                 cfg,
                 opts,
                 stats: Arc::new(IoStats::new()),
@@ -205,7 +176,8 @@ impl DiskEnv {
     }
 
     /// **Physical** transfer counters of the underlying pager: blocks that
-    /// actually crossed the backend boundary, plus cache hits and misses.
+    /// actually moved between the pool and a file, plus cache hits and
+    /// misses.
     pub fn phys(&self) -> PhysSnapshot {
         self.inner.pager.phys()
     }
@@ -233,8 +205,7 @@ impl DiskEnv {
         self.inner.pager.forget(path);
     }
 
-    /// Root directory of the scratch space (a virtual namespace prefix for
-    /// the in-memory backend).
+    /// Root directory of the scratch space.
     pub fn root(&self) -> &Path {
         &self.inner.root
     }
@@ -251,8 +222,7 @@ impl DiskEnv {
         self.inner.root.join(format!("{id:06}-{safe}.bin"))
     }
 
-    /// Removes one scratch file from the pager (and, for file-backed
-    /// environments, from the filesystem).
+    /// Removes one scratch file from the pager and the filesystem.
     pub(crate) fn remove_scratch(&self, path: &Path) {
         let _ = self.inner.pager.remove(path);
     }
@@ -276,18 +246,20 @@ impl DiskEnv {
         w.finish()
     }
 
-    /// Arranges for the `n`-th **physical** block transfer from now
-    /// (1-based) to fail with an injected [`io::Error`]. All subsequent
-    /// transfers fail too until [`DiskEnv::clear_fault`] is called.
+    /// Arranges for the `n`-th **physical** operation from now (1-based) to
+    /// fail with an injected [`io::Error`]. All subsequent operations fail
+    /// too until [`DiskEnv::clear_fault`] is called.
     ///
-    /// The countdown is consumed once per physical *block*: a multi-block
+    /// A physical operation is one block transfer or one fsync. The
+    /// countdown is consumed once per physical *block*: a multi-block
     /// access steps it several times, and an unaligned unpooled write steps
-    /// it for its read-modify-write read too (historically it was one step
-    /// per `CountedFile` call — calibrate fault points against
-    /// [`DiskEnv::phys`], not against logical I/O counts). With a buffer
-    /// pool, cache hits move no bytes and therefore do not consume the
-    /// countdown — but every miss fill, eviction write-back, and sync does,
-    /// so a fault can never be skipped by caching alone.
+    /// it for its read-modify-write read too — calibrate fault points
+    /// against [`DiskEnv::phys`], not against logical I/O counts. Each
+    /// explicit sync ([`crate::file::CountedFile::sync`]) steps it once more
+    /// for its fsync, after its write-backs. With a buffer pool, cache hits
+    /// move no bytes and therefore do not consume the countdown — but every
+    /// miss fill, eviction write-back and sync does, so a fault can never be
+    /// skipped by caching alone.
     pub fn inject_fault_after(&self, n: u64) {
         self.inner.pager.inject_fault_after(n);
     }
@@ -295,13 +267,6 @@ impl DiskEnv {
     /// Disables fault injection.
     pub fn clear_fault(&self) {
         self.inner.pager.clear_fault();
-    }
-
-    /// Consumes one step of the fault countdown (the pager calls the same
-    /// hook before every physical transfer).
-    #[cfg(test)]
-    pub(crate) fn check_fault(&self) -> io::Result<()> {
-        self.inner.pager.check_fault()
     }
 }
 
@@ -351,17 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_env_touches_no_filesystem() {
-        let env =
-            DiskEnv::new_temp_with(IoConfig::small_for_tests(), EnvOptions::mem(&IoConfig::small_for_tests()))
-                .unwrap();
-        assert!(!env.root().exists(), "mem env must not create a directory");
-        let f = env.file_from_slice("m", &[1u32, 2, 3]).unwrap();
-        assert_eq!(f.read_all().unwrap(), vec![1, 2, 3]);
-        assert!(!env.root().exists());
-    }
-
-    #[test]
     fn fresh_paths_are_unique_and_sanitized() {
         let env = DiskEnv::new_temp(IoConfig::small_for_tests()).unwrap();
         let a = env.fresh_path("edges/by src");
@@ -372,14 +326,19 @@ mod tests {
 
     #[test]
     fn fault_injection_counts_down() {
+        // Unpooled, a whole-block write is exactly one physical transfer.
         let env = DiskEnv::new_temp(IoConfig::small_for_tests()).unwrap();
+        let block = vec![7u8; env.config().block_size];
+        let mut f = crate::file::CountedFile::create(&env, &env.fresh_path("f")).unwrap();
+        let mut write = |i: u64| f.write_at(i * block.len() as u64, &block);
         env.inject_fault_after(3);
-        assert!(env.check_fault().is_ok());
-        assert!(env.check_fault().is_ok());
-        assert!(env.check_fault().is_err());
-        assert!(env.check_fault().is_err(), "stays failed");
+        assert!(write(0).is_ok());
+        assert!(write(1).is_ok());
+        assert!(write(2).is_err());
+        assert!(write(3).is_err(), "stays failed");
         env.clear_fault();
-        assert!(env.check_fault().is_ok());
+        assert!(write(3).is_ok());
+        assert_eq!(env.phys().writes, 3, "failed transfers move no block");
     }
 
     #[test]
@@ -392,7 +351,6 @@ mod tests {
                 "pool + algorithm must account for exactly M (mem={mem}, block={block})"
             );
             assert!(cfg.mem_budget >= 2 * block, "algorithm keeps >= 2 blocks");
-            assert_eq!(opts.backend, BackendKind::File);
         }
         // Minimum budget: nothing left over for the pool.
         let (cfg, opts) = EnvOptions::strict(1024, 512);
@@ -407,18 +365,23 @@ mod tests {
     }
 
     #[test]
-    fn persistent_file_survives_a_mem_environment() {
+    fn persistent_file_survives_a_temp_environment() {
         let dir = std::env::temp_dir().join(format!("ce-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let target = dir.join("artifact.bin");
         let cfg = IoConfig::small_for_tests();
+        let scratch_root;
         {
-            let env = DiskEnv::new_temp_with(cfg, EnvOptions::mem(&cfg)).unwrap();
+            // A temp environment removes its own directory on drop; the
+            // persistent file lives elsewhere and is never deleted with it.
+            let env = DiskEnv::new_temp_with(cfg, EnvOptions::pooled(&cfg)).unwrap();
+            scratch_root = env.root().to_path_buf();
             let mut f = crate::file::CountedFile::create_persistent(&env, &target).unwrap();
             f.write_at(0, b"durable").unwrap();
             f.sync().unwrap();
             assert!(env.stats().total_ios() > 0, "persistent writes are counted");
         }
+        assert!(!scratch_root.exists(), "the environment's directory is gone");
         assert_eq!(std::fs::read(&target).unwrap(), b"durable");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,7 +4,7 @@
 //! environment's pager. Every read/write is priced in the environment's
 //! [`crate::stats::IoStats`] as `ceil(len / B)` **logical** block transfers
 //! and classified as sequential or random — regardless of whether the bytes
-//! were served from the buffer pool or from the backend. A write is
+//! were served from the buffer pool or from the file. A write is
 //! sequential when it starts exactly where this handle's previous write
 //! ended. A read is sequential when it continues this handle's previous read
 //! in either direction: it starts where that read ended (a forward scan), or
@@ -38,10 +38,10 @@ impl CountedFile {
         Ok(Self::wrap(env, id))
     }
 
-    /// Creates (truncating) an **on-disk** file at `path` regardless of the
-    /// environment's backend kind — for persistent artifacts that must
-    /// outlive in-memory environments. Bytes still flow through the buffer
-    /// pool and are priced in the logical [`crate::stats::IoStats`].
+    /// Creates (truncating) a file at `path` that the environment never
+    /// deletes — for persistent artifacts that must outlive it. Bytes still
+    /// flow through the buffer pool and are priced in the logical
+    /// [`crate::stats::IoStats`].
     pub fn create_persistent(env: &DiskEnv, path: &Path) -> io::Result<CountedFile> {
         let id = env.pager().create_persistent(path)?;
         Ok(Self::wrap(env, id))
@@ -96,8 +96,8 @@ impl CountedFile {
         Ok(())
     }
 
-    /// Flushes dirty pool frames of this file and syncs its backend. Not
-    /// counted as logical I/O (the model prices transfers, not barriers).
+    /// Flushes dirty pool frames of this file and fsyncs it. Not counted as
+    /// logical I/O (the model prices transfers, not barriers).
     pub fn sync(&mut self) -> io::Result<()> {
         self.env.pager().sync(self.id)
     }
@@ -113,7 +113,6 @@ mod tests {
     use super::*;
     use crate::config::IoConfig;
     use crate::env::EnvOptions;
-    use ce_pager::BackendKind;
 
     fn env() -> DiskEnv {
         DiskEnv::new_temp(IoConfig::new(64, 4096)).unwrap()
@@ -187,15 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn logical_counts_identical_across_backends_and_pooling() {
+    fn logical_counts_identical_across_pool_sizes() {
         // The same access pattern must be priced identically by the model no
-        // matter where the blocks live or whether a pool intervenes.
+        // matter whether a pool intervenes or how large it is.
         let cfg = IoConfig::new(64, 4096);
         let mut logical = Vec::new();
         for opts in [
             EnvOptions::unpooled(),
             EnvOptions::unpooled().with_cache_blocks(2),
-            EnvOptions::mem(&cfg),
+            EnvOptions::pooled(&cfg),
         ] {
             let env = DiskEnv::new_temp_with(cfg, opts).unwrap();
             let path = env.fresh_path("t");
@@ -209,22 +208,5 @@ mod tests {
         }
         assert_eq!(logical[0], logical[1]);
         assert_eq!(logical[0], logical[2]);
-    }
-
-    #[test]
-    fn mem_backend_roundtrips_without_files() {
-        let cfg = IoConfig::new(64, 4096);
-        let env = DiskEnv::new_temp_with(
-            cfg,
-            EnvOptions::default().with_backend(BackendKind::Mem).with_cache_blocks(4),
-        )
-        .unwrap();
-        let path = env.fresh_path("t");
-        let mut f = CountedFile::create(&env, &path).unwrap();
-        f.write_at(0, &[9u8; 300]).unwrap();
-        let mut buf = [0u8; 300];
-        assert_eq!(f.read_at(0, &mut buf).unwrap(), 300);
-        assert_eq!(buf, [9u8; 300]);
-        assert!(!path.exists(), "no real file behind the mem backend");
     }
 }

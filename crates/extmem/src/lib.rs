@@ -16,21 +16,21 @@
 //!
 //! Since the `ce-pager` integration the model counters above are **logical**:
 //! they price every block access at one transfer, exactly as the paper does.
-//! How the bytes actually move is a separate concern, delegated to a
-//! [pager](ce_pager) chosen per [`DiskEnv`] via [`EnvOptions`]: blocks live
-//! on disk ([`BackendKind::File`]) or in memory ([`BackendKind::Mem`]),
-//! optionally behind a fixed-capacity buffer pool with LRU eviction and
-//! dirty write-back. The pool's **physical** counters
-//! ([`DiskEnv::phys`]) record backend transfers plus cache hits/misses.
+//! How the bytes actually move is a separate concern, delegated to the
+//! [pager](ce_pager) of each [`DiskEnv`]: blocks live in files under the
+//! environment's directory (a tmpfs directory keeps them in RAM), behind a
+//! fixed-capacity buffer pool with LRU eviction and dirty write-back whose
+//! size [`EnvOptions`] sets (0 = no pool). The pool's **physical** counters
+//! ([`DiskEnv::phys`]) record block transfers plus cache hits/misses.
 //!
 //! The figures stay faithful because the logical counters are recorded in
 //! [`file::CountedFile`] *before* the pool is consulted: a cache hit still
 //! costs one logical I/O, a pooled run and an unpooled run of the same
 //! algorithm report identical [`stats::IoSnapshot`]s, and only the physical
 //! numbers (and wall-clock) shrink. Fault injection
-//! ([`DiskEnv::inject_fault_after`]) counts physical transfers, so injected
-//! faults fire where real hardware would fail — on the backend boundary —
-//! and can never be skipped by a cached hit.
+//! ([`DiskEnv::inject_fault_after`]) counts physical operations — block
+//! transfers and fsyncs — so injected faults fire where real hardware would
+//! fail and can never be skipped by a cached hit.
 //!
 //! On top of the raw model the crate provides the relational plumbing the
 //! paper's Algorithms 3–5 are written in: typed record files ([`ExtFile`]),
@@ -80,7 +80,7 @@ pub mod trace;
 /// can open plain (non-I/O) spans and update metrics without a direct
 /// `ce-obs` dependency.
 pub use ce_obs as obs;
-pub use ce_pager::{BackendKind, PhysSnapshot};
+pub use ce_pager::PhysSnapshot;
 pub use config::IoConfig;
 pub use env::{DiskEnv, EnvOptions};
 pub use join::{

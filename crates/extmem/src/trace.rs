@@ -16,7 +16,7 @@
 //! | `seq`     | logical sequential reads + writes                   |
 //! | `rand`    | logical random reads + writes                       |
 //! | `bytes`   | logical bytes read + written                        |
-//! | `phys`    | physical block transfers across the backend         |
+//! | `phys`    | physical block transfers between pool and file      |
 //!
 //! When tracing is disabled ([`ce_obs::enabled`] is false) constructing an
 //! `IoSpan` performs no snapshot, no clock read, and no allocation — the

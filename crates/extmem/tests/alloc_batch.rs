@@ -3,11 +3,13 @@
 //! The point of `next_batch` plus buffer reuse is that the per-record work
 //! of the merge hot path is a key comparison and a copy — not a `Vec`
 //! growth or a fresh block buffer. This test pins that with a counting
-//! `#[global_allocator]` shim: after a warm-up pull (which is allowed to
-//! size every internal buffer), draining the rest of a merge through a
-//! pre-reserved batch buffer must perform **zero** heap allocations.
+//! `#[global_allocator]` shim that counts the measuring thread only: after a
+//! warm-up pull (which is allowed to size every internal buffer), draining
+//! the rest of a merge through a pre-reserved batch buffer must perform
+//! **zero** heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::rc::Rc;
@@ -18,9 +20,35 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set only around the measured window, on the measuring thread: other
+    /// threads of the test binary (libtest's among them) may allocate at
+    /// any time without failing the test.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs `f` with this thread's allocations counted; returns how many it made.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract. `count` only reads a `const`-initialised
+// thread-local without a destructor, which neither allocates nor registers
+// anything, so the allocator never re-enters itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -29,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -60,9 +88,8 @@ fn merge_batch_pulls_are_allocation_free_after_warmup() {
     // steady-state drain may not snapshot, box, or grow anything.
     let _obs = obs::install(Rc::new(obs::NullSink));
 
-    let before = ALLOCS.load(Ordering::Relaxed);
     let mut total = warm;
-    {
+    let allocs = allocations_in(|| {
         let sp = io_span!(&env, "drain");
         assert!(!sp.is_active(), "NullSink must keep tracing disabled");
         loop {
@@ -72,12 +99,10 @@ fn merge_batch_pulls_are_allocation_free_after_warmup() {
                 break;
             }
         }
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    });
     assert_eq!(total, items.len());
     assert_eq!(
-        after - before,
-        0,
+        allocs, 0,
         "steady-state batched merge pulls must not allocate"
     );
 }

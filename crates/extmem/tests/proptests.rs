@@ -9,7 +9,7 @@ use ce_extmem::{
     anti_join, anti_join_stream, is_sorted_by_key, left_lookup_join,
     left_lookup_join_stream, lookup_join, lookup_join_stream, merge_union, merge_union_stream,
     semi_join, semi_join_stream, sort_by_key, sort_dedup_by_key, sort_dedup_streaming_by_key,
-    sort_streaming_by_key, BackendKind, DiskEnv, EnvOptions, IoConfig, SortedStream,
+    sort_streaming_by_key, DiskEnv, EnvOptions, IoConfig, SortedStream,
 };
 
 fn tiny_env() -> DiskEnv {
@@ -290,11 +290,11 @@ proptest! {
     }
 
     /// The pager acceptance property: for ANY sequence of reads and writes,
-    /// every storage variant (unpooled file, pooled file under heavy
-    /// eviction pressure, pooled in-memory) must produce byte-identical
-    /// file contents, identical read results, and — because the logical
-    /// model counters are priced before the pool is consulted — identical
-    /// `IoStats`.
+    /// every storage variant (unpooled, pooled at 2 and 3 frames under heavy
+    /// eviction pressure, pooled with everything resident) must produce
+    /// byte-identical file contents, identical read results, and — because
+    /// the logical model counters are priced before the pool is consulted —
+    /// identical `IoStats`.
     #[test]
     fn every_storage_variant_agrees(
         ops in prop::collection::vec(
@@ -307,7 +307,7 @@ proptest! {
             EnvOptions::unpooled(),
             EnvOptions::unpooled().with_cache_blocks(2), // constant eviction
             EnvOptions::unpooled().with_cache_blocks(64), // everything resident
-            EnvOptions::default().with_backend(BackendKind::Mem).with_cache_blocks(3),
+            EnvOptions::unpooled().with_cache_blocks(3),
         ];
         let mut files = Vec::new();
         for opts in variants {
@@ -353,12 +353,10 @@ proptest! {
         for img in &images[1..] {
             prop_assert_eq!(img, &images[0]);
         }
-        // ... and on the real filesystem after a sync (file-backed variants).
+        // ... and on the filesystem after a sync.
         for (_, f, path, opts) in &mut files {
-            if opts.backend == BackendKind::File {
-                f.sync().unwrap();
-                prop_assert_eq!(&std::fs::read(&path).unwrap(), &images[0], "fs divergence: {:?}", opts);
-            }
+            f.sync().unwrap();
+            prop_assert_eq!(&std::fs::read(&path).unwrap(), &images[0], "fs divergence: {:?}", opts);
         }
     }
 }

@@ -118,7 +118,7 @@ pub struct SccRun {
     pub iterations: Option<usize>,
     /// **Logical** block I/Os consumed (the paper's "Number of I/Os").
     pub ios: IoSnapshot,
-    /// **Physical** backend transfers consumed (pager counters).
+    /// **Physical** block transfers consumed (pager counters).
     pub phys: PhysSnapshot,
     /// Wall time.
     pub wall: Duration,

@@ -12,9 +12,9 @@
 //! ([`CountedFile`]) and read through a [`SharedFile`]; both price every
 //! transfer by one rule in the same **logical**
 //! [`IoStats`](ce_extmem::IoStats) model as the algorithms themselves. The
-//! artifact is always backed by a real on-disk file (even under in-memory
-//! environments — see [`CountedFile::create_persistent`]), so it survives
-//! the environment that built it and reopens in `O(1)` memory:
+//! environment never deletes the artifact (see
+//! [`CountedFile::create_persistent`]), so it survives the environment
+//! that built it and reopens in `O(1)` memory:
 //! [`SccIndex::open`] reads the header and runs one checksum pass, after
 //! which every query touches a bounded number of blocks —
 //! [`component_of`](SccIndexReader::component_of) one,
@@ -661,9 +661,9 @@ impl SccIndex {
     /// artifact starts at generation 0 with empty dirty and journal
     /// sections.
     ///
-    /// The file at `path` is created on the real filesystem regardless of
-    /// the environment's backend, truncating any previous artifact (and any
-    /// stale journal sidecar next to it); all bytes flow through the
+    /// The file at `path` is created as a persistent file the environment
+    /// never deletes, truncating any previous artifact (and any stale
+    /// journal sidecar next to it); all bytes flow through the
     /// environment's pager and logical I/O counters. One external sort of
     /// the label file (by representative) derives the component-size table.
     pub fn build(

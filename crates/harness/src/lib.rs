@@ -3,7 +3,7 @@
 //! The paper's claim is that Ext-SCC / Ext-SCC-Op compute the *same* SCC
 //! partition as classical algorithms at a fraction of the I/O. This crate
 //! turns that claim into a test: a **scenario matrix** sweeping
-//! {workload family × memory budget × storage backend × buffer-pool size ×
+//! {workload family × memory budget × buffer pool (off / on) ×
 //! fault-injection point}, running every registered
 //! [`SccAlgorithm`] on every cell and
 //! asserting
@@ -11,8 +11,8 @@
 //! 1. **partition equivalence** — each algorithm's labeling, canonicalized
 //!    by [`normalize_partition`], equals the in-memory Tarjan oracle's;
 //! 2. **logical-I/O determinism** — the logical block-I/O count of a run
-//!    depends only on (workload, budget, algorithm), never on which backend
-//!    or pool the blocks lived in;
+//!    depends only on (workload, budget, algorithm), never on whether a
+//!    pool cached the blocks;
 //! 3. **invariants** — label files are dense and node-sorted,
 //!    representatives are members of their own component, reported SCC
 //!    counts match the labeling;
@@ -62,7 +62,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ce_core::ExtSccAlgo;
 use ce_dfs_scc::{DfsMode, DfsSccAlgo};
 use ce_em_scc::EmSccAlgo;
-use ce_extmem::{BackendKind, DiskEnv, EnvOptions, IoConfig};
+use ce_extmem::{DiskEnv, EnvOptions, IoConfig};
 use ce_graph::algo::{AlgoError, SccAlgorithm};
 use ce_graph::planner::{Engine, Plan};
 use ce_graph::{gen, EdgeListGraph, SccIndex, SccLabel, SccLabeling};
@@ -606,22 +606,11 @@ pub fn tight_budget(n_nodes: u64) -> usize {
     budget_for(n_nodes / 3 * 2)
 }
 
-/// One storage configuration of the matrix.
-struct StorageMode {
-    name: &'static str,
-    backend: BackendKind,
-    pooled: bool,
-}
-
-/// The 2 backends × 2 pool settings every scenario runs under.
-fn storage_modes() -> [StorageMode; 4] {
-    [
-        StorageMode { name: "file/raw", backend: BackendKind::File, pooled: false },
-        StorageMode { name: "file/pool", backend: BackendKind::File, pooled: true },
-        StorageMode { name: "mem/raw", backend: BackendKind::Mem, pooled: false },
-        StorageMode { name: "mem/pool", backend: BackendKind::Mem, pooled: true },
-    ]
-}
+/// The storage modes every scenario runs under: name and whether a
+/// budget-sized buffer pool sits in front of the scratch files. A scratch
+/// read that went behind the pool would miss its dirty frames and break
+/// the pooled mode.
+const STORAGE_MODES: [(&str, bool); 2] = [("file/raw", false), ("file/pool", true)];
 
 /// One memory-budget regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -691,7 +680,7 @@ fn planner_detail(plan: &Plan) -> String {
 }
 
 /// Builds an [`SccIndex`] from the oracle labeling inside the scenario's
-/// environment (exercising its backend and pool on the write path), closes
+/// environment (exercising its pool on the write path), closes
 /// it, reopens it in a *fresh* default environment (the artifact must stand
 /// alone), and checks every query against the oracle. Returns a violation
 /// description on mismatch.
@@ -892,7 +881,7 @@ impl fmt::Display for MatrixReport {
                 f,
                 "logical-I/O determinism: OK — {} (family x budget x algorithm) groups identical across {} storage modes",
                 self.determinism_groups,
-                storage_modes().len()
+                STORAGE_MODES.len()
             )?;
         } else {
             writeln!(f, "logical-I/O determinism: FAILED")?;
@@ -990,10 +979,8 @@ pub fn run_matrix(scale: HarnessScale) -> io::Result<MatrixReport> {
                 engine: plan.engine.name(),
                 detail: planner_detail(&plan),
             });
-            for mode in &storage_modes() {
-                let opts = EnvOptions::default()
-                    .with_backend(mode.backend)
-                    .with_cache_blocks(if mode.pooled { cfg.blocks_in_memory() } else { 0 });
+            for (storage, pooled) in STORAGE_MODES {
+                let opts = if pooled { EnvOptions::pooled(&cfg) } else { EnvOptions::unpooled() };
                 let env = DiskEnv::new_temp_with(cfg, opts)?;
                 let g = (family.build)(&env, scale)?;
                 assert_eq!(
@@ -1006,7 +993,7 @@ pub fn run_matrix(scale: HarnessScale) -> io::Result<MatrixReport> {
                     &env,
                     &g,
                     &algos,
-                    format!("{} x {} x {}", family.name, budget.name(), mode.name),
+                    format!("{} x {} x {storage}", family.name, budget.name()),
                     &plan,
                     &mut planner_violations,
                     &mut index_scenarios,
@@ -1023,7 +1010,7 @@ pub fn run_matrix(scale: HarnessScale) -> io::Result<MatrixReport> {
                 rows.push(MatrixRow {
                     family: family.name,
                     budget: budget.name(),
-                    storage: mode.name,
+                    storage,
                     cells,
                 });
             }

@@ -4,24 +4,27 @@
 //! * Frames are block-sized; a frame is keyed by `(file, block_no)`.
 //! * Lookups are LRU: every access stamps the frame with a monotone tick and
 //!   eviction picks the frame with the smallest stamp.
-//! * Writes are write-back: a dirty frame reaches its [`BlockBackend`] only
-//!   on eviction, [`Pager::sync`], or drop. Write-back clips the tail block
-//!   to the file's logical length so flushed files are byte-exact.
+//! * Writes are write-back: a dirty frame reaches its file only on
+//!   eviction, [`Pager::sync`], or drop. Write-back clips the tail block to
+//!   the file's logical length so flushed files are byte-exact (never
+//!   zero-padded past it).
 //! * With `cache_frames == 0` the pager is a pass-through: every block of
 //!   every request is a physical transfer (the unpooled, seed-faithful
 //!   mode).
 //!
-//! Fault injection counts **physical** transfers: miss fills, pass-through
-//! block accesses, eviction write-backs and sync write-backs all consume the
-//! countdown; cache hits do not (no bytes crossed the backend boundary).
+//! Fault injection counts **physical operations**: miss fills, pass-through
+//! block accesses, eviction and sync write-backs, and the fsync of every
+//! [`Pager::sync`] consume the countdown; cache hits do not (nothing
+//! reached the file).
 
 use std::collections::{BTreeSet, HashMap};
+use std::fs::{File, OpenOptions};
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{BackendKind, BlockBackend, FileBackend, MemBackend};
 use crate::stats::{PhysSnapshot, PhysStats};
 
 /// Handle to one file inside a [`Pager`]. Plain index; cheap to copy.
@@ -33,13 +36,29 @@ pub struct FileId(u32);
 const NO_FILE: u32 = u32::MAX;
 
 struct FileState {
-    backend: Box<dyn BlockBackend>,
+    file: File,
     /// Logical length in bytes (the write-back cache may run ahead of the
-    /// backend's own length).
+    /// file's own length).
     len: u64,
-    /// Set when this pager created the file on the real filesystem and
-    /// therefore owns its removal.
-    owns_fs_path: Option<PathBuf>,
+    /// Set when this pager created the file as scratch and therefore
+    /// deletes it on [`Pager::remove`].
+    owned: bool,
+}
+
+impl FileState {
+    /// Reads up to `buf.len()` bytes at `offset`; returns how many the file
+    /// holds there (short at its end).
+    fn read_block(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        let mut done = 0;
+        while done < buf.len() {
+            let n = self.file.read_at(&mut buf[done..], offset + done as u64)?;
+            if n == 0 {
+                break;
+            }
+            done += n;
+        }
+        Ok(done)
+    }
 }
 
 struct Frame {
@@ -67,14 +86,13 @@ struct PagerInner {
     fault: Arc<AtomicI64>,
 }
 
-/// Pluggable block storage with a counted buffer pool. See the module docs.
+/// Block-granular files behind a counted buffer pool. See the module docs.
 pub struct Pager {
     inner: Mutex<PagerInner>,
     stats: Arc<PhysStats>,
     fault: Arc<AtomicI64>,
     block_size: usize,
     capacity: usize,
-    kind: BackendKind,
 }
 
 fn fault_fire(fault: &AtomicI64) -> io::Result<()> {
@@ -104,12 +122,12 @@ impl PagerInner {
     }
 
     /// One physical block read into `self.scratch[..want]`; zero-fills past
-    /// the backend's end.
+    /// the file's end.
     fn phys_read(&mut self, id: FileId, block_start: u64, want: usize) -> io::Result<()> {
         fault_fire(&self.fault)?;
         self.stats.record_read();
         let st = file_mut(&mut self.files, id)?;
-        let avail = st.backend.read_block(block_start, &mut self.scratch[..want])?;
+        let avail = st.read_block(block_start, &mut self.scratch[..want])?;
         self.scratch[avail..want].fill(0);
         Ok(())
     }
@@ -119,10 +137,10 @@ impl PagerInner {
         fault_fire(&self.fault)?;
         self.stats.record_write();
         let st = file_mut(&mut self.files, id)?;
-        st.backend.write_block(block_start, &self.scratch[..len])
+        st.file.write_all_at(&self.scratch[..len], block_start)
     }
 
-    /// Writes frame `fi` back to its backend, clipped to the file's logical
+    /// Writes frame `fi` back to its file, clipped to the file's logical
     /// length. The frame stays resident and is marked clean.
     fn write_back(&mut self, fi: usize) -> io::Result<()> {
         let (file, block) = (self.frames[fi].file, self.frames[fi].block);
@@ -136,7 +154,8 @@ impl PagerInner {
             self.stats.record_writeback();
             ce_obs::metrics::counter_add("pager.writebacks", 1);
             let st = file_mut(&mut self.files, id)?;
-            st.backend.write_block(block_start, &self.frames[fi].data[..valid])?;
+            st.file
+                .write_all_at(&self.frames[fi].data[..valid], block_start)?;
         }
         self.frames[fi].dirty = false;
         Ok(())
@@ -269,8 +288,8 @@ impl PagerInner {
 
 impl Pager {
     /// Creates a pager with `cache_frames` block-sized frames (0 =
-    /// pass-through) whose newly created files use `kind` storage.
-    pub fn new(block_size: usize, cache_frames: usize, kind: BackendKind) -> Pager {
+    /// pass-through).
+    pub fn new(block_size: usize, cache_frames: usize) -> Pager {
         assert!(block_size > 0, "block size must be positive");
         let stats = Arc::new(PhysStats::new());
         let fault = Arc::new(AtomicI64::new(-1));
@@ -292,7 +311,6 @@ impl Pager {
             fault,
             block_size,
             capacity: cache_frames,
-            kind,
         }
     }
 
@@ -310,18 +328,14 @@ impl Pager {
         self.capacity
     }
 
-    /// Storage substrate used for newly created files.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
     /// Physical-transfer counters.
     pub fn phys(&self) -> PhysSnapshot {
         self.stats.snapshot()
     }
 
-    /// Arranges for the `n`-th physical transfer from now (1-based) to fail
-    /// with an injected error; subsequent transfers keep failing until
+    /// Arranges for the `n`-th physical operation from now (1-based) — a
+    /// block transfer or the fsync of a [`Pager::sync`] — to fail with an
+    /// injected error; subsequent operations keep failing until
     /// [`Pager::clear_fault`].
     pub fn inject_fault_after(&self, n: u64) {
         self.fault.store(n as i64, Ordering::SeqCst);
@@ -330,12 +344,6 @@ impl Pager {
     /// Disables fault injection.
     pub fn clear_fault(&self) {
         self.fault.store(-1, Ordering::SeqCst);
-    }
-
-    /// Consumes one step of the fault countdown (exposed so environments can
-    /// keep legacy countdown semantics observable in tests).
-    pub fn check_fault(&self) -> io::Result<()> {
-        fault_fire(&self.fault)
     }
 
     fn intern(&self, inner: &mut PagerInner, path: &Path, st: FileState) -> FileId {
@@ -350,38 +358,34 @@ impl Pager {
         FileId(id)
     }
 
-    /// Creates (truncating) the file at `path` using this pager's backend
-    /// kind.
-    pub fn create(&self, path: &Path) -> io::Result<FileId> {
+    fn create_file(&self, path: &Path, owned: bool) -> io::Result<FileId> {
         let mut inner = self.lock();
-        let st = match self.kind {
-            BackendKind::File => FileState {
-                backend: Box::new(FileBackend::create(path)?),
-                len: 0,
-                owns_fs_path: Some(path.to_path_buf()),
-            },
-            BackendKind::Mem => FileState {
-                backend: Box::new(MemBackend::new()),
-                len: 0,
-                owns_fs_path: None,
-            },
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)?;
+        let st = FileState {
+            file,
+            len: 0,
+            owned,
         };
         Ok(self.intern(&mut inner, path, st))
     }
 
-    /// Creates (truncating) an **on-disk** file at `path` regardless of this
-    /// pager's backend kind — the escape hatch for persistent artifacts
-    /// (e.g. a queryable index) that must outlive in-memory environments.
-    /// All block traffic still flows through the buffer pool and the
-    /// physical counters; the file is never auto-deleted by the pager.
+    /// Creates (truncating) a scratch file at `path`; [`Pager::remove`]
+    /// deletes it.
+    pub fn create(&self, path: &Path) -> io::Result<FileId> {
+        self.create_file(path, true)
+    }
+
+    /// Creates (truncating) a file at `path` that the pager never deletes —
+    /// for artifacts (e.g. a queryable index) that must outlive the
+    /// environment whose pool writes them. All block traffic still flows
+    /// through the buffer pool and the physical counters.
     pub fn create_persistent(&self, path: &Path) -> io::Result<FileId> {
-        let mut inner = self.lock();
-        let st = FileState {
-            backend: Box::new(FileBackend::create(path)?),
-            len: 0,
-            owns_fs_path: None,
-        };
-        Ok(self.intern(&mut inner, path, st))
+        self.create_file(path, false)
     }
 
     fn open_existing(&self, path: &Path, rw: bool) -> io::Result<FileId> {
@@ -389,24 +393,18 @@ impl Pager {
         if let Some(&id) = inner.ids.get(path) {
             return Ok(FileId(id));
         }
-        // Not in the pager's namespace: fall back to the real filesystem so
-        // in-memory environments can still import pre-existing on-disk files.
-        let backend = if rw {
-            FileBackend::open_rw(path)?
-        } else {
-            FileBackend::open_read(path)?
-        };
-        let len = backend.len()?;
+        let file = OpenOptions::new().read(true).write(rw).open(path)?;
+        let len = file.metadata()?.len();
         let st = FileState {
-            backend: Box::new(backend),
+            file,
             len,
-            owns_fs_path: None,
+            owned: false,
         };
         Ok(self.intern(&mut inner, path, st))
     }
 
-    /// Opens `path` for reading (an existing pager file, or a real on-disk
-    /// file as a read-only import).
+    /// Opens `path` for reading (a file this pager already holds, or an
+    /// existing file, which it will not delete).
     pub fn open_read(&self, path: &Path) -> io::Result<FileId> {
         self.open_existing(path, false)
     }
@@ -501,24 +499,27 @@ impl Pager {
         Ok(())
     }
 
-    /// Writes every dirty frame of `id` back and syncs its backend.
+    /// Writes every dirty frame of `id` back, then fsyncs the file. The
+    /// fsync is one physical operation of the fault countdown (but no
+    /// transfer in [`PhysStats`]), so an armed fault fails a sync even when
+    /// no frame is dirty.
     pub fn sync(&self, id: FileId) -> io::Result<()> {
         let mut inner = self.lock();
         inner.flush_file(id.0)?;
-        inner.state(id)?.backend.sync()
+        fault_fire(&inner.fault)?;
+        inner.state(id)?.file.sync_data()
     }
 
     /// Removes `path`: its frames are discarded (without write-back), its
-    /// backend is dropped, and — for files this pager created on the real
-    /// filesystem — the on-disk file is deleted.
+    /// file is closed, and — for scratch files this pager created — deleted.
     pub fn remove(&self, path: &Path) -> io::Result<()> {
         let mut inner = self.lock();
         if let Some(id) = inner.ids.remove(path) {
             inner.discard_frames_of(id);
             let st = inner.files[id as usize].take();
             drop(inner);
-            if let Some(fs_path) = st.and_then(|s| s.owns_fs_path) {
-                let _ = std::fs::remove_file(fs_path);
+            if st.is_some_and(|s| s.owned) {
+                let _ = std::fs::remove_file(path);
             }
         } else {
             // Unknown to the pager (e.g. created before a pager restart):
@@ -529,7 +530,7 @@ impl Pager {
     }
 
     /// Forgets `path` without touching the filesystem: the interned id is
-    /// dropped, its frames discarded (no write-back), its backend closed.
+    /// dropped, its frames discarded (no write-back), its file closed.
     /// Unknown paths are a no-op. This is the hook for files that are
     /// replaced *behind* the pager — e.g. an atomic artifact swap done with
     /// a tmp copy + `rename(2)` — where the interned id would otherwise
@@ -581,7 +582,6 @@ impl std::fmt::Debug for Pager {
         f.debug_struct("Pager")
             .field("block_size", &self.block_size)
             .field("capacity", &self.capacity)
-            .field("kind", &self.kind)
             .finish()
     }
 }
@@ -590,19 +590,34 @@ impl std::fmt::Debug for Pager {
 mod tests {
     use super::*;
 
-    fn mem_pager(frames: usize) -> Pager {
-        Pager::new(64, frames, BackendKind::Mem)
+    /// A per-test scratch directory, removed on drop (declare it before the
+    /// pager, so the pager's final write-back runs first).
+    struct TestDir(PathBuf);
+
+    impl TestDir {
+        fn new(test: &str) -> TestDir {
+            let dir = std::env::temp_dir().join(format!("ce-pager-{test}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        fn path(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
     }
 
-    fn path(name: &str) -> PathBuf {
-        PathBuf::from(format!("/virtual/{name}"))
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
     fn roundtrip_pass_through_and_pooled() {
+        let dir = TestDir::new("roundtrip");
         for frames in [0usize, 2, 16] {
-            let p = mem_pager(frames);
-            let f = p.create(&path("a")).unwrap();
+            let p = Pager::new(64, frames);
+            let f = p.create(&dir.path("a")).unwrap();
             p.write_at(f, 0, b"hello world").unwrap();
             p.write_at(f, 200, b"far").unwrap();
             let mut buf = [0u8; 11];
@@ -617,8 +632,9 @@ mod tests {
 
     #[test]
     fn pooled_rereads_hit_the_cache() {
-        let p = mem_pager(4);
-        let f = p.create(&path("a")).unwrap();
+        let dir = TestDir::new("rereads");
+        let p = Pager::new(64, 4);
+        let f = p.create(&dir.path("a")).unwrap();
         p.write_at(f, 0, &[7u8; 64]).unwrap();
         let before = p.phys();
         let mut buf = [0u8; 64];
@@ -632,8 +648,9 @@ mod tests {
 
     #[test]
     fn lru_eviction_order_is_least_recent_first() {
-        let p = mem_pager(3);
-        let f = p.create(&path("a")).unwrap();
+        let dir = TestDir::new("lru");
+        let p = Pager::new(64, 3);
+        let f = p.create(&dir.path("a")).unwrap();
         // Touch blocks 0, 1, 2, then re-touch 0: LRU order is 1, 2, 0.
         for b in [0u64, 1, 2, 0] {
             p.write_at(f, b * 64, &[b as u8; 64]).unwrap();
@@ -652,7 +669,7 @@ mod tests {
             p.lru_order().iter().map(|&(_, b)| b).collect::<Vec<_>>(),
             vec![2, 0, 3]
         );
-        // Contents of the evicted block survive in the backend.
+        // Contents of the evicted block survive in the file.
         let mut buf = [0u8; 64];
         p.read_at(f, 64, &mut buf).unwrap();
         assert_eq!(buf, [1u8; 64]);
@@ -660,11 +677,10 @@ mod tests {
 
     #[test]
     fn dirty_write_back_on_sync_and_drop() {
-        let dir = std::env::temp_dir().join(format!("ce-pager-wb-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let fpath = dir.join("wb.bin");
+        let dir = TestDir::new("write-back");
+        let fpath = dir.path("wb.bin");
         {
-            let p = Pager::new(64, 8, BackendKind::File);
+            let p = Pager::new(64, 8);
             let f = p.create(&fpath).unwrap();
             p.write_at(f, 0, &[9u8; 100]).unwrap();
             // Dirty data is cached, not yet in the file.
@@ -678,13 +694,13 @@ mod tests {
         let bytes = std::fs::read(&fpath).unwrap();
         assert_eq!(bytes.len(), 128, "drop flushed the tail");
         assert_eq!(&bytes[100..], &[5u8; 28][..]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn faults_fire_on_physical_transfers_not_hits() {
-        let p = mem_pager(4);
-        let f = p.create(&path("a")).unwrap();
+        let dir = TestDir::new("fault-hits");
+        let p = Pager::new(64, 4);
+        let f = p.create(&dir.path("a")).unwrap();
         p.write_at(f, 0, &[1u8; 64]).unwrap(); // cached, no physical I/O
         p.inject_fault_after(1);
         let mut buf = [0u8; 64];
@@ -708,8 +724,9 @@ mod tests {
 
     #[test]
     fn fault_fires_on_sync_write_back() {
-        let p = mem_pager(4);
-        let f = p.create(&path("a")).unwrap();
+        let dir = TestDir::new("fault-wb");
+        let p = Pager::new(64, 4);
+        let f = p.create(&dir.path("a")).unwrap();
         p.write_at(f, 0, &[1u8; 64]).unwrap();
         p.inject_fault_after(1);
         assert!(p.sync(f).is_err());
@@ -718,11 +735,49 @@ mod tests {
     }
 
     #[test]
+    fn fault_fires_on_the_fsync_of_a_clean_sync() {
+        // Pass-through writes leave no dirty frame, and a pooled file is
+        // clean right after a sync: the fsync is then a sync's only
+        // physical operation, and an armed fault must fail it.
+        let dir = TestDir::new("fault-fsync");
+        for frames in [0usize, 4] {
+            let p = Pager::new(64, frames);
+            let f = p.create(&dir.path("a")).unwrap();
+            p.write_at(f, 0, &[1u8; 64]).unwrap();
+            p.sync(f).unwrap();
+            let before = p.phys();
+            p.inject_fault_after(1);
+            let err = p.sync(f).unwrap_err();
+            assert!(
+                err.to_string().contains("injected"),
+                "frames={frames}: {err}"
+            );
+            assert_eq!(p.phys(), before, "an fsync is no block transfer");
+            p.clear_fault();
+            p.sync(f).unwrap();
+        }
+        // With a dirty frame the write-back comes first: the second
+        // operation of the sync is its fsync.
+        let p = Pager::new(64, 4);
+        let f = p.create(&dir.path("b")).unwrap();
+        p.write_at(f, 0, &[2u8; 64]).unwrap();
+        p.inject_fault_after(2);
+        assert!(p.sync(f).is_err());
+        assert_eq!(
+            p.phys().writebacks,
+            1,
+            "the write-back ran before the fsync failed"
+        );
+        p.clear_fault();
+    }
+
+    #[test]
     fn create_resets_an_existing_path() {
-        let p = mem_pager(4);
-        let f1 = p.create(&path("a")).unwrap();
+        let dir = TestDir::new("recreate");
+        let p = Pager::new(64, 4);
+        let f1 = p.create(&dir.path("a")).unwrap();
         p.write_at(f1, 0, &[1u8; 64]).unwrap();
-        let f2 = p.create(&path("a")).unwrap();
+        let f2 = p.create(&dir.path("a")).unwrap();
         assert_eq!(p.len(f2).unwrap(), 0);
         let mut buf = [7u8; 64];
         assert_eq!(p.read_at(f2, 0, &mut buf).unwrap(), 0, "truncated");
@@ -730,13 +785,15 @@ mod tests {
 
     #[test]
     fn remove_discards_frames_and_cached_state() {
-        let p = mem_pager(2);
-        let f = p.create(&path("a")).unwrap();
+        let dir = TestDir::new("remove");
+        let p = Pager::new(64, 2);
+        let f = p.create(&dir.path("a")).unwrap();
         p.write_at(f, 0, &[1u8; 64]).unwrap();
         assert_eq!(p.resident_blocks(), 1);
-        p.remove(&path("a")).unwrap();
+        p.remove(&dir.path("a")).unwrap();
         assert_eq!(p.resident_blocks(), 0);
         assert!(p.len(f).is_err(), "stale handle is rejected");
+        assert!(!dir.path("a").exists(), "a removed scratch file is deleted");
     }
 
     #[test]
@@ -744,9 +801,10 @@ mod tests {
         // `frame_for` must judge "live bytes to preserve" against the length
         // BEFORE this write grew it: a hole/first-touch write has nothing to
         // preserve, in pooled and pass-through mode alike.
+        let dir = TestDir::new("first-touch");
         for frames in [0usize, 4] {
-            let p = mem_pager(frames);
-            let f = p.create(&path("a")).unwrap();
+            let p = Pager::new(64, frames);
+            let f = p.create(&dir.path("a")).unwrap();
             p.write_at(f, 5, &[9u8; 10]).unwrap(); // unaligned first touch
             p.write_at(f, 200, &[7u8; 3]).unwrap(); // hole write, later block
             let d = p.phys();
@@ -764,10 +822,11 @@ mod tests {
         // victim frame carrying its old (file, block) key outside the map; a
         // later eviction of that frame would then remove the *live* map
         // entry for the same key, orphaning dirty data.
-        let p = mem_pager(2);
-        let f = p.create(&path("a")).unwrap();
+        let dir = TestDir::new("failed-fill");
+        let p = Pager::new(64, 2);
+        let f = p.create(&dir.path("a")).unwrap();
         p.write_at(f, 0, &[1u8; 256]).unwrap(); // blocks 0..4; 2 and 3 resident
-        p.sync(f).unwrap(); // backend holds [1u8; 256], frames clean
+        p.sync(f).unwrap(); // the file holds [1u8; 256], frames clean
         // Fail the physical read of a miss fill: the victim frame must come
         // out of it detached, not still claiming its old block.
         p.inject_fault_after(1);
@@ -792,13 +851,14 @@ mod tests {
 
     #[test]
     fn evictions_and_writebacks_reach_the_metrics_registry() {
+        let dir = TestDir::new("metrics");
         use std::rc::Rc;
         let _g = ce_obs::install(Rc::new(ce_obs::MemSink::new()));
         ce_obs::metrics::reset();
         // 1-frame pool: alternating dirty writes force an eviction (and a
         // write-back of the dirty victim) on every block switch.
-        let p = mem_pager(1);
-        let f = p.create(&path("a")).unwrap();
+        let p = Pager::new(64, 1);
+        let f = p.create(&dir.path("a")).unwrap();
         for b in [0u64, 1, 0, 1] {
             p.write_at(f, b * 64, &[7u8; 64]).unwrap();
         }
@@ -818,9 +878,10 @@ mod tests {
 
     #[test]
     fn partial_overwrite_preserves_surrounding_bytes() {
+        let dir = TestDir::new("partial");
         for frames in [0usize, 1, 4] {
-            let p = mem_pager(frames);
-            let f = p.create(&path("a")).unwrap();
+            let p = Pager::new(64, frames);
+            let f = p.create(&dir.path("a")).unwrap();
             p.write_at(f, 0, &[0xAB; 130]).unwrap();
             p.write_at(f, 40, &[0xCD; 10]).unwrap();
             let mut buf = [0u8; 130];

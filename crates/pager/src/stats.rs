@@ -1,6 +1,6 @@
 //! Physical-transfer counters.
 //!
-//! These count what actually crosses the backend boundary — block reads and
+//! These count what actually crosses the file boundary — block reads and
 //! writes issued by the pool (or the pass-through path), plus cache hits and
 //! misses. They are deliberately kept apart from the *logical* model
 //! counters (`ce-extmem`'s `IoStats`): the paper's figures price every
@@ -69,9 +69,9 @@ impl PhysStats {
 /// can attribute physical transfers to phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhysSnapshot {
-    /// Blocks physically read from a backend.
+    /// Blocks physically read from a file.
     pub reads: u64,
-    /// Blocks physically written to a backend (including write-backs).
+    /// Blocks physically written to a file (including write-backs).
     pub writes: u64,
     /// Pooled block lookups served from a resident frame.
     pub hits: u64,

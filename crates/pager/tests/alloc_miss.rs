@@ -3,11 +3,12 @@
 //! A burst of queries on a freshly opened reader generation misses on most
 //! of its pages. Once the pool is full, each miss reuses the evicted
 //! frame's buffer instead of allocating a new frame and freeing the old
-//! one. This test pins that with a counting `#[global_allocator]` shim:
-//! after the pool has filled, a long run of reads that all miss performs
-//! **zero** heap allocations.
+//! one. This test pins that with a counting `#[global_allocator]` shim that
+//! counts the measuring thread only: after the pool has filled, a long run
+//! of reads that all miss performs **zero** heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ce_pager::SharedPager;
@@ -16,9 +17,35 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set only around the measured window, on the measuring thread: other
+    /// threads of the test binary (libtest's among them) may allocate at
+    /// any time without failing the test.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs `f` with this thread's allocations counted; returns how many it made.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract. `count` only reads a `const`-initialised
+// thread-local without a destructor, which neither allocates nor registers
+// anything, so the allocator never re-enters itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -27,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -58,14 +85,14 @@ fn misses_on_a_full_pool_are_allocation_free() {
     assert_eq!(pool.resident_blocks(), 4, "the pool is full");
 
     let misses = pool.phys().misses;
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 0..1000u64 {
-        let off = (i % BLOCKS) * BLOCK as u64 + i % 50;
-        pool.read_at(off, &mut buf).unwrap();
-        assert_eq!(buf[..], bytes[off as usize..off as usize + 8]);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let allocs = allocations_in(|| {
+        for i in 0..1000u64 {
+            let off = (i % BLOCKS) * BLOCK as u64 + i % 50;
+            pool.read_at(off, &mut buf).unwrap();
+            assert_eq!(buf[..], bytes[off as usize..off as usize + 8]);
+        }
+    });
     assert_eq!(pool.phys().misses - misses, 1000, "every read missed");
-    assert_eq!(after - before, 0, "a miss on a full pool must not allocate");
+    assert_eq!(allocs, 0, "a miss on a full pool must not allocate");
     std::fs::remove_dir_all(&dir).ok();
 }

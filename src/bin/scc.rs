@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! scc run   --input graph.txt [--mem 64M] [--block 64K] [--baseline]
-//!           [--backend file|mem] [--cache-blocks N]
+//!           [--cache-blocks N]
 //!           [--out labels.txt] [--condense dag.txt] [--export-binary g.ceg]
 //!           [--scratch DIR] [--stats] [--trace human|json] [--trace-wall]
 //! scc plan  --input graph.txt [--mem 64M] [--block 64K]
 //!           [--engine auto|semi-scc|ext-scc|ext-scc-op]
 //! scc index build --input graph.txt --out graph.sccidx
-//!           [--mem 64M] [--block 64K] [--backend file|mem] [--cache-blocks N]
+//!           [--mem 64M] [--block 64K] [--cache-blocks N]
 //!           [--scratch DIR] [--engine auto|semi-scc|ext-scc|ext-scc-op]
 //!           [--with-condensation] [--stats]
 //! scc index query --index graph.sccidx -u NODE [-v NODE] [--stats]
@@ -88,8 +88,8 @@
 //!
 //! `scc verify` runs the `ce-harness` differential conformance matrix:
 //! every registered algorithm (the five external engines plus the in-memory
-//! oracles) over every scenario {workload family × memory budget × backend ×
-//! buffer pool × fault point}, asserting partition equivalence,
+//! oracles) over every scenario {workload family × memory budget × buffer
+//! pool (off / on) × fault point}, asserting partition equivalence,
 //! logical-I/O determinism, planner agreement and index round-trips. The
 //! summary table on stdout is deterministic and byte-stable
 //! (golden-tested); the exit code is 0 iff every check passed.
@@ -100,12 +100,13 @@
 //! externally). The memory budget is honoured end to end: the node set of
 //! the input graph is never loaded into RAM.
 //!
-//! `--backend` picks where scratch blocks live (on disk or in memory) and
-//! `--cache-blocks` sizes the buffer pool in front of it (default: `M / B`
-//! frames; 0 disables the pool). Neither changes the *logical* block-I/O
-//! numbers reported — those count model transfers, as in the paper — but
-//! `--stats` additionally reports the *physical* transfers and the pool's
-//! hit/miss counters.
+//! Scratch files live in a fresh temporary directory, or in `--scratch DIR`
+//! (a directory on a tmpfs such as `/dev/shm` keeps them in RAM), and
+//! `--cache-blocks` sizes the buffer pool in front of them (default:
+//! `M / B` frames; 0 disables the pool). Neither changes the *logical*
+//! block-I/O numbers reported — those count model transfers, as in the
+//! paper — but `--stats` additionally reports the *physical* transfers and
+//! the pool's hit/miss counters.
 //!
 //! `--trace human` prints the run's I/O-attribution span tree on stdout:
 //! one node per contraction iteration and per phase (Get-V, Get-E,
@@ -150,7 +151,6 @@ struct Options {
     scratch: Option<PathBuf>,
     mem: usize,
     block: usize,
-    backend: BackendKind,
     cache_blocks: Option<usize>,
     baseline: bool,
     stats: bool,
@@ -160,13 +160,13 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: scc run --input graph.txt|graph.ceg [--mem 64M] [--block 64K] [--baseline]\n\
-     \x20              [--backend file|mem] [--cache-blocks N]\n\
+     \x20              [--cache-blocks N]\n\
      \x20              [--out labels.txt] [--condense dag.txt] [--export-binary g.ceg]\n\
      \x20              [--scratch DIR] [--stats] [--trace human|json] [--trace-wall]\n\
      \x20      scc plan --input graph.txt|graph.ceg [--mem 64M] [--block 64K]\n\
      \x20              [--engine auto|semi-scc|ext-scc|ext-scc-op]\n\
      \x20      scc index build --input graph.txt|graph.ceg --out graph.sccidx\n\
-     \x20              [--mem 64M] [--block 64K] [--backend file|mem] [--cache-blocks N]\n\
+     \x20              [--mem 64M] [--block 64K] [--cache-blocks N]\n\
      \x20              [--scratch DIR] [--engine auto|semi-scc|ext-scc|ext-scc-op]\n\
      \x20              [--with-condensation (embed the condensation DAG)] [--stats]\n\
      \x20      scc index query --index graph.sccidx -u NODE [-v NODE] [--stats]\n\
@@ -238,7 +238,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         scratch: None,
         mem: 64 << 20,
         block: 64 << 10,
-        backend: BackendKind::File,
         cache_blocks: None,
         baseline: false,
         stats: false,
@@ -264,7 +263,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--scratch" => opts.scratch = Some(PathBuf::from(value("--scratch")?)),
             "--mem" => opts.mem = parse_size(value("--mem")?)?,
             "--block" => opts.block = parse_size(value("--block")?)?,
-            "--backend" => opts.backend = value("--backend")?.parse()?,
             "--cache-blocks" => {
                 let v = value("--cache-blocks")?;
                 opts.cache_blocks = Some(
@@ -304,7 +302,6 @@ fn check_model(mem: usize, block: usize) -> Result<(), String> {
 fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let cfg = IoConfig::new(opts.block, opts.mem);
     let env_opts = EnvOptions {
-        backend: opts.backend,
         cache_blocks: opts.cache_blocks.unwrap_or_else(|| cfg.blocks_in_memory()),
     };
     let env = match &opts.scratch {
@@ -404,8 +401,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     );
     if opts.stats {
         eprintln!("{}", out.report);
-        let o = env.options();
-        eprintln!("{}", storage_stats(o.backend, o.cache_blocks, env.phys()));
+        eprintln!("{}", storage_stats(env.options().cache_blocks, env.phys()));
     }
 
     // Stream labels to the output without materializing them.
@@ -499,7 +495,6 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
     let mut scratch: Option<PathBuf> = None;
     let mut mem = 64usize << 20;
     let mut block = 64usize << 10;
-    let mut backend = BackendKind::File;
     let mut cache_blocks: Option<usize> = None;
     let mut engine: Option<Engine> = None;
     let mut condense = false;
@@ -516,7 +511,6 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
             "--scratch" => scratch = Some(PathBuf::from(value("--scratch")?)),
             "--mem" => mem = parse_size(value("--mem")?)?,
             "--block" => block = parse_size(value("--block")?)?,
-            "--backend" => backend = value("--backend")?.parse()?,
             "--cache-blocks" => {
                 let v = value("--cache-blocks")?;
                 cache_blocks = Some(
@@ -525,9 +519,7 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
                 );
             }
             "--engine" => engine = parse_engine(value("--engine")?)?,
-            // `--condense` is the historical spelling; `--with-condensation`
-            // is what the delta-engine error messages name.
-            "--condense" | "--with-condensation" => condense = true,
+            "--with-condensation" => condense = true,
             "--stats" => stats = true,
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -541,7 +533,6 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
     check_model(mem, block)?;
     let cfg = IoConfig::new(block, mem);
     let env_opts = EnvOptions {
-        backend,
         cache_blocks: cache_blocks.unwrap_or_else(|| cfg.blocks_in_memory()),
     };
 
@@ -588,8 +579,7 @@ fn run_index_build(args: &[String]) -> Result<ExitCode, String> {
         if stats {
             eprintln!("engine I/O: {}", built.run.ios);
             let env = session.env();
-            let o = env.options();
-            eprintln!("{}", storage_stats(o.backend, o.cache_blocks, env.phys()));
+            eprintln!("{}", storage_stats(env.options().cache_blocks, env.phys()));
         }
         Ok(())
     };
@@ -665,7 +655,7 @@ fn run_index_query(args: &[String]) -> Result<ExitCode, String> {
             );
             eprintln!("open I/O: {open_ios}");
             eprintln!("query I/O: {}", idx.stats().since(&open_ios));
-            eprintln!("{}", storage_stats(BackendKind::File, 0, idx.phys()));
+            eprintln!("{}", storage_stats(0, idx.phys()));
         }
         Ok(())
     };

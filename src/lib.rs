@@ -54,7 +54,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`obs`] | observability substrate: RAII spans, metrics registry, pluggable sinks (null / in-memory / JSON lines), zero-cost when disabled |
-//! | [`pager`] | storage substrate: pluggable block backends (file / in-memory) + counted buffer pool (LRU, pins, dirty write-back) |
+//! | [`pager`] | storage substrate: counted buffer pools over files — the owned pool for scratch and artifact writes (LRU, dirty write-back, fault injection) and the shared read-only pool for index readers |
 //! | [`extmem`] | I/O model: counted block files, external sort, merge joins, buffered repository tree |
 //! | [`graph`] | edge-list graphs, CSR, Tarjan/Kosaraju, workload generators, **engine planner** ([`graph::planner`]) and the **persistent [`graph::index::SccIndex`]** artifact |
 //! | [`semi_scc`] | semi-external base case (coloring and spanning-tree variants) + [`semi_scc::planner_for`] |
@@ -66,8 +66,8 @@
 //! | [`util`] | shared helpers ([`util::parse_size`]) |
 //!
 //! The model's **logical** I/O counters (`IoStats`, what the paper's figures
-//! plot) are independent of the storage substrate: pick a backend and a
-//! buffer-pool size per environment via [`prelude::EnvOptions`] (or split
+//! plot) are independent of the storage substrate: pick a buffer-pool size
+//! per environment via [`prelude::EnvOptions`] (or split
 //! one strict `M`-byte budget between pool and algorithm with
 //! `EnvOptions::strict`), read the **physical** transfer counters via
 //! `DiskEnv::phys()`, and the logical numbers stay bit-for-bit identical
@@ -101,7 +101,7 @@ pub mod prelude {
     pub use ce_core::{ExtScc, ExtSccAlgo, ExtSccConfig, ExtSccError, RunReport, SccOutput};
     pub use ce_dfs_scc::DfsSccAlgo;
     pub use ce_em_scc::EmSccAlgo;
-    pub use ce_extmem::{BackendKind, DiskEnv, EnvOptions, IoConfig, IoSnapshot, PhysSnapshot};
+    pub use ce_extmem::{DiskEnv, EnvOptions, IoConfig, IoSnapshot, PhysSnapshot};
     pub use ce_graph::algo::{AlgoBudget, AlgoError, SccAlgorithm, SccRun};
     pub use ce_graph::gen;
     pub use ce_graph::planner::{Engine, Plan, Planner};

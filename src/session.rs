@@ -5,7 +5,7 @@
 //! packages that choice so callers never pick an engine by hand:
 //!
 //! ```text
-//! SccSession::open(cfg, opts)      an I/O environment (M, B, backend, pool)
+//! SccSession::open(cfg, opts)      an I/O environment (M, B, buffer pool)
 //!     .source(GraphSource::...)    text / binary / in-memory / generator
 //!     .plan()                      explainable engine choice (no I/O spent)
 //!     .build_index(path)           run the planned engine, materialize a
@@ -120,7 +120,8 @@ impl SccSession {
         Ok(SccSession::wrap(DiskEnv::new_temp_with(cfg, opts)?))
     }
 
-    /// Opens a session whose scratch space lives in `dir` (kept on exit).
+    /// Opens a session whose scratch space lives in `dir` (kept on exit; a
+    /// directory on a tmpfs keeps scratch in RAM).
     pub fn open_in(dir: &Path, cfg: IoConfig, opts: EnvOptions) -> io::Result<SccSession> {
         Ok(SccSession::wrap(DiskEnv::new_in_with(dir, cfg, opts)?))
     }

@@ -1,19 +1,16 @@
 //! Small shared helpers for the CLI, the examples and embedding
 //! applications.
 
-use ce_extmem::{BackendKind, PhysSnapshot};
+use ce_extmem::PhysSnapshot;
 
 /// The one-line storage/physical-counter report shared by every `--stats`
-/// flag (`scc run`, `scc index build`, `scc index query`): backend kind,
-/// buffer-pool size in frames, physical transfers and the pool hit rate.
+/// flag (`scc run`, `scc index build`, `scc index query`): buffer-pool size
+/// in frames, physical transfers and the pool hit rate.
 ///
 /// One formatter keeps the three subcommands' stats output identical in
 /// shape, so scripts can parse any of them the same way.
-pub fn storage_stats(backend: BackendKind, cache_blocks: usize, phys: PhysSnapshot) -> String {
-    format!(
-        "storage: {} backend, {cache_blocks} cache blocks; {phys}",
-        backend.name()
-    )
+pub fn storage_stats(cache_blocks: usize, phys: PhysSnapshot) -> String {
+    format!("storage: {cache_blocks} cache blocks; {phys}")
 }
 
 /// Parses a byte size with an optional binary suffix: `"64"`, `"64K"`,
@@ -72,15 +69,13 @@ mod tests {
     }
 
     #[test]
-    fn storage_stats_reports_backend_pool_and_hit_rate() {
+    fn storage_stats_reports_pool_and_hit_rate() {
         use ce_extmem::{DiskEnv, EnvOptions, IoConfig};
         let cfg = IoConfig::new(256, 4 << 10);
         let env = DiskEnv::new_temp_with(cfg, EnvOptions::pooled(&cfg)).unwrap();
-        let o = env.options();
-        let line = storage_stats(o.backend, o.cache_blocks, env.phys());
-        assert!(line.starts_with("storage: "), "{line}");
-        assert!(line.contains("backend"), "{line}");
-        assert!(line.contains("cache blocks"), "{line}");
+        let line = storage_stats(env.options().cache_blocks, env.phys());
+        assert!(line.starts_with("storage: 16 cache blocks; "), "{line}");
+        assert!(line.contains("cache hits"), "{line}");
         assert!(line.contains("hit rate"), "{line}");
     }
 

@@ -100,6 +100,18 @@ fn rejects_bad_arguments() {
     assert_eq!(threads.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&threads.stderr);
     assert!(stderr.contains("unknown argument \"--threads\""), "{stderr}");
+
+    // Scratch always lives in files; `--scratch DIR` picks where.
+    let backend = scc_bin()
+        .args(["run", "--input", "g.txt", "--backend", "file"])
+        .output()
+        .unwrap();
+    assert_eq!(backend.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&backend.stderr);
+    assert!(
+        stderr.contains("unknown argument \"--backend\""),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -263,7 +275,7 @@ fn index_build_then_query_answers_without_recomputing() {
             .arg(&input)
             .arg("--out")
             .arg(&idx)
-            .args(["--mem", "1M", "--condense"])
+            .args(["--mem", "1M", "--with-condensation"])
             .args(*block)
             .output()
             .unwrap();
@@ -698,6 +710,22 @@ fn index_subcommand_rejects_bad_usage() {
     let stderr = String::from_utf8_lossy(&r.stderr);
     assert!(stderr.contains("unknown index build argument \"--threads\""), "{stderr}");
 
+    // `--with-condensation` is the one spelling (`scc run --condense` takes
+    // a path), and scratch always lives in files.
+    for (flag, value) in [("--condense", None), ("--backend", Some("file"))] {
+        let r = scc_bin()
+            .args([
+                "index", "build", "--input", "g.txt", "--out", "g.sccidx", flag,
+            ])
+            .args(value)
+            .output()
+            .unwrap();
+        assert_eq!(r.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        let want = format!("unknown index build argument \"{flag}\"");
+        assert!(stderr.contains(&want), "{stderr}");
+    }
+
     let r = scc_bin().args(["index", "query", "--index", "x.sccidx"]).output().unwrap();
     assert_eq!(r.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&r.stderr).contains("-u is required"));
@@ -803,49 +831,65 @@ fn missing_flag_value_is_rejected() {
 }
 
 #[test]
-fn mem_backend_produces_identical_labels_and_reports_cache_stats() {
-    let dir = std::env::temp_dir().join(format!("scc-cli-mem-{}", std::process::id()));
+fn storage_settings_produce_identical_labels_and_report_cache_stats() {
+    let dir = std::env::temp_dir().join(format!("scc-cli-storage-{}", std::process::id()));
+    let scratch = dir.join("scratch");
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("g.txt");
     std::fs::write(&input, "0 1\n1 2\n2 0\n2 3\n3 4\n4 3\n").unwrap();
 
-    let mut labels = Vec::new();
-    for backend in ["file", "mem"] {
+    // Pooled (the default: M / B = 256 frames), pass-through, and pooled
+    // over an explicit scratch directory.
+    let scratch_arg = scratch.to_str().unwrap();
+    let settings: [(&[&str], &str); 3] = [
+        (&[], "storage: 256 cache blocks;"),
+        (&["--cache-blocks", "0"], "storage: 0 cache blocks;"),
+        (&["--scratch", scratch_arg], "storage: 256 cache blocks;"),
+    ];
+    let mut runs = Vec::new();
+    for (extra, storage) in settings {
         let r = scc_bin()
             .arg("--input")
             .arg(&input)
-            .args(["--mem", "1M", "--block", "4K", "--backend", backend, "--stats"])
+            .args(["--mem", "1M", "--block", "4K", "--stats"])
+            .args(extra)
             .output()
             .unwrap();
         assert!(
             r.status.success(),
-            "--backend {backend} failed: {}",
+            "{extra:?} failed: {}",
             String::from_utf8_lossy(&r.stderr)
         );
-        let stderr = String::from_utf8_lossy(&r.stderr);
-        assert!(stderr.contains("cache hits"), "--stats must report the pool: {stderr}");
+        let stderr = String::from_utf8_lossy(&r.stderr).into_owned();
         assert!(
-            stderr.contains(&format!("{backend} backend")),
-            "--stats must name the backend: {stderr}"
+            stderr.contains("cache hits"),
+            "--stats must report the pool: {stderr}"
         );
-        labels.push(String::from_utf8_lossy(&r.stdout).into_owned());
+        assert!(
+            stderr.contains(storage),
+            "--stats must size the pool: {stderr}"
+        );
+        let ios = stderr
+            .lines()
+            .find_map(|l| l.split(", ").find(|f| f.ends_with(" block I/Os")))
+            .unwrap_or_else(|| panic!("no block I/O count: {stderr}"))
+            .to_string();
+        runs.push((String::from_utf8_lossy(&r.stdout).into_owned(), ios, stderr));
     }
-    assert_eq!(labels[0], labels[1], "backends must agree on the labeling");
-
-    // An explicit pool size is honoured, and 0 disables the pool.
-    let r = scc_bin()
-        .arg("--input")
-        .arg(&input)
-        .args(["--mem", "1M", "--block", "4K", "--cache-blocks", "0", "--stats"])
-        .output()
-        .unwrap();
-    assert!(r.status.success());
-    let stderr = String::from_utf8_lossy(&r.stderr);
-    assert!(stderr.contains(", 0 cache blocks;"), "{stderr}");
+    for (labels, ios, _) in &runs[1..] {
+        assert_eq!(
+            labels, &runs[0].0,
+            "storage settings must agree on the labeling"
+        );
+        assert_eq!(ios, &runs[0].1, "the pool must not change logical I/O");
+    }
     assert!(
-        stderr.contains("; 0 cache hits,"),
-        "pass-through must not hit: {stderr}"
+        runs[1].2.contains("; 0 cache hits,"),
+        "pass-through must not hit: {}",
+        runs[1].2
     );
+    let left = std::fs::read_dir(&scratch).unwrap().count();
+    assert_eq!(left, 0, "--scratch keeps the directory but no scratch file");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -857,7 +901,8 @@ fn bad_backend_and_cache_flags_are_rejected() {
         .output()
         .unwrap();
     assert_eq!(r.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&r.stderr).contains("unknown backend"));
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert!(stderr.contains("unknown argument \"--backend\""), "{stderr}");
 
     let r = scc_bin()
         .args(["--input", "g.txt", "--cache-blocks", "many"])
@@ -866,7 +911,7 @@ fn bad_backend_and_cache_flags_are_rejected() {
     assert_eq!(r.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&r.stderr).contains("bad --cache-blocks"));
 
-    let r = scc_bin().args(["--input", "g.txt", "--backend"]).output().unwrap();
+    let r = scc_bin().args(["--input", "g.txt", "--cache-blocks"]).output().unwrap();
     assert_eq!(r.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&r.stderr).contains("requires a value"));
 }

@@ -1,5 +1,5 @@
 //! Differential conformance suite: the full `ce-harness` scenario matrix —
-//! {workload family × memory budget × storage backend × buffer pool ×
+//! {workload family × memory budget × buffer pool (off / on) ×
 //! fault-injection point} × every registered `SccAlgorithm` — must pass.
 //!
 //! Scale is controlled by the `HARNESS_SCALE` env var (`smoke` default,
@@ -23,8 +23,8 @@ fn full_matrix_is_green() {
         report.failures().join("\n")
     );
 
-    // The acceptance shape of the sweep: >= 6 workload families, 2 backends
-    // x 2 cache settings, and the 5 external engines + 2 oracles.
+    // The acceptance shape of the sweep: >= 6 workload families, 2 cache
+    // settings, and the 5 external engines + 2 oracles.
     let families: std::collections::BTreeSet<&str> =
         report.rows.iter().map(|r| r.family).collect();
     assert!(families.len() >= 6, "families: {families:?}");
@@ -32,8 +32,8 @@ fn full_matrix_is_green() {
         report.rows.iter().map(|r| r.storage).collect();
     assert_eq!(
         storages.len(),
-        5,
-        "2 backends x 2 cache settings + the strict-budget scenario expected: {storages:?}"
+        3,
+        "2 cache settings + the strict-budget scenario expected: {storages:?}"
     );
     assert!(storages.contains("strict"), "strict M-total scenario present");
     assert!(report.algos.len() >= 7, "5 engines + 2 oracles: {:?}", report.algos);

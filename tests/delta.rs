@@ -522,6 +522,9 @@ fn a_failed_journal_only_apply_leaves_nothing_a_later_open_can_see() {
             }
         }
     }
-    assert!(faulted >= 1, "the sweep must hit the journal's write-back");
+    assert!(
+        faulted >= 2,
+        "the sweep must hit the journal's write-back and its fsync"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -50,18 +50,15 @@ proptest! {
     }
 
     /// Differential property, via the harness entry point: on any multigraph
-    /// and under any storage `EnvOptions` (backend × pool size), every
+    /// and under any storage `EnvOptions` (pool size, 0 = no pool), every
     /// registered `SccAlgorithm` yields the same normalized partition as the
     /// Tarjan oracle (EM-SCC may report a structured DNF instead).
     #[test]
     fn all_algorithms_match_tarjan_under_any_storage(
         (n, edge_list) in arb_graph(),
-        mem_backend in any::<bool>(),
         cache_blocks in 0usize..8,
     ) {
-        let opts = EnvOptions::default()
-            .with_backend(if mem_backend { BackendKind::Mem } else { BackendKind::File })
-            .with_cache_blocks(cache_blocks);
+        let opts = EnvOptions::default().with_cache_blocks(cache_blocks);
         let env = DiskEnv::new_temp_with(IoConfig::new(256, 4 << 10), opts).unwrap();
         let g = EdgeListGraph::from_slice(&env, n as u64, &edge_list).unwrap();
         let verdicts = contract_expand::harness::verify_graph(&env, &g).unwrap();
