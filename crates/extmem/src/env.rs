@@ -283,8 +283,10 @@ impl std::fmt::Debug for DiskEnv {
 impl Drop for EnvInner {
     fn drop(&mut self) {
         if self.owns_dir {
-            // The whole directory is about to go: skip write-backs.
-            self.pager.discard_all();
+            // The whole directory is about to go: skip the write-backs of
+            // its scratch files, but not of persistent files, which may
+            // live outside it.
+            self.pager.discard_scratch();
             let _ = std::fs::remove_dir_all(&self.root);
         }
     }
@@ -313,6 +315,27 @@ mod tests {
             assert!(path.is_dir());
         }
         assert!(!path.exists(), "scratch dir should be removed on drop");
+    }
+
+    #[test]
+    fn dropping_a_pooled_temp_env_keeps_unsynced_persistent_writes() {
+        // A persistent file outside the temp directory, written through the
+        // pool and never synced: the environment's teardown must write it
+        // back, as a `new_in` environment's pager drop does.
+        let outside = std::env::temp_dir().join(format!(
+            "ce-persist-{}-{:x}",
+            std::process::id(),
+            fresh_dir_nonce()
+        ));
+        {
+            let opts = EnvOptions::default().with_cache_blocks(8);
+            let env = DiskEnv::new_temp_with(IoConfig::small_for_tests(), opts).unwrap();
+            let mut f = crate::file::CountedFile::create_persistent(&env, &outside).unwrap();
+            f.write_at(0, b"7 bytes").unwrap();
+        }
+        let held = std::fs::read(&outside);
+        let _ = std::fs::remove_file(&outside);
+        assert_eq!(held.unwrap(), b"7 bytes");
     }
 
     #[test]

@@ -23,7 +23,11 @@
 //!   ([`crate::tarjan::tarjan_scc`]) re-runs on that small condensation
 //!   subgraph plus the new edge, and the resulting merge rewrites **only**
 //!   the label pages owning affected nodes, the size table, and the DAG
-//!   section — into a new index generation.
+//!   section — into a new index generation. In memory, each walk costs
+//!   O(components it visits and their edges), marking visits in a
+//!   node-indexed bit set, and the merge moves only the absorbed
+//!   components' condensation edges onto the survivor: O(degrees of the
+//!   absorbed members), however many edges the survivor has.
 //! * **Delete `(u, v)`, cross-component** — deleting an edge that lies in
 //!   no SCC can never split or merge one; the condensation multiplicity is
 //!   weakened (the edge is dropped at zero), metadata-only. A deletion with
@@ -210,9 +214,10 @@ pub struct DeltaReport {
     pub dag_reinforced: u64,
     /// Cycle-creating insertions (each merged ≥ 2 components).
     pub merges: u64,
-    /// Total components absorbed into merge groups (group members).
+    /// Stored components the batch's merges joined, survivors included,
+    /// each counted once however many of the merges grew it.
     pub merged_components: u64,
-    /// Total nodes in all merged components.
+    /// Nodes in those components.
     pub merged_nodes: u64,
     /// Components newly marked dirty by intra-component deletions.
     pub dirty_marked: u64,
@@ -244,14 +249,49 @@ pub struct CompactReport {
     pub ios: IoSnapshot,
 }
 
+/// A bit per node of the index's universe: the visit marks of the DAG walks
+/// and the merged- and absorbed-representative tests of a merge. Zeroed in
+/// `n / 8` bytes; each test and mark is one word access, with no hashing.
+struct NodeBits(Vec<u64>);
+
+impl NodeBits {
+    /// No node marked, for the universe `0..n`.
+    fn new(n: u64) -> NodeBits {
+        NodeBits(vec![0; n.div_ceil(64) as usize])
+    }
+
+    fn contains(&self, x: NodeId) -> bool {
+        self.0
+            .get((x / 64) as usize)
+            .is_some_and(|word| word & (1 << (x % 64)) != 0)
+    }
+
+    /// Marks `x`; true when it was not marked before.
+    fn insert(&mut self, x: NodeId) -> bool {
+        let (word, bit) = (&mut self.0[(x / 64) as usize], 1u64 << (x % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+}
+
 /// In-memory adjacency over the stored condensation DAG: multiplicity per
 /// component edge plus forward/backward neighbor sets for the reachability
 /// walks. Loaded once at [`DeltaEngine::open`] and mutated in place by
 /// every transaction — the semi-external stance of the workspace
 /// (node-proportional state in memory, edge files on disk) applied to the
 /// condensation, which is the *small* quotient of the graph.
-#[derive(Debug, Default)]
+///
+/// The costs the delta engine relies on: a walk ([`DagAdj::reaches`],
+/// [`DagAdj::backward_cone`], [`DagAdj::forward_within`]) costs
+/// O(components it visits and their edges) plus one `n`-bit mark vector,
+/// and a merge ([`DagAdj::remap`]) costs O(degrees of the absorbed
+/// members) in work and undo entries — the survivor's own edges to
+/// outside components are never touched, however many it has.
+#[derive(Debug)]
 pub(crate) struct DagAdj {
+    /// Size of the node universe: every component id is below it.
+    n_nodes: u64,
     counts: BTreeMap<(NodeId, NodeId), u32>,
     fwd: HashMap<NodeId, BTreeSet<NodeId>>,
     bwd: HashMap<NodeId, BTreeSet<NodeId>>,
@@ -261,6 +301,17 @@ pub(crate) struct DagAdj {
 }
 
 impl DagAdj {
+    /// An empty DAG over components of the universe `0..n_nodes`.
+    fn new(n_nodes: u64) -> DagAdj {
+        DagAdj {
+            n_nodes,
+            counts: BTreeMap::new(),
+            fwd: HashMap::new(),
+            bwd: HashMap::new(),
+            undo: None,
+        }
+    }
+
     fn count(&self, s: NodeId, d: NodeId) -> u32 {
         self.counts.get(&(s, d)).copied().unwrap_or(0)
     }
@@ -329,18 +380,16 @@ impl DagAdj {
         if from == to {
             return true;
         }
-        let mut seen = HashSet::new();
+        let mut seen = NodeBits::new(self.n_nodes);
         let mut work = vec![from];
         seen.insert(from);
         while let Some(x) = work.pop() {
-            if let Some(nbrs) = self.fwd.get(&x) {
-                for &y in nbrs {
-                    if y == to {
-                        return true;
-                    }
-                    if seen.insert(y) {
-                        work.push(y);
-                    }
+            for &y in self.fwd.get(&x).into_iter().flatten() {
+                if y == to {
+                    return true;
+                }
+                if seen.insert(y) {
+                    work.push(y);
                 }
             }
         }
@@ -348,16 +397,14 @@ impl DagAdj {
     }
 
     /// All components that can reach `to` (including `to` itself).
-    fn backward_cone(&self, to: NodeId) -> HashSet<NodeId> {
-        let mut seen = HashSet::new();
+    fn backward_cone(&self, to: NodeId) -> NodeBits {
+        let mut seen = NodeBits::new(self.n_nodes);
         let mut work = vec![to];
         seen.insert(to);
         while let Some(x) = work.pop() {
-            if let Some(nbrs) = self.bwd.get(&x) {
-                for &y in nbrs {
-                    if seen.insert(y) {
-                        work.push(y);
-                    }
+            for &y in self.bwd.get(&x).into_iter().flatten() {
+                if seen.insert(y) {
+                    work.push(y);
                 }
             }
         }
@@ -365,35 +412,42 @@ impl DagAdj {
     }
 
     /// Components reachable from `from` while staying inside `within`
-    /// (including `from`). With `within` = the backward cone of `to`, this
-    /// is exactly the set of components on some path `from ⇝ to`.
-    fn forward_within(&self, from: NodeId, within: &HashSet<NodeId>) -> HashSet<NodeId> {
-        let mut seen = HashSet::new();
-        let mut work = vec![from];
+    /// (including `from`), ascending. With `within` = the backward cone of
+    /// `to`, this is exactly the set of components on some path
+    /// `from ⇝ to`.
+    fn forward_within(&self, from: NodeId, within: &NodeBits) -> Vec<NodeId> {
+        let mut seen = NodeBits::new(self.n_nodes);
+        let mut found = vec![from];
         seen.insert(from);
-        while let Some(x) = work.pop() {
-            if let Some(nbrs) = self.fwd.get(&x) {
-                for &y in nbrs {
-                    if within.contains(&y) && seen.insert(y) {
-                        work.push(y);
-                    }
+        let mut next = 0;
+        while let Some(&x) = found.get(next) {
+            next += 1;
+            for &y in self.fwd.get(&x).into_iter().flatten() {
+                if within.contains(y) && seen.insert(y) {
+                    found.push(y);
                 }
             }
         }
-        seen
+        found.sort_unstable();
+        found
     }
 
-    /// Rewrites every edge touching `group` with its members mapped to `l`,
-    /// dropping edges that become loops (they turned intra-component) and
-    /// combining multiplicities.
+    /// Merges the components of `group` into its member `l`: every edge of
+    /// an absorbed member (a member other than `l`) moves onto `l`, edges
+    /// that become loops (they turned intra-component) are dropped, and
+    /// multiplicities combine. `l`'s edges to components outside the group
+    /// stay as they are, so the work and the undo entries are proportional
+    /// to the absorbed members' degrees, not to the survivor's.
     fn remap(&mut self, group: &HashSet<NodeId>, l: NodeId) {
         let mut touched: Vec<(NodeId, NodeId, u32)> = Vec::new();
-        for &g in group {
-            for d in self.fwd.get(&g).cloned().unwrap_or_default() {
+        for &g in group.iter().filter(|&&g| g != l) {
+            for &d in self.fwd.get(&g).into_iter().flatten() {
                 touched.push((g, d, self.count(g, d)));
             }
-            for s in self.bwd.get(&g).cloned().unwrap_or_default() {
-                if !group.contains(&s) {
+            for &s in self.bwd.get(&g).into_iter().flatten() {
+                // An edge from another absorbed member is that member's
+                // out-edge, listed above.
+                if s == l || !group.contains(&s) {
                     touched.push((s, g, self.count(s, g)));
                 }
             }
@@ -636,9 +690,12 @@ impl<'a> DeltaEngine<'a> {
             )));
         }
 
-        let mut dag = DagAdj::default();
+        let mut dag = DagAdj::new(index.n_nodes());
         for e in index.counted_dag_edges() {
             let e = e?;
+            if e.src.max(e.dst) as u64 >= index.n_nodes() {
+                return Err(bad("a stored condensation edge leaves the node universe"));
+            }
             dag.add(e.src, e.dst, e.count);
         }
         let dirty = index.dirty_components().collect::<io::Result<BTreeSet<NodeId>>>()?;
@@ -807,18 +864,27 @@ impl<'a> DeltaEngine<'a> {
             // mapping: the table is sorted by representative, and every
             // absorbed representative maps to its group's minimum, which
             // comes first — so absorbed sizes add into an entry already
-            // emitted.
+            // emitted. The same pass counts each stored component of any
+            // merged group once, however many of the batch's merges grew
+            // it. Bit tests keep the map probes to the merged components.
             let relabel = overlay.relabel_map();
-            // How often each representative occurs across the groups (a
-            // group's minimum may be a member of a later group again).
-            let mut occurs: HashMap<NodeId, u64> = HashMap::new();
+            let n = this.index.n_nodes();
+            let (mut merged, mut absorbed) = (NodeBits::new(n), NodeBits::new(n));
             for &r in merged_groups.iter().flatten() {
-                *occurs.entry(r).or_insert(0) += 1;
+                merged.insert(r);
+            }
+            for &r in relabel.keys() {
+                absorbed.insert(r);
             }
             let mut sizes: Vec<(NodeId, u64)> = Vec::with_capacity(this.index.n_sccs() as usize);
             for entry in this.index.components() {
                 let (rep, size) = entry?;
-                report.merged_nodes += occurs.get(&rep).copied().unwrap_or(0) * size;
+                if !merged.contains(rep) {
+                    sizes.push((rep, size));
+                    continue;
+                }
+                report.merged_components += 1;
+                report.merged_nodes += size;
                 match relabel.get(&rep) {
                     Some(l) => match sizes.binary_search_by_key(l, |e| e.0) {
                         Ok(at) => sizes[at].1 += size,
@@ -827,7 +893,13 @@ impl<'a> DeltaEngine<'a> {
                     None => sizes.push((rep, size)),
                 }
             }
-            let by_rep = |_, old| relabel.get(&old).copied().unwrap_or(old);
+            let by_rep = |_, old| {
+                if absorbed.contains(old) {
+                    relabel[&old]
+                } else {
+                    old
+                }
+            };
             report.label_pages_rewritten =
                 this.checkpoint(&journal, Some(&by_rep), Some(&sizes), dirty)?;
         }
@@ -882,21 +954,21 @@ impl<'a> DeltaEngine<'a> {
             } else if dag.reaches(rv, ru) {
                 // Cycle: merge every component on some rv ⇝ ru path.
                 let cone = dag.backward_cone(ru);
-                let affected = dag.forward_within(rv, &cone);
-                let mut ids: Vec<NodeId> = affected.iter().copied().collect();
-                ids.sort_unstable();
+                let ids = dag.forward_within(rv, &cone);
                 let pos: HashMap<NodeId, u32> = ids
                     .iter()
                     .enumerate()
                     .map(|(i, &r)| (r, i as u32))
                     .collect();
+                // An out-neighbor of an affected component is affected
+                // exactly when it lies in the cone (the forward walk took
+                // every such edge), so the bit test filters before the
+                // map is probed.
                 let mut edges: Vec<Edge> = Vec::new();
                 for &a in &ids {
-                    if let Some(nbrs) = dag.fwd.get(&a) {
-                        for &b in nbrs {
-                            if affected.contains(&b) {
-                                edges.push(Edge::new(pos[&a], pos[&b]));
-                            }
+                    for &b in dag.fwd.get(&a).into_iter().flatten() {
+                        if cone.contains(b) {
+                            edges.push(Edge::new(pos[&a], pos[&b]));
                         }
                     }
                 }
@@ -927,7 +999,6 @@ impl<'a> DeltaEngine<'a> {
                     }
                     dag.remap(&set, l);
                     report.merges += 1;
-                    report.merged_components += members.len() as u64;
                     out.merged_groups.push(members);
                 }
             } else {
@@ -1527,6 +1598,42 @@ mod tests {
     }
 
     #[test]
+    fn merging_a_leaf_into_a_hub_logs_work_independent_of_the_hub_degree() {
+        // The DAG-side counterpart of the label-page pin: hub 0 points at
+        // 1..=degree (leaf 7 among them), 7 -> x and y -> 7. Merging 7 into
+        // 0 must move the leaf's edges and leave the hub's alone.
+        let mut logged = Vec::new();
+        for degree in [50u32, 5_000] {
+            let (x, y) = (degree + 1, degree + 2);
+            let mut dag = DagAdj::new(degree as u64 + 3);
+            for d in 1..=degree {
+                dag.add(0, d, 1);
+            }
+            dag.add(7, x, 2);
+            dag.add(y, 7, 3);
+            let before = (dag.counts.clone(), dag.fwd.clone(), dag.bwd.clone());
+
+            dag.begin();
+            dag.remap(&HashSet::from([0, 7]), 0);
+            logged.push(dag.undo.as_ref().map_or(0, Vec::len));
+            for d in (1..=degree).filter(|&d| d != 7) {
+                assert_eq!(dag.count(0, d), 1, "hub edge 0 -> {d}, degree {degree}");
+            }
+            assert_eq!(dag.count(0, 7), 0, "the merge edge became a loop");
+            assert_eq!((dag.count(0, x), dag.count(y, 0)), (2, 3));
+            assert!(!dag.fwd.contains_key(&7) && !dag.bwd.contains_key(&7));
+            assert_eq!(dag.counts.len(), degree as usize + 1);
+
+            dag.rollback();
+            assert_eq!((dag.counts, dag.fwd, dag.bwd), before, "degree {degree}");
+        }
+        assert_eq!(
+            logged[0], logged[1],
+            "a merge logged the survivor's edges: {logged:?} undo entries"
+        );
+    }
+
+    #[test]
     fn cross_removals_weaken_then_drop_then_reject() {
         let e = env();
         // {0,1} -> {2,3} supported by two base edges.
@@ -1935,6 +2042,16 @@ mod tests {
             err.to_string().contains("--with-condensation"),
             "error must name the fix: {err}"
         );
+
+        // A checksummed condensation edge to a node outside the universe:
+        // the open refuses it instead of a walk indexing past its marks.
+        let dag = e
+            .file_from_slice("outside-dag", &[CountedEdge::new(0, 9, 1)])
+            .unwrap();
+        let path = e.root().join("outside.sccidx");
+        SccIndex::build(&e, &path, &labs, 2, Some(&dag)).unwrap();
+        let err = DeltaEngine::open(&e, &g, &path).unwrap_err();
+        assert!(err.to_string().contains("node universe"), "{err}");
 
         // Env block size != artifact page size.
         let (g, path) = setup(&e, "geom", 2, &[(0, 1), (1, 0)]);

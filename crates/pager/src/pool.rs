@@ -544,10 +544,25 @@ impl Pager {
         }
     }
 
-    /// Drops every frame and file without write-back. Used for fast teardown
-    /// of scratch directories that are about to be deleted wholesale.
-    pub fn discard_all(&self) {
+    /// Drops every frame and file, writing back only the dirty frames of
+    /// files this pager does not own (persistent artifacts, files opened
+    /// from outside), best effort. Used for fast teardown of scratch
+    /// directories that are about to be deleted wholesale, which need not
+    /// hold the persistent files their environment wrote.
+    pub fn discard_scratch(&self) {
         let mut inner = self.lock();
+        for fi in 0..inner.frames.len() {
+            let (file, dirty) = (inner.frames[fi].file, inner.frames[fi].dirty);
+            let kept = dirty
+                && inner
+                    .files
+                    .get(file as usize)
+                    .and_then(Option::as_ref)
+                    .is_some_and(|st| !st.owned);
+            if kept {
+                let _ = inner.write_back(fi);
+            }
+        }
         inner.map.clear();
         inner.frames.clear();
         inner.lru.clear();

@@ -1,8 +1,10 @@
 //! Integration gates for incremental index maintenance: the session-level
 //! `apply_delta` / `compact_index` surface, the ce-harness delta-stream
-//! differential matrix, the O(1)-page cost pins, fault sweeps over a
-//! checkpointing and a journal-only apply under injected I/O faults, and a
-//! byte comparison of a checkpoint with a fresh build of the same state.
+//! differential matrix, the O(1)-page cost pins, a merge's bookkeeping
+//! (its report and the counts its members share with outside components),
+//! fault sweeps over a checkpointing and a journal-only apply under
+//! injected I/O faults, and a byte comparison of a checkpoint with a fresh
+//! build of the same state.
 
 use contract_expand::prelude::*;
 
@@ -186,6 +188,80 @@ fn merge_rewrites_only_label_pages_owning_affected_nodes() {
     assert!(eng.same_component(0, 3).unwrap());
     assert!(!eng.same_component(0, 2000).unwrap());
     assert_eq!(eng.component_of(2900).unwrap(), 2900);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_component_grown_by_three_merges_of_one_batch_is_counted_once() {
+    // A chain of 2-cycles {0,1} -> {2,3} -> {4,5} -> {6,7}. Each insert
+    // closes a cycle back into {0,1}, which grows three times in one batch.
+    let dir = scratch_dir("grow");
+    let idx_path = dir.join("g.sccidx");
+    let mut edges = vec![(1, 2), (3, 4), (5, 6)];
+    for c in 0..4u32 {
+        edges.extend([(2 * c, 2 * c + 1), (2 * c + 1, 2 * c)]);
+    }
+    let session = session_over(&idx_path, 8, edges);
+    let report = session
+        .apply_delta(&DeltaBatch::new().add(3, 0).add(5, 0).add(7, 0))
+        .unwrap();
+    assert_eq!(report.merges, 3);
+
+    // The report describes the grown component: its four stored members
+    // and its nodes, each counted once.
+    let mut eng = session.delta_engine().unwrap();
+    assert_eq!(eng.n_sccs(), 1);
+    assert_eq!(report.merged_components, 4);
+    assert_eq!(report.merged_nodes, eng.component_size(0).unwrap());
+    assert_eq!(report.merged_nodes, 8);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_merge_sums_the_counts_its_members_share_with_outside_neighbours() {
+    // {0,1} -> {2,3} through 1 -> 2; both components have an edge to
+    // x = 4 and one from y = 5. Inserting 3 -> 0 merges {2,3} into {0,1}.
+    let dir = scratch_dir("shared");
+    let idx_path = dir.join("g.sccidx");
+    let mut edges = vec![(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)];
+    edges.extend([(0, 4), (2, 4), (5, 0), (5, 3)]);
+    let session = session_over(&idx_path, 6, edges);
+    let mut eng = session.delta_engine().unwrap();
+    assert_eq!(eng.apply(&DeltaBatch::new().add(3, 0)).unwrap().merges, 1);
+    assert_eq!(
+        eng.condensation_edges(),
+        vec![CountedEdge::new(0, 4, 2), CountedEdge::new(5, 0, 2)]
+    );
+
+    // Deleting the shared edges one at a time weakens the condensation
+    // edge, then drops it; the next delete is rejected and changes nothing.
+    let remove = |eng: &mut DeltaEngine<'_>, u, v| eng.apply(&DeltaBatch::new().remove(u, v));
+    assert_eq!(remove(&mut eng, 0, 4).unwrap().dag_weakened, 1);
+    assert_eq!(
+        eng.condensation_edges(),
+        vec![CountedEdge::new(0, 4, 1), CountedEdge::new(5, 0, 2)]
+    );
+    assert_eq!(remove(&mut eng, 2, 4).unwrap().dag_dropped, 1);
+    assert_eq!(eng.condensation_edges(), vec![CountedEdge::new(5, 0, 2)]);
+    let generation = eng.generation();
+    let err = remove(&mut eng, 0, 4).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(eng.generation(), generation);
+    assert_eq!(remove(&mut eng, 5, 3).unwrap().dag_weakened, 1);
+    assert_eq!(eng.condensation_edges(), vec![CountedEdge::new(5, 0, 1)]);
+
+    // The deletes committed to the journal alone; a reopened engine
+    // replays them onto the merge's checkpoint and reaches the same DAG.
+    let live = engine_state(&eng);
+    drop(eng);
+    let mut eng = session.delta_engine().unwrap();
+    assert_eq!(engine_state(&eng), live);
+    assert_eq!(remove(&mut eng, 5, 0).unwrap().dag_dropped, 1);
+    assert_eq!(eng.condensation_edges(), vec![]);
+    let err = remove(&mut eng, 5, 3).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 
     std::fs::remove_dir_all(&dir).ok();
 }
