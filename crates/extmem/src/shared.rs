@@ -133,6 +133,11 @@ impl SharedFile {
     pub fn len_bytes(&self) -> u64 {
         self.pager.len_bytes()
     }
+
+    /// The block size `B` this handle prices its reads in.
+    pub fn block_size(&self) -> u64 {
+        self.block
+    }
 }
 
 #[cfg(test)]

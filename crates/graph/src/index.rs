@@ -15,8 +15,9 @@
 //! environment never deletes the artifact (see
 //! [`CountedFile::create_persistent`]), so it survives the environment
 //! that built it and reopens in `O(1)` memory:
-//! [`SccIndex::open`] reads the header and runs one checksum pass, after
-//! which every query touches a bounded number of blocks —
+//! [`SccIndex::open`] reads the header and runs one checksum pass (see
+//! "Opening" below), after which every query touches a bounded number of
+//! blocks —
 //! [`component_of`](SccIndexReader::component_of) one,
 //! [`same_component`](SccIndexReader::same_component) at most two (zero
 //! when `u == v`, one when both labels share a page),
@@ -37,6 +38,23 @@
 //! query's [`IoSnapshot`](ce_extmem::IoSnapshot) does not depend on how
 //! many readers run concurrently. Both forms validate and answer through
 //! the same code, so they price every query identically.
+//!
+//! ## Opening
+//!
+//! An open reads the header, checks its magic, version, checksum and
+//! geometry, and then checks every section's page checksums in one pass.
+//! The size table, the DAG and the dirty section are read in runs of up
+//! to 256 KiB. A shared pool serves each such run with one `pread` past its
+//! frames, so validation neither fills nor evicts them. The labels go last,
+//! one page at a time through the pool, so a fresh reader starts with its
+//! label pages resident: the pages its first queries read.
+//!
+//! The pass is priced exactly like a page-at-a-time pass. Each section's
+//! first page is read alone, so it is classified random or sequential as
+//! such a pass would classify it, and each run after it continues the read
+//! before it: sequential, one I/O per page. This needs a page to be a whole
+//! number of the reading handle's blocks; when it is not, the pass reads
+//! page by page.
 //!
 //! ## On-disk layout (version 4, all integers little-endian)
 //!
@@ -163,6 +181,9 @@ const SIZE_ENTRY: u64 = 16;
 const DAG_ENTRY: u64 = 12;
 /// Bytes per dirty-component entry (one representative id).
 const DIRTY_ENTRY: u64 = 4;
+/// Largest read of the open-time validation pass over the size table, the
+/// DAG and the dirty section (see [`open_checked`]).
+const VALIDATION_RUN: u64 = 256 << 10;
 /// Geometry sanity bounds enforced at open (see [`open_checked`]).
 const MAX_PAGE: u64 = 1 << 31;
 const MAX_NODES: u64 = (u32::MAX as u64) + 1;
@@ -582,20 +603,31 @@ fn open_checked(file: SharedFile) -> io::Result<SccIndexReader> {
         )));
     }
     // Every section: XOR of per-page hashes over whole pages, padding
-    // included (an absent DAG section is empty). The labels go last, so a
-    // reader's fresh pool ends up holding label pages — the pages its
-    // first queries read.
-    let mut chunk = vec![0u8; page as usize];
-    for (range, want, what) in [
-        (at.sizes, hdr.sizes_xor, "size table"),
-        (at.dag, hdr.dag_xor, "dag section"),
-        (at.dirty, hdr.dirty_xor, "dirty section"),
-        (at.labels, hdr.labels_xor, "labels section"),
+    // included (an absent DAG section is empty). The labels go last, a page
+    // at a time; every other section is read in runs after its first page
+    // (see "Opening" in the module docs for why both).
+    let bulk = if page % file.block_size() == 0 {
+        (VALIDATION_RUN / page).max(1)
+    } else {
+        1
+    };
+    let mut chunk = vec![0u8; (bulk * page) as usize];
+    for (range, want, what, run) in [
+        (at.sizes, hdr.sizes_xor, "size table", bulk),
+        (at.dag, hdr.dag_xor, "dag section", bulk),
+        (at.dirty, hdr.dirty_xor, "dirty section", bulk),
+        (at.labels, hdr.labels_xor, "labels section", 1),
     ] {
-        let mut xor = 0u64;
-        for p in 0..(range.end - range.start) / page {
-            read_exact_at(&file, range.start + p * page, &mut chunk, what)?;
-            xor ^= page_hash(p, &chunk);
+        let pages = (range.end - range.start) / page;
+        let (mut xor, mut p) = (0u64, 0u64);
+        while p < pages {
+            let k = if p == 0 { 1 } else { run.min(pages - p) };
+            let bytes = &mut chunk[..(k * page) as usize];
+            read_exact_at(&file, range.start + p * page, bytes, what)?;
+            for (i, raw) in bytes.chunks_exact(page as usize).enumerate() {
+                xor ^= page_hash(p + i as u64, raw);
+            }
+            p += k;
         }
         if xor != want {
             return Err(bad(&format!("{what} checksum mismatch")));
@@ -758,8 +790,10 @@ impl SccIndex {
 
     /// Reopens an artifact in `O(1)` memory: reads the header, validates
     /// magic/version/geometry, and streams one checksum pass over the
-    /// payload sections (the labels last). A file that was truncated, extended or had any
-    /// record byte flipped is rejected here with an
+    /// payload sections: the size table, the DAG and the dirty section in
+    /// reads of up to 256 KiB, then the labels a page at a time (see
+    /// "Opening" in the module docs). A file that was truncated, extended
+    /// or had any record byte flipped is rejected here with an
     /// [`io::ErrorKind::InvalidData`] checksum/geometry error — corruption
     /// never reaches query answers.
     ///
@@ -776,7 +810,10 @@ impl SccIndex {
     /// no caching). Performs the same validation protocol as
     /// [`SccIndex::open`] at the same logical I/O cost, counted in the
     /// reader's own per-handle stats instead of an environment's, which is
-    /// what keeps per-query costs deterministic under concurrency.
+    /// what keeps per-query costs deterministic under concurrency. The
+    /// validation's multi-page reads bypass the pool and the label pages,
+    /// read last, fill it: a pool with room for them starts with every
+    /// label page resident.
     pub fn open_shared(path: &Path, cache_blocks: usize) -> io::Result<SccIndexReader> {
         // Sniff the page size with one raw, *uncounted* header peek: the
         // pool's block size must equal the artifact's page size before the
@@ -1436,6 +1473,61 @@ mod tests {
         let d = warm.phys().since(&phys0);
         assert_eq!(d.reads, 0, "page already resident");
         assert_eq!(d.hits, 1);
+    }
+
+    #[test]
+    fn the_open_pass_is_priced_page_by_page_and_leaves_the_labels_resident() {
+        // 4-KiB pages: 20,000 singleton components and 30,000 DAG edges
+        // give 20 label pages, 79 size-table pages and 88 DAG pages, so the
+        // size table and the DAG each take more than one validation run.
+        let build_env = DiskEnv::new_temp(IoConfig::new(4096, 1 << 20)).unwrap();
+        let n = 20_000u32;
+        let labels: Vec<SccLabel> = (0..n).map(|v| SccLabel::new(v, v)).collect();
+        let labels = build_env.file_from_slice("labs", &labels).unwrap();
+        let dag: Vec<CountedEdge> = (0..15_000u32)
+            .flat_map(|v| [CountedEdge::new(v, v + 1, 1), CountedEdge::new(v, v + 2, 1)])
+            .collect();
+        let dag = build_env.file_from_slice("dag", &dag).unwrap();
+        let path = idx_path(&build_env, "runs");
+        SccIndex::build(&build_env, &path, &labels, n as u64, Some(&dag)).unwrap();
+
+        // The header and the first page of the size table and of the labels
+        // are random reads; every other page continues the one before it
+        // (the DAG follows the size table directly; the dirty section is
+        // empty).
+        let reader = SccIndex::open_shared(&path, 256).unwrap();
+        let opened = reader.stats();
+        let pages = 20 + 79 + 88;
+        assert_eq!(
+            (opened.rand_reads, opened.seq_reads, opened.bytes_read),
+            (3, pages - 3 + 1, 144 + pages * 4096)
+        );
+        assert_eq!(
+            (opened.seq_writes, opened.rand_writes, opened.bytes_written),
+            (0, 0, 0)
+        );
+        // An environment's reader pays the same at the page size, and the
+        // same per page at a block that divides the page or does not.
+        for (block, per_page) in [(4096, 1), (1024, 4), (8192, 1)] {
+            let env = DiskEnv::new_temp(IoConfig::new(block, 1 << 20)).unwrap();
+            let s = SccIndex::open(&env, &path).unwrap().stats();
+            assert_eq!(
+                (s.rand_reads, s.seq_reads, s.bytes_read),
+                (1 + 2 * per_page, (pages - 2) * per_page, opened.bytes_read),
+                "block {block}"
+            );
+        }
+        // Every block is read once; only the header, the first pages of
+        // the size table and the DAG, and the labels pass through the pool.
+        let phys = reader.phys();
+        assert_eq!(phys.reads, 1 + pages);
+        assert_eq!((phys.misses, phys.hits, phys.evictions), (3 + 20, 0, 0));
+        // The fresh reader holds every label page: one query per page
+        // misses nothing.
+        for p in 0..20 {
+            assert_eq!(reader.component_of(p * 1024).unwrap(), p * 1024);
+        }
+        assert_eq!(reader.phys().since(&phys).misses, 0);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //!   eviction, [`Pager::sync`], or drop. Write-back clips the tail block to
 //!   the file's logical length so flushed files are byte-exact (never
 //!   zero-padded past it).
+//! * A sync (and the final flush on drop) writes a file's dirty frames back
+//!   in block order, not frame order: each run of consecutive dirty blocks
+//!   goes out in `pwrite`s of at most 256 KiB, staged in one buffer that
+//!   lives as long as the sync. The accounting stays per block: each block
+//!   counts one write and one write-back in [`PhysStats`].
 //! * With `cache_frames == 0` the pager is a pass-through: every block of
 //!   every request is a physical transfer (the unpooled, seed-faithful
 //!   mode).
@@ -15,7 +20,10 @@
 //! Fault injection counts **physical operations**: miss fills, pass-through
 //! block accesses, eviction and sync write-backs, and the fsync of every
 //! [`Pager::sync`] consume the countdown; cache hits do not (nothing
-//! reached the file).
+//! reached the file). A coalesced write-back consumes one step per block it
+//! writes: when the countdown fires at the `k`-th block of a run, the
+//! run's first `k - 1` blocks are written and marked clean and the rest
+//! stay dirty, exactly as if each block had been written back on its own.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
@@ -30,6 +38,9 @@ use crate::stats::{PhysSnapshot, PhysStats};
 /// Handle to one file inside a [`Pager`]. Plain index; cheap to copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FileId(u32);
+
+/// Largest write of a coalesced write-back run, in bytes.
+const WRITE_RUN: usize = 256 << 10;
 
 /// Sentinel owner for frames whose file has been removed; such frames are
 /// clean and stamped older than any live frame, so they are recycled first.
@@ -140,24 +151,80 @@ impl PagerInner {
         st.file.write_all_at(&self.scratch[..len], block_start)
     }
 
-    /// Writes frame `fi` back to its file, clipped to the file's logical
-    /// length. The frame stays resident and is marked clean.
-    fn write_back(&mut self, fi: usize) -> io::Result<()> {
-        let (file, block) = (self.frames[fi].file, self.frames[fi].block);
-        let id = FileId(file);
-        let block_start = block * self.block_size as u64;
+    /// Writes `run` back to file `id` with one `pwrite` and marks it clean:
+    /// `run` is `(block, frame)` for dirty frames of `id` holding consecutive
+    /// blocks, ascending, clipped to the file's logical length. A run of
+    /// several blocks is staged in `buf`; a single block goes out straight
+    /// from its frame. Every block that holds live bytes consumes one step
+    /// of the fault countdown and counts one write and one write-back. When
+    /// the countdown fires at a block, the blocks before it are still
+    /// written and marked clean and the rest stay dirty, as if each block
+    /// had been written back on its own.
+    fn write_run(&mut self, id: FileId, run: &[(u64, usize)], buf: &mut Vec<u8>) -> io::Result<()> {
+        let bs = self.block_size as u64;
         let len = file_mut(&mut self.files, id)?.len;
-        let valid = len.saturating_sub(block_start).min(self.block_size as u64) as usize;
-        if valid > 0 {
-            fault_fire(&self.fault)?;
-            self.stats.record_write();
-            self.stats.record_writeback();
-            ce_obs::metrics::counter_add("pager.writebacks", 1);
-            let st = file_mut(&mut self.files, id)?;
-            st.file
-                .write_all_at(&self.frames[fi].data[..valid], block_start)?;
+        let valid = |block: u64| len.saturating_sub(block * bs).min(bs) as usize;
+        // Blocks are ascending, so only the last live block can be short
+        // and every block past it holds nothing to write.
+        let mut fault = Ok(());
+        let mut live = 0;
+        for &(block, _) in run {
+            if valid(block) == 0 {
+                break;
+            }
+            if let Err(e) = fault_fire(&self.fault) {
+                fault = Err(e);
+                break;
+            }
+            live += 1;
         }
-        self.frames[fi].dirty = false;
+        if live > 0 {
+            self.stats.record_writebacks(live as u64);
+            ce_obs::metrics::counter_add("pager.writebacks", live as u64);
+            let bytes = if live == 1 {
+                let (block, fi) = run[0];
+                &self.frames[fi].data[..valid(block)]
+            } else {
+                buf.clear();
+                for &(block, fi) in &run[..live] {
+                    buf.extend_from_slice(&self.frames[fi].data[..valid(block)]);
+                }
+                &buf[..]
+            };
+            let st = file_mut(&mut self.files, id)?;
+            st.file.write_all_at(bytes, run[0].0 * bs)?;
+        }
+        let written = if fault.is_ok() { run.len() } else { live };
+        for &(_, fi) in &run[..written] {
+            self.frames[fi].dirty = false;
+        }
+        fault
+    }
+
+    /// Writes every dirty frame of the files `keep` selects back in
+    /// `(file, block)` order, coalescing consecutive blocks of one file into
+    /// writes of at most [`WRITE_RUN`] bytes (see [`PagerInner::write_run`]
+    /// for the per-block accounting). Stops at the first error.
+    fn flush(&mut self, keep: impl Fn(u32) -> bool) -> io::Result<()> {
+        let mut dirty: Vec<(u32, u64, usize)> = self
+            .frames
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.dirty && f.file != NO_FILE && keep(f.file))
+            .map(|(fi, f)| (f.file, f.block, fi))
+            .collect();
+        dirty.sort_unstable();
+        let per_write = (WRITE_RUN / self.block_size).max(1);
+        let mut run = Vec::with_capacity(per_write.min(dirty.len()));
+        let mut buf = Vec::new();
+        for (i, &(file, block, fi)) in dirty.iter().enumerate() {
+            run.push((block, fi));
+            let extends = |&(f, b, _): &(u32, u64, usize)| (f, b) == (file, block + 1);
+            if run.len() == per_write || !dirty.get(i + 1).is_some_and(extends) {
+                self.write_run(FileId(file), &run, &mut buf)?;
+                run.clear();
+            }
+        }
         Ok(())
     }
 
@@ -201,14 +268,14 @@ impl PagerInner {
         }
         // The pool is full and has capacity > 0, so the LRU set is non-empty.
         let &(_, victim) = self.lru.first().expect("a full pool has a frame");
+        let (file, block) = (self.frames[victim].file, self.frames[victim].block);
         if self.frames[victim].dirty {
-            self.write_back(victim)?;
+            self.write_run(FileId(file), &[(block, victim)], &mut Vec::new())?;
         }
-        if self.frames[victim].file != NO_FILE {
+        if file != NO_FILE {
             self.stats.record_eviction();
             ce_obs::metrics::counter_add("pager.evictions", 1);
-            self.map
-                .remove(&(self.frames[victim].file, self.frames[victim].block));
+            self.map.remove(&(file, block));
         }
         self.free_frame(victim);
         Ok(victim)
@@ -265,24 +332,6 @@ impl PagerInner {
                 self.free_frame(fi);
             }
         }
-    }
-
-    fn flush_file(&mut self, id: u32) -> io::Result<()> {
-        for fi in 0..self.frames.len() {
-            if self.frames[fi].file == id && self.frames[fi].dirty {
-                self.write_back(fi)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn flush_all_frames(&mut self) -> io::Result<()> {
-        for fi in 0..self.frames.len() {
-            if self.frames[fi].file != NO_FILE && self.frames[fi].dirty {
-                self.write_back(fi)?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -499,13 +548,14 @@ impl Pager {
         Ok(())
     }
 
-    /// Writes every dirty frame of `id` back, then fsyncs the file. The
+    /// Writes every dirty frame of `id` back in block order, consecutive
+    /// blocks coalesced (see the module docs), then fsyncs the file. The
     /// fsync is one physical operation of the fault countdown (but no
     /// transfer in [`PhysStats`]), so an armed fault fails a sync even when
     /// no frame is dirty.
     pub fn sync(&self, id: FileId) -> io::Result<()> {
         let mut inner = self.lock();
-        inner.flush_file(id.0)?;
+        inner.flush(|file| file == id.0)?;
         fault_fire(&inner.fault)?;
         inner.state(id)?.file.sync_data()
     }
@@ -546,23 +596,18 @@ impl Pager {
 
     /// Drops every frame and file, writing back only the dirty frames of
     /// files this pager does not own (persistent artifacts, files opened
-    /// from outside), best effort. Used for fast teardown of scratch
-    /// directories that are about to be deleted wholesale, which need not
-    /// hold the persistent files their environment wrote.
+    /// from outside), best effort: the write-back stops at its first error.
+    /// Used for fast teardown of scratch directories that are about to be
+    /// deleted wholesale, which need not hold the persistent files their
+    /// environment wrote.
     pub fn discard_scratch(&self) {
         let mut inner = self.lock();
-        for fi in 0..inner.frames.len() {
-            let (file, dirty) = (inner.frames[fi].file, inner.frames[fi].dirty);
-            let kept = dirty
-                && inner
-                    .files
-                    .get(file as usize)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|st| !st.owned);
-            if kept {
-                let _ = inner.write_back(fi);
-            }
-        }
+        let kept: Vec<bool> = inner
+            .files
+            .iter()
+            .map(|st| st.as_ref().is_some_and(|st| !st.owned))
+            .collect();
+        let _ = inner.flush(|file| kept.get(file as usize) == Some(&true));
         inner.map.clear();
         inner.frames.clear();
         inner.lru.clear();
@@ -588,7 +633,7 @@ impl Pager {
 impl Drop for Pager {
     fn drop(&mut self) {
         // Best-effort durability for environments that keep their directory.
-        let _ = self.lock().flush_all_frames();
+        let _ = self.lock().flush(|_| true);
     }
 }
 
@@ -784,6 +829,92 @@ mod tests {
             "the write-back ran before the fsync failed"
         );
         p.clear_fault();
+    }
+
+    /// 64 bytes of block `b` as written in round `round`.
+    fn block_bytes(b: u64, round: u8) -> [u8; 64] {
+        [(b as u8) * 16 + round; 64]
+    }
+
+    #[test]
+    fn sync_writes_back_in_block_order() {
+        let dir = TestDir::new("ordered-sync");
+        let fpath = dir.path("a");
+        let p = Pager::new(64, 16);
+        let f = p.create(&fpath).unwrap();
+        // First touches fill frames in this order, so frame order is not
+        // block order; the tail block 7 is short.
+        let mut want = vec![0u8; 7 * 64 + 30];
+        for b in [5u64, 3, 7, 0, 1, 2, 6, 4] {
+            let at = (b * 64) as usize;
+            let end = (at + 64).min(want.len());
+            want[at..end].copy_from_slice(&block_bytes(b, 1)[..end - at]);
+            p.write_at(f, b * 64, &want[at..end]).unwrap();
+        }
+        let before = p.phys();
+        p.sync(f).unwrap();
+        assert_eq!(std::fs::read(&fpath).unwrap(), want);
+        let d = p.phys().since(&before);
+        assert_eq!(
+            (d.writes, d.writebacks, d.reads),
+            (8, 8, 0),
+            "one per block"
+        );
+        // Runs with gaps: blocks 0..=2, 4 and 6 dirty, 3, 5 and 7 clean.
+        for b in [6u64, 1, 0, 4, 2] {
+            let at = (b * 64) as usize;
+            want[at..at + 64].copy_from_slice(&block_bytes(b, 2));
+            p.write_at(f, b * 64, &want[at..at + 64]).unwrap();
+        }
+        let before = p.phys();
+        p.sync(f).unwrap();
+        assert_eq!(std::fs::read(&fpath).unwrap(), want);
+        let d = p.phys().since(&before);
+        assert_eq!((d.writes, d.writebacks), (5, 5));
+        // A run longer than one write still counts per block.
+        let q = Pager::new(64, 5000);
+        let g = q.create(&dir.path("long")).unwrap();
+        let long: Vec<u8> = (0..4500 * 64).map(|i| (i % 253) as u8).collect();
+        q.write_at(g, 0, &long).unwrap();
+        q.sync(g).unwrap();
+        assert_eq!(std::fs::read(dir.path("long")).unwrap(), long);
+        assert_eq!((q.phys().writes, q.phys().writebacks), (4500, 4500));
+    }
+
+    #[test]
+    fn a_fault_mid_run_leaves_the_blocks_before_it_written() {
+        // Dirty blocks 0, 1, 2, 4, 5 and 7 in scrambled frame order; 3 and 6
+        // are holes. Block order is the order of the fault countdown.
+        let dirty = [0u64, 1, 2, 4, 5, 7];
+        let dir = TestDir::new("fault-run");
+        for k in 1..=dirty.len() {
+            let fpath = dir.path(&format!("k{k}"));
+            let p = Pager::new(64, 8);
+            let f = p.create(&fpath).unwrap();
+            for b in [4u64, 0, 7, 2, 5, 1] {
+                p.write_at(f, b * 64, &block_bytes(b, 1)).unwrap();
+            }
+            p.inject_fault_after(k as u64);
+            let err = p.sync(f).unwrap_err();
+            assert!(err.to_string().contains("injected"), "k={k}: {err}");
+            // Exactly the first k - 1 blocks in block order reached the file.
+            let mut want = Vec::new();
+            for &b in &dirty[..k - 1] {
+                want.resize(b as usize * 64, 0);
+                want.extend_from_slice(&block_bytes(b, 1));
+            }
+            assert_eq!(std::fs::read(&fpath).unwrap(), want, "k={k}");
+            assert_eq!(p.phys().writebacks, k as u64 - 1, "k={k}");
+            // A retried sync writes the rest, each block once.
+            p.clear_fault();
+            p.sync(f).unwrap();
+            let mut want = vec![0u8; 8 * 64];
+            for &b in &dirty {
+                want[b as usize * 64..][..64].copy_from_slice(&block_bytes(b, 1));
+            }
+            assert_eq!(std::fs::read(&fpath).unwrap(), want, "k={k}");
+            assert_eq!(p.phys().writebacks, dirty.len() as u64, "k={k}");
+        }
     }
 
     #[test]

@@ -14,10 +14,17 @@
 //! shard lock is held — concurrent misses on the same shard serialize, but
 //! cross-shard misses overlap. Once a shard is full, a miss unmaps its
 //! least-recently-used frame and reads the new block into that frame's
-//! buffer: misses on a full pool allocate and free nothing. With
-//! `cache_blocks == 0` the pool degenerates to a lock-free pass-through in
-//! which every access is a physical read, mirroring the owned pager's
-//! contract.
+//! buffer: misses on a full pool allocate and free nothing.
+//!
+//! A request that covers two or more whole blocks — a pass over a section,
+//! such as an index open's checksum validation — bypasses the pool: one
+//! `pread` straight into the caller's buffer, taking no lock and neither
+//! filling nor evicting a frame, so a scan leaves the hot pages resident.
+//! Any other request, every point query among them, takes the pool path
+//! above. With `cache_blocks == 0` the pool degenerates to a lock-free
+//! pass-through in which every request is one `pread`. Either way a
+//! `pread` counts one physical read per block it touches, mirroring the
+//! owned pager's contract.
 //!
 //! Physical counters ([`PhysStats`]) are shared atomics aggregated across
 //! all readers; the **logical** model counters stay one layer up (in
@@ -155,27 +162,29 @@ impl SharedPager {
     /// Reads up to `buf.len()` bytes at `offset` (short at end of file);
     /// returns the number of bytes read. Takes `&self`: any number of
     /// threads may call this concurrently.
+    ///
+    /// A request that covers two or more whole blocks, and every request in
+    /// pass-through mode, is one `pread` past the pool: it neither fills
+    /// nor evicts a frame and counts one physical read per block it
+    /// touches. Any other request goes through the pool block by block.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
         if buf.is_empty() || offset >= self.len {
             return Ok(0);
         }
         let n = (buf.len() as u64).min(self.len - offset) as usize;
-        let bs = self.block_size;
+        let bs = self.block_size as u64;
+        let end = offset + n as u64;
+        if self.shard_cap == 0 || end / bs >= offset.div_ceil(bs) + 2 {
+            self.pread_full(offset, &mut buf[..n])?;
+            self.stats.record_reads((end - 1) / bs - offset / bs + 1);
+            return Ok(n);
+        }
         let mut done = 0usize;
         while done < n {
             let pos = offset + done as u64;
-            let block = pos / bs as u64;
-            let intra = (pos % bs as u64) as usize;
-            let take = (bs - intra).min(n - done);
-            if self.shard_cap == 0 {
-                // Pass-through: read just the requested range, one
-                // physical read per block touched (the owned pager's
-                // pass-through contract).
-                self.pread_full(pos, &mut buf[done..done + take])?;
-                self.stats.record_read();
-            } else {
-                self.copy_from_pool(block, intra, &mut buf[done..done + take])?;
-            }
+            let intra = (pos % bs) as usize;
+            let take = (bs as usize - intra).min(n - done);
+            self.copy_from_pool(pos / bs, intra, &mut buf[done..done + take])?;
             done += take;
         }
         Ok(n)
@@ -265,12 +274,31 @@ impl SharedPager {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str, bytes: &[u8]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ce-shared-pager-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("data.bin");
-        std::fs::write(&path, bytes).unwrap();
-        path
+    /// A per-test data file in a scratch directory of its own, which is
+    /// removed on drop.
+    struct TestFile(std::path::PathBuf);
+
+    impl TestFile {
+        fn new(name: &str, bytes: &[u8]) -> TestFile {
+            let dir =
+                std::env::temp_dir().join(format!("ce-shared-pager-{}-{name}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("data.bin");
+            std::fs::write(&path, bytes).unwrap();
+            TestFile(path)
+        }
+
+        fn path(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestFile {
+        fn drop(&mut self) {
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
     }
 
     fn pattern(len: usize) -> Vec<u8> {
@@ -280,8 +308,8 @@ mod tests {
     #[test]
     fn reads_match_the_file_at_every_alignment() {
         let bytes = pattern(1000); // not block-aligned: tail block is short
-        let path = scratch("align", &bytes);
-        let p = SharedPager::open(&path, 64, 8).unwrap();
+        let file = TestFile::new("align", &bytes);
+        let p = SharedPager::open(file.path(), 64, 8).unwrap();
         assert_eq!(p.len_bytes(), 1000);
         let mut buf = vec![0u8; 300];
         for &(off, want) in &[(0u64, 300usize), (1, 300), (63, 300), (64, 300), (900, 100), (999, 1), (1000, 0)] {
@@ -295,9 +323,9 @@ mod tests {
     #[test]
     fn hits_misses_and_evictions_are_counted() {
         let bytes = pattern(64 * 6);
-        let path = scratch("counts", &bytes);
+        let file = TestFile::new("counts", &bytes);
         // capacity 2 -> 2 shards of 1 frame; even blocks share shard 0.
-        let p = SharedPager::open(&path, 64, 2).unwrap();
+        let p = SharedPager::open(file.path(), 64, 2).unwrap();
         assert_eq!(p.capacity(), 2);
         let mut b = [0u8; 8];
         p.read_at(0, &mut b).unwrap(); // block 0: miss
@@ -317,15 +345,15 @@ mod tests {
     #[test]
     fn a_failed_fill_leaves_the_reused_frame_unmapped() {
         let bytes = pattern(64 * 4);
-        let path = scratch("shrink", &bytes);
+        let file = TestFile::new("shrink", &bytes);
         // One shard of one frame.
-        let p = SharedPager::open(&path, 64, 1).unwrap();
+        let p = SharedPager::open(file.path(), 64, 1).unwrap();
         let mut b = [0u8; 8];
         p.read_at(0, &mut b).unwrap(); // block 0: miss, fills the frame
         // Break the immutability contract: the file loses blocks 1..4.
         std::fs::OpenOptions::new()
             .write(true)
-            .open(&path)
+            .open(file.path())
             .unwrap()
             .set_len(64)
             .unwrap();
@@ -342,8 +370,8 @@ mod tests {
     #[test]
     fn zero_capacity_is_a_pass_through() {
         let bytes = pattern(256);
-        let path = scratch("passthrough", &bytes);
-        let p = SharedPager::open(&path, 64, 0).unwrap();
+        let file = TestFile::new("passthrough", &bytes);
+        let p = SharedPager::open(file.path(), 64, 0).unwrap();
         assert_eq!(p.capacity(), 0);
         let mut b = [0u8; 4];
         p.read_at(0, &mut b).unwrap();
@@ -358,10 +386,48 @@ mod tests {
     }
 
     #[test]
+    fn multi_block_reads_bypass_the_pool() {
+        let bytes = pattern(64 * 10 + 20); // eleven blocks, the last short
+        let file = TestFile::new("bulk", &bytes);
+        let pooled = SharedPager::open(file.path(), 64, 8).unwrap();
+        let direct = SharedPager::open(file.path(), 64, 0).unwrap();
+        let mut b = [0u8; 8];
+        pooled.read_at(70, &mut b).unwrap(); // block 1: a miss that fills a frame
+        assert_eq!((pooled.resident_blocks(), pooled.phys().misses), (1, 1));
+        // (offset, length, blocks touched): [60, 330) covers blocks 1..5
+        // whole and touches 0..=5; [64, 192) is exactly two whole blocks;
+        // the whole file ends in its short tail block.
+        for &(off, len, touched) in &[(60u64, 270usize, 6u64), (64, 128, 2), (0, 660, 11)] {
+            for p in [&pooled, &direct] {
+                let before = p.phys();
+                let mut span = vec![0u8; len];
+                assert_eq!(p.read_at(off, &mut span).unwrap(), len);
+                assert_eq!(span, &bytes[off as usize..off as usize + len]);
+                let d = p.phys().since(&before);
+                assert_eq!(
+                    d.reads, touched,
+                    "one physical read per block at {off}+{len}"
+                );
+                assert_eq!((d.hits, d.misses, d.evictions), (0, 0, 0), "past the pool");
+            }
+            assert_eq!(pooled.resident_blocks(), 1, "nothing filled or evicted");
+        }
+        // One whole block plus the edges of its neighbours stays pooled: a
+        // hit on block 1, misses on blocks 0 and 2.
+        let before = pooled.phys();
+        let mut span = [0u8; 128];
+        pooled.read_at(32, &mut span).unwrap();
+        assert_eq!(&span[..], &bytes[32..160]);
+        let d = pooled.phys().since(&before);
+        assert_eq!((d.hits, d.misses, d.reads), (1, 2, 2));
+        assert_eq!(pooled.resident_blocks(), 3);
+    }
+
+    #[test]
     fn concurrent_readers_see_consistent_bytes() {
         let bytes = pattern(64 * 40);
-        let path = scratch("threads", &bytes);
-        let p = Arc::new(SharedPager::open(&path, 64, 8).unwrap());
+        let file = TestFile::new("threads", &bytes);
+        let p = Arc::new(SharedPager::open(file.path(), 64, 8).unwrap());
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let p = Arc::clone(&p);
@@ -389,7 +455,7 @@ mod tests {
 
     #[test]
     fn zero_block_size_is_rejected() {
-        let path = scratch("badbs", &[0u8; 16]);
-        assert!(SharedPager::open(&path, 0, 4).is_err());
+        let file = TestFile::new("badbs", &[0u8; 16]);
+        assert!(SharedPager::open(file.path(), 0, 4).is_err());
     }
 }

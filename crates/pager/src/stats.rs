@@ -29,7 +29,11 @@ impl PhysStats {
     }
 
     pub(crate) fn record_read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.record_reads(1);
+    }
+
+    pub(crate) fn record_reads(&self, blocks: u64) {
+        self.reads.fetch_add(blocks, Ordering::Relaxed);
     }
 
     pub(crate) fn record_write(&self) {
@@ -48,8 +52,11 @@ impl PhysStats {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_writeback(&self) {
-        self.writebacks.fetch_add(1, Ordering::Relaxed);
+    /// `blocks` dirty blocks written back: each is one write and one
+    /// write-back.
+    pub(crate) fn record_writebacks(&self, blocks: u64) {
+        self.writes.fetch_add(blocks, Ordering::Relaxed);
+        self.writebacks.fetch_add(blocks, Ordering::Relaxed);
     }
 
     /// Takes a point-in-time copy of all counters.
@@ -145,9 +152,8 @@ mod tests {
         assert_eq!(a.transfers(), 3);
         assert!((a.hit_rate() - 0.75).abs() < 1e-9);
 
-        s.record_write();
         s.record_eviction();
-        s.record_writeback();
+        s.record_writebacks(1);
         let d = s.snapshot().since(&a);
         assert_eq!(d.writes, 1);
         assert_eq!(d.evictions, 1);
