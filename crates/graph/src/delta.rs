@@ -23,11 +23,14 @@
 //!   ([`crate::tarjan::tarjan_scc`]) re-runs on that small condensation
 //!   subgraph plus the new edge, and the resulting merge rewrites **only**
 //!   the label pages owning affected nodes, the size table, and the DAG
-//!   section — into a new index generation. In memory, each walk costs
-//!   O(components it visits and their edges), marking visits in a
-//!   node-indexed bit set, and the merge moves only the absorbed
-//!   components' condensation edges onto the survivor: O(degrees of the
-//!   absorbed members), however many edges the survivor has.
+//!   section — into a new index generation. In memory, the condensation is
+//!   a flat snapshot plus a small overlay (`DagAdj`): each walk costs
+//!   O(components it visits and their edges) over contiguous arrays,
+//!   marking visits in a node-indexed bit set, and the merge moves only
+//!   the absorbed components' condensation edges onto the survivor:
+//!   O(degrees of the absorbed members), however many edges the survivor
+//!   has. The new size table folds from the engine's resident copy, so a
+//!   merge reads no size-table page.
 //! * **Delete `(u, v)`, cross-component** — deleting an edge that lies in
 //!   no SCC can never split or merge one; the condensation multiplicity is
 //!   weakened (the edge is dropped at zero), metadata-only. A deletion with
@@ -77,9 +80,9 @@
 //!   the next artifact to a temporary file. Only the bytes it keeps are
 //!   copied from the live one — the header page and the labels, plus the
 //!   size table when it does not change — the label pages owning affected
-//!   nodes are patched through the counted pager, and the size table, the
-//!   DAG section (sorted and live, from memory) and the dirty section are
-//!   rewritten. Its header, written last, authenticates the whole journal
+//!   nodes are patched through the counted pager, and the size table and
+//!   the DAG section (sorted and live, both from memory) and the dirty
+//!   section are rewritten. Its header, written last, authenticates the whole journal
 //!   with `(n_journal, journal_fnv)`; the file is synced and atomically
 //!   renamed over the path. The new header commits the merging batch's
 //!   records and folds in every journal-only commit since the previous
@@ -122,9 +125,12 @@
 //! guard replays the log in reverse when an apply, a re-verification or a
 //! compact fails before its commit point (the journal sync or the rename)
 //! — by an error or a panic alike — and the commit clears it. The dirty set
-//! stays transaction-local until the commit. So a failed `apply` leaves the
-//! engine exactly as it was and can simply be retried, and a successful one
-//! does memory work proportional to what it changes.
+//! and the new size table stay transaction-local until the commit; the
+//! engine reads the size table on its first merge or re-verification and
+//! keeps it resident only once that checkpoint commits. So a failed
+//! `apply` leaves the engine exactly as it was and can simply be retried,
+//! and a successful one does memory work proportional to what it changes
+//! (plus one pass over the resident size table when it merges).
 //!
 //! The engine's **generation** counts commits of both kinds: the header's
 //! generation plus the committed batches of the journal tail. A reader
@@ -137,17 +143,21 @@
 //! Logical I/O is priced end to end in the environment's
 //! [`IoStats`](ce_extmem::IoStats): classification pays the index point
 //! reads, a metadata-only update pays `O(1)` page writes, a merge pays a
-//! sequential label scan plus writes to only the affected pages, and the
-//! whole apply is wrapped in `delta_classify` / `delta_merge`
-//! (re-verification in `delta_compact`) spans for the tracing sinks.
+//! sequential label scan plus writes to only the affected pages (the first
+//! merge or re-verification after an open also reads the size table once,
+//! sequentially), and the whole apply is wrapped in `delta_classify` /
+//! `delta_merge` (re-verification in `delta_compact`) spans for the
+//! tracing sinks.
 //!
 //! The node universe is fixed at build time (`0..n_nodes`); deltas mutate
 //! edges, not nodes. The journal records node-level operations, so the
 //! current edge multiset is always `base ⊎ journal` — deletions remove one
 //! instance of a multi-edge at a time.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io;
+use std::iter::Peekable;
 use std::path::{Path, PathBuf};
 
 use ce_extmem::file::CountedFile;
@@ -249,9 +259,10 @@ pub struct CompactReport {
     pub ios: IoSnapshot,
 }
 
-/// A bit per node of the index's universe: the visit marks of the DAG walks
-/// and the merged- and absorbed-representative tests of a merge. Zeroed in
-/// `n / 8` bytes; each test and mark is one word access, with no hashing.
+/// A bit per node of the index's universe: the visit marks of the DAG walks,
+/// the DAG's overlay marks and a merge's absorbed-representative test.
+/// Zeroed in `n / 8` bytes; each test and mark is one word access, with no
+/// hashing.
 struct NodeBits(Vec<u64>);
 
 impl NodeBits {
@@ -276,44 +287,177 @@ impl NodeBits {
 }
 
 /// In-memory adjacency over the stored condensation DAG: multiplicity per
-/// component edge plus forward/backward neighbor sets for the reachability
+/// component edge plus forward/backward adjacency for the reachability
 /// walks. Loaded once at [`DeltaEngine::open`] and mutated in place by
 /// every transaction — the semi-external stance of the workspace
-/// (node-proportional state in memory, edge files on disk) applied to the
+/// (node-proportional state in flat arrays, edges streamed) applied to the
 /// condensation, which is the *small* quotient of the graph.
 ///
-/// The costs the delta engine relies on: a walk ([`DagAdj::reaches`],
-/// [`DagAdj::backward_cone`], [`DagAdj::forward_within`]) costs
-/// O(components it visits and their edges) plus one `n`-bit mark vector,
-/// and a merge ([`DagAdj::remap`]) costs O(degrees of the absorbed
-/// members) in work and undo entries — the survivor's own edges to
-/// outside components are never touched, however many it has.
-#[derive(Debug)]
+/// ## Representation
+///
+/// A **snapshot** in compressed sparse row form plus a small **overlay**,
+/// each holding every edge twice, once per direction, with its count:
+///
+/// * out-edges by source: source `x`'s `(dst, count)` pairs are
+///   `out[off[x]..off[x + 1]]`, destinations ascending, and `src` holds
+///   each slot's source, so the ordered scan of [`DagAdj::live`] is one
+///   flat pass (stepping through `off` instead mispredicts a branch at
+///   almost every source boundary);
+/// * in-edges by destination: destination `y`'s `(src, count)` pairs are
+///   `inn[roff[y]..roff[y + 1]]`, sources ascending. A zero count marks an
+///   edge dropped since the snapshot; setting it again revives both slots.
+///   Keeping the count beside the source, not an index into `out`, keeps a
+///   backward walk inside `inn`: one cache line per visited component
+///   instead of one more per predecessor;
+/// * edges created since the snapshot: `extra` by `(src, dst)` and
+///   `extra_in` by `(dst, src)`, each with the count. An edge is in the
+///   snapshot or the overlay, never both. `overlaid` marks every node that
+///   has gained overlay adjacency since the snapshot, so a walk probes the
+///   overlay only at those nodes (a mark may outlive the adjacency that
+///   set it; it then costs one empty range probe).
+///
+/// [`DagAdj::commit`] folds the overlay into a fresh snapshot once the
+/// overlay edges plus the dropped snapshot edges exceed
+/// `64 + (n + snapshot edges) / 8`. The fold costs `O(n + |DAG|)`, and
+/// each change moves the sum by at most one, so it is amortised to `O(1)`
+/// per change. It runs only between transactions, so an undo log never
+/// outlives the snapshot slots it names.
+///
+/// ## Costs
+///
+/// A walk ([`DagAdj::reaches`], [`DagAdj::backward_cone`],
+/// [`DagAdj::forward_within`]) costs O(components it visits and their
+/// edges) over contiguous arrays, plus one `n`-bit mark vector and a tree
+/// probe per overlaid node it visits. [`DagAdj::count`] binary-searches the
+/// source's snapshot range and [`DagAdj::set`] both ranges. A merge
+/// ([`DagAdj::remap`]) costs O(degrees of the absorbed members) in work and
+/// undo entries, times those searches — the survivor's own edges to
+/// outside components are never touched, however many it has. Resident
+/// memory is 8 bytes per node of the universe (`off` and `roff`) plus one
+/// overlay bit, 20 bytes per snapshot edge, and one entry in each overlay
+/// tree per overlay edge.
 pub(crate) struct DagAdj {
     /// Size of the node universe: every component id is below it.
     n_nodes: u64,
-    counts: BTreeMap<(NodeId, NodeId), u32>,
-    fwd: HashMap<NodeId, BTreeSet<NodeId>>,
-    bwd: HashMap<NodeId, BTreeSet<NodeId>>,
+    off: Vec<u32>,
+    out: Vec<(NodeId, u32)>,
+    /// The source of each out-slot, so that [`DagAdj::live`] scans the
+    /// slots flat instead of stepping through `off`.
+    src: Vec<NodeId>,
+    roff: Vec<u32>,
+    inn: Vec<(NodeId, u32)>,
+    /// Snapshot edges whose count is zero.
+    dropped: usize,
+    extra: BTreeMap<(NodeId, NodeId), u32>,
+    extra_in: BTreeMap<(NodeId, NodeId), u32>,
+    overlaid: NodeBits,
     /// While a transaction is open: `(src, dst, old count)` of every change
     /// since [`DagAdj::begin`], oldest first.
     undo: Option<Vec<(NodeId, NodeId, u32)>>,
 }
 
 impl DagAdj {
-    /// An empty DAG over components of the universe `0..n_nodes`.
-    fn new(n_nodes: u64) -> DagAdj {
-        DagAdj {
-            n_nodes,
-            counts: BTreeMap::new(),
-            fwd: HashMap::new(),
-            bwd: HashMap::new(),
-            undo: None,
+    /// The DAG of `edges` over components of the universe `0..n_nodes`, in
+    /// one pass. `edges` must have the stored section's form — strictly
+    /// ascending by `(src, dst)`, every count positive, no loops, every
+    /// endpoint in the universe — and yield exactly `len` edges; anything
+    /// else is `InvalidData`.
+    fn from_sorted(
+        n_nodes: u64,
+        len: u64,
+        edges: impl Iterator<Item = io::Result<CountedEdge>>,
+    ) -> io::Result<DagAdj> {
+        if len > u64::from(u32::MAX) {
+            return Err(bad(
+                "the condensation DAG has more edges than the delta engine's 32-bit \
+                 offsets address",
+            ));
         }
+        let n = n_nodes as usize;
+        let (mut off, mut roff) = (vec![0u32; n + 1], vec![0u32; n + 1]);
+        let mut out = Vec::with_capacity(len as usize);
+        let mut src = Vec::with_capacity(len as usize);
+        let mut prev = None;
+        for e in edges {
+            let e = e?;
+            if e.src.max(e.dst) as u64 >= n_nodes {
+                return Err(bad("a stored condensation edge leaves the node universe"));
+            }
+            if e.src == e.dst || e.count == 0 || prev >= Some((e.src, e.dst)) {
+                return Err(bad(
+                    "the stored condensation DAG is not sorted strictly by (src, dst) \
+                     with positive counts and no loops; rebuild the artifact with \
+                     `scc index build --with-condensation`",
+                ));
+            }
+            prev = Some((e.src, e.dst));
+            off[e.src as usize + 1] += 1;
+            roff[e.dst as usize + 1] += 1;
+            out.push((e.dst, e.count));
+            src.push(e.src);
+        }
+        if out.len() as u64 != len {
+            return Err(bad("the condensation DAG section ends early"));
+        }
+        for x in 0..n {
+            off[x + 1] += off[x];
+            roff[x + 1] += roff[x];
+        }
+        // Scatter each edge to its destination's next in-slot, `roff[y]`
+        // serving as the cursor; afterwards `roff[y]` is `y`'s end, so one
+        // shift restores the starts.
+        let mut inn = vec![(0, 0); out.len()];
+        for x in 0..n {
+            for &(y, c) in &out[off[x] as usize..off[x + 1] as usize] {
+                let at = &mut roff[y as usize];
+                inn[*at as usize] = (x as NodeId, c);
+                *at += 1;
+            }
+        }
+        roff.copy_within(0..n, 1);
+        roff[0] = 0;
+        Ok(DagAdj {
+            n_nodes,
+            off,
+            out,
+            src,
+            roff,
+            inn,
+            dropped: 0,
+            extra: BTreeMap::new(),
+            extra_in: BTreeMap::new(),
+            overlaid: NodeBits::new(n_nodes),
+            undo: None,
+        })
+    }
+
+    /// `x`'s snapshot slots in `slots` (`out` by `off`, or `inn` by `roff`)
+    /// and the index of its first.
+    #[inline]
+    fn range<'a>(
+        offsets: &[u32],
+        slots: &'a [(NodeId, u32)],
+        x: NodeId,
+    ) -> (usize, &'a [(NodeId, u32)]) {
+        let (lo, hi) = (
+            offsets[x as usize] as usize,
+            offsets[x as usize + 1] as usize,
+        );
+        (lo, &slots[lo..hi])
+    }
+
+    /// Index of the slot keyed `y` among `x`'s in `slots`, live or dropped.
+    fn slot(offsets: &[u32], slots: &[(NodeId, u32)], x: NodeId, y: NodeId) -> Option<usize> {
+        let (lo, range) = DagAdj::range(offsets, slots, x);
+        range.binary_search_by_key(&y, |e| e.0).ok().map(|i| lo + i)
     }
 
     fn count(&self, s: NodeId, d: NodeId) -> u32 {
-        self.counts.get(&(s, d)).copied().unwrap_or(0)
+        match DagAdj::slot(&self.off, &self.out, s, d) {
+            Some(k) => self.out[k].1,
+            None if self.overlaid.contains(s) => self.extra.get(&(s, d)).copied().unwrap_or(0),
+            None => 0,
+        }
     }
 
     /// Adds `c` instances of `s → d` (saturating).
@@ -322,34 +466,61 @@ impl DagAdj {
         self.set(s, d, self.count(s, d).saturating_add(c));
     }
 
-    /// Sets the multiplicity of `s → d`; zero removes the edge. Logs the
-    /// old multiplicity while a transaction is open.
+    /// Sets the multiplicity of `s → d` in both directions; zero removes
+    /// the edge. Logs the old multiplicity while a transaction is open.
     fn set(&mut self, s: NodeId, d: NodeId, c: u32) {
-        let old = if c == 0 {
-            self.counts.remove(&(s, d))
-        } else {
-            self.counts.insert((s, d), c)
+        let old = match DagAdj::slot(&self.off, &self.out, s, d) {
+            Some(k) => {
+                let j = DagAdj::slot(&self.roff, &self.inn, d, s)
+                    .expect("every snapshot out-slot has its in-slot");
+                let old = std::mem::replace(&mut self.out[k].1, c);
+                self.inn[j].1 = c;
+                match (old, c) {
+                    (0, 1..) => self.dropped -= 1,
+                    (1.., 0) => self.dropped += 1,
+                    _ => {}
+                }
+                old
+            }
+            None if c == 0 => {
+                self.extra_in.remove(&(d, s));
+                self.extra.remove(&(s, d)).unwrap_or(0)
+            }
+            None => {
+                self.overlaid.insert(s);
+                self.overlaid.insert(d);
+                self.extra_in.insert((d, s), c);
+                self.extra.insert((s, d), c).unwrap_or(0)
+            }
         };
         if let Some(log) = &mut self.undo {
-            log.push((s, d, old.unwrap_or(0)));
+            log.push((s, d, old));
         }
-        // Adjacency membership follows `count > 0`.
-        if c == 0 && old.is_some() {
-            if let Some(n) = self.fwd.get_mut(&s) {
-                n.remove(&d);
-                if n.is_empty() {
-                    self.fwd.remove(&s);
-                }
-            }
-            if let Some(n) = self.bwd.get_mut(&d) {
-                n.remove(&s);
-                if n.is_empty() {
-                    self.bwd.remove(&d);
-                }
-            }
-        } else if c > 0 && old.is_none() {
-            self.fwd.entry(s).or_default().insert(d);
-            self.bwd.entry(d).or_default().insert(s);
+    }
+
+    /// Live out-edges of `x` as `(dst, count)`: the snapshot's, then the
+    /// overlay's.
+    #[inline]
+    fn out_edges(&self, x: NodeId) -> Adj<'_> {
+        Adj {
+            slots: DagAdj::range(&self.off, &self.out, x).1.iter(),
+            overlay: self
+                .overlaid
+                .contains(x)
+                .then(|| self.extra.range((x, 0)..=(x, NodeId::MAX))),
+        }
+    }
+
+    /// Live in-edges of `y` as `(src, count)`: the snapshot's, then the
+    /// overlay's.
+    #[inline]
+    fn in_edges(&self, y: NodeId) -> Adj<'_> {
+        Adj {
+            slots: DagAdj::range(&self.roff, &self.inn, y).1.iter(),
+            overlay: self
+                .overlaid
+                .contains(y)
+                .then(|| self.extra_in.range((y, 0)..=(y, NodeId::MAX))),
         }
     }
 
@@ -360,19 +531,36 @@ impl DagAdj {
     }
 
     /// Keeps every change of the open transaction (a no-op when none is
-    /// open).
+    /// open), then folds the overlay into a fresh snapshot if it has
+    /// outgrown the trigger (see the type docs).
     fn commit(&mut self) {
         self.undo = None;
+        let changed = (self.extra.len() + self.dropped) as u64;
+        if changed > 64 + (self.n_nodes + self.out.len() as u64) / 8 {
+            self.rebuild();
+        }
     }
 
     /// Undoes every change of the open transaction, newest first (a no-op
-    /// when none is open). Restoring the counts restores `fwd` and `bwd`.
+    /// when none is open). No rebuild runs inside a transaction, so every
+    /// logged snapshot slot is still in place.
     fn rollback(&mut self) {
         if let Some(log) = self.undo.take() {
             for (s, d, c) in log.into_iter().rev() {
                 self.set(s, d, c);
             }
         }
+    }
+
+    /// Folds the overlay and the dropped edges into a fresh snapshot of
+    /// the live edges: `O(n + |DAG|)`. Never inside a transaction.
+    fn rebuild(&mut self) {
+        debug_assert!(self.undo.is_none(), "a rebuild would move logged slots");
+        let live = self.live();
+        let len = live.len() as u64;
+        let fresh = DagAdj::from_sorted(self.n_nodes, len, live.map(Ok))
+            .expect("live edges are sorted, positive and loop-free");
+        *self = fresh;
     }
 
     /// Is there a DAG path `from ⇝ to`? (`true` for `from == to`.)
@@ -384,7 +572,7 @@ impl DagAdj {
         let mut work = vec![from];
         seen.insert(from);
         while let Some(x) = work.pop() {
-            for &y in self.fwd.get(&x).into_iter().flatten() {
+            for (y, _) in self.out_edges(x) {
                 if y == to {
                     return true;
                 }
@@ -402,7 +590,7 @@ impl DagAdj {
         let mut work = vec![to];
         seen.insert(to);
         while let Some(x) = work.pop() {
-            for &y in self.bwd.get(&x).into_iter().flatten() {
+            for (y, _) in self.in_edges(x) {
                 if seen.insert(y) {
                     work.push(y);
                 }
@@ -422,7 +610,7 @@ impl DagAdj {
         let mut next = 0;
         while let Some(&x) = found.get(next) {
             next += 1;
-            for &y in self.fwd.get(&x).into_iter().flatten() {
+            for (y, _) in self.out_edges(x) {
                 if within.contains(y) && seen.insert(y) {
                     found.push(y);
                 }
@@ -441,16 +629,14 @@ impl DagAdj {
     fn remap(&mut self, group: &HashSet<NodeId>, l: NodeId) {
         let mut touched: Vec<(NodeId, NodeId, u32)> = Vec::new();
         for &g in group.iter().filter(|&&g| g != l) {
-            for &d in self.fwd.get(&g).into_iter().flatten() {
-                touched.push((g, d, self.count(g, d)));
-            }
-            for &s in self.bwd.get(&g).into_iter().flatten() {
-                // An edge from another absorbed member is that member's
-                // out-edge, listed above.
-                if s == l || !group.contains(&s) {
-                    touched.push((s, g, self.count(s, g)));
-                }
-            }
+            touched.extend(self.out_edges(g).map(|(d, c)| (g, d, c)));
+            // An edge from another absorbed member is that member's
+            // out-edge, listed above.
+            touched.extend(
+                self.in_edges(g)
+                    .filter(|&(s, _)| s == l || !group.contains(&s))
+                    .map(|(s, c)| (s, g, c)),
+            );
         }
         for &(s, d, _) in &touched {
             self.set(s, d, 0);
@@ -468,12 +654,8 @@ impl DagAdj {
     fn drop_touching(&mut self, set: &BTreeSet<NodeId>) {
         let mut doomed: Vec<(NodeId, NodeId)> = Vec::new();
         for &r in set {
-            for d in self.fwd.get(&r).cloned().unwrap_or_default() {
-                doomed.push((r, d));
-            }
-            for s in self.bwd.get(&r).cloned().unwrap_or_default() {
-                doomed.push((s, r));
-            }
+            doomed.extend(self.out_edges(r).map(|(d, _)| (r, d)));
+            doomed.extend(self.in_edges(r).map(|(s, _)| (s, r)));
         }
         for (s, d) in doomed {
             self.set(s, d, 0);
@@ -481,13 +663,84 @@ impl DagAdj {
     }
 
     /// Live edges in `(src, dst)` order — the stored form of the DAG
-    /// section.
-    fn live(&self) -> impl ExactSizeIterator<Item = CountedEdge> + '_ {
-        self.counts
-            .iter()
-            .map(|(&(s, d), &c)| CountedEdge::new(s, d, c))
+    /// section: the snapshot's and the overlay's, merged.
+    fn live(&self) -> Live<'_> {
+        Live {
+            dag: self,
+            at: 0,
+            extra: self.extra.iter().peekable(),
+            left: self.out.len() - self.dropped + self.extra.len(),
+        }
     }
 }
+
+/// One node's live edges in one direction, from [`DagAdj::out_edges`] or
+/// [`DagAdj::in_edges`]: its snapshot slots with a positive count, then its
+/// overlay range when the node is overlaid.
+struct Adj<'a> {
+    slots: std::slice::Iter<'a, (NodeId, u32)>,
+    overlay: Option<btree_map::Range<'a, (NodeId, NodeId), u32>>,
+}
+
+impl Iterator for Adj<'_> {
+    type Item = (NodeId, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, u32)> {
+        for &(y, c) in &mut self.slots {
+            if c > 0 {
+                return Some((y, c));
+            }
+        }
+        let (&(_, y), &c) = self.overlay.as_mut()?.next()?;
+        Some((y, c))
+    }
+}
+
+/// [`DagAdj::live`]'s iterator: one flat cursor over the snapshot's
+/// out-slots, merged with the overlay's ordered keys.
+struct Live<'a> {
+    dag: &'a DagAdj,
+    at: usize,
+    extra: Peekable<btree_map::Iter<'a, (NodeId, NodeId), u32>>,
+    left: usize,
+}
+
+impl Iterator for Live<'_> {
+    type Item = CountedEdge;
+
+    #[inline]
+    fn next(&mut self) -> Option<CountedEdge> {
+        let dag = self.dag;
+        let mut snapshot = None;
+        while let Some(&(d, c)) = dag.out.get(self.at) {
+            if c > 0 {
+                snapshot = Some(CountedEdge::new(dag.src[self.at], d, c));
+                break;
+            }
+            self.at += 1;
+        }
+        let e = match (snapshot, self.extra.peek()) {
+            (Some(e), Some((&k, _))) if (e.src, e.dst) < k => e,
+            (Some(e), None) => e,
+            (_, Some(_)) => {
+                let (&(s, d), &c) = self.extra.next()?;
+                self.left -= 1;
+                return Some(CountedEdge::new(s, d, c));
+            }
+            (None, None) => return None,
+        };
+        self.at += 1;
+        self.left -= 1;
+        Some(e)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Live<'_> {}
 
 /// Per-batch union-find over component representatives: merges decided
 /// earlier in a batch must be visible to the classification of later edges
@@ -628,6 +881,11 @@ pub struct DeltaEngine<'a> {
     index: SccIndexReader,
     dag: DagAdj,
     dirty: BTreeSet<NodeId>,
+    /// The checkpoint's size table, `(rep, size)` ascending, resident from
+    /// the first committed merge or re-verification on. Merges and
+    /// re-verifications fold it in memory; a checkpoint that rewrites the
+    /// table replaces it after the commit point.
+    sizes: Option<Vec<(NodeId, u64)>>,
     journal: CountedFile,
     /// Committed end of the journal in bytes, and the running FNV-1a of
     /// every byte before it.
@@ -690,14 +948,11 @@ impl<'a> DeltaEngine<'a> {
             )));
         }
 
-        let mut dag = DagAdj::new(index.n_nodes());
-        for e in index.counted_dag_edges() {
-            let e = e?;
-            if e.src.max(e.dst) as u64 >= index.n_nodes() {
-                return Err(bad("a stored condensation edge leaves the node universe"));
-            }
-            dag.add(e.src, e.dst, e.count);
-        }
+        let dag = DagAdj::from_sorted(
+            index.n_nodes(),
+            index.n_dag_edges(),
+            index.counted_dag_edges(),
+        )?;
         let dirty = index.dirty_components().collect::<io::Result<BTreeSet<NodeId>>>()?;
 
         // Journal sidecar: open (create when this generation has no
@@ -740,6 +995,7 @@ impl<'a> DeltaEngine<'a> {
             index,
             dag,
             dirty,
+            sizes: None,
             journal,
             journal_len: prefix_len,
             journal_fnv: prefix_fnv,
@@ -776,6 +1032,9 @@ impl<'a> DeltaEngine<'a> {
                              checkpoints commit merges",
                         ));
                     }
+                    // The batch is committed; replay runs outside a
+                    // transaction, so this only checks the rebuild trigger.
+                    self.dag.commit();
                     self.journal_len = start + i * JOURNAL_ENTRY;
                     self.journal_fnv = fnv.finish();
                     self.n_journal += batch.len() as u64;
@@ -859,40 +1118,43 @@ impl<'a> DeltaEngine<'a> {
         if merged_groups.is_empty() {
             this.commit_journal(&journal, dirty)?;
         } else {
-            // A merge rewrites the size table (components disappear). One
-            // pass over the stored table folds it through the final merge
-            // mapping: the table is sorted by representative, and every
+            // A merge rewrites the size table (components disappear). The
+            // resident table folds through the final merge mapping: the
+            // runs between merged components are copied whole, and every
             // absorbed representative maps to its group's minimum, which
             // comes first — so absorbed sizes add into an entry already
-            // emitted. The same pass counts each stored component of any
-            // merged group once, however many of the batch's merges grew
-            // it. Bit tests keep the map probes to the merged components.
+            // emitted. Each stored component of any merged group is
+            // counted once, however many of the batch's merges grew it.
             let relabel = overlay.relabel_map();
-            let n = this.index.n_nodes();
-            let (mut merged, mut absorbed) = (NodeBits::new(n), NodeBits::new(n));
-            for &r in merged_groups.iter().flatten() {
-                merged.insert(r);
-            }
+            let mut absorbed = NodeBits::new(this.index.n_nodes());
             for &r in relabel.keys() {
                 absorbed.insert(r);
             }
-            let mut sizes: Vec<(NodeId, u64)> = Vec::with_capacity(this.index.n_sccs() as usize);
-            for entry in this.index.components() {
-                let (rep, size) = entry?;
-                if !merged.contains(rep) {
-                    sizes.push((rep, size));
-                    continue;
-                }
+            let mut merged: Vec<NodeId> = merged_groups.into_iter().flatten().collect();
+            merged.sort_unstable();
+            merged.dedup();
+            let table = this.size_table()?;
+            let mut sizes: Vec<(NodeId, u64)> = Vec::with_capacity(table.len());
+            let mut from = 0;
+            for rep in merged {
+                let at = match table[from..].binary_search_by_key(&rep, |e| e.0) {
+                    Ok(i) => from + i,
+                    Err(_) => return Err(bad("size table misses a merged component")),
+                };
+                sizes.extend_from_slice(&table[from..at]);
+                from = at + 1;
+                let size = table[at].1;
                 report.merged_components += 1;
                 report.merged_nodes += size;
                 match relabel.get(&rep) {
                     Some(l) => match sizes.binary_search_by_key(l, |e| e.0) {
-                        Ok(at) => sizes[at].1 += size,
+                        Ok(i) => sizes[i].1 += size,
                         Err(_) => return Err(bad("size table misses a merge target")),
                     },
                     None => sizes.push((rep, size)),
                 }
             }
+            sizes.extend_from_slice(&table[from..]);
             let by_rep = |_, old| {
                 if absorbed.contains(old) {
                     relabel[&old]
@@ -901,7 +1163,7 @@ impl<'a> DeltaEngine<'a> {
                 }
             };
             report.label_pages_rewritten =
-                this.checkpoint(&journal, Some(&by_rep), Some(&sizes), dirty)?;
+                this.checkpoint(&journal, Some(&by_rep), Some(sizes), dirty)?;
         }
         drop(sp);
         report.generation = this.generation;
@@ -966,7 +1228,7 @@ impl<'a> DeltaEngine<'a> {
                 // map is probed.
                 let mut edges: Vec<Edge> = Vec::new();
                 for &a in &ids {
-                    for &b in dag.fwd.get(&a).into_iter().flatten() {
+                    for (b, _) in dag.out_edges(a) {
                         if cone.contains(b) {
                             edges.push(Edge::new(pos[&a], pos[&b]));
                         }
@@ -1185,8 +1447,12 @@ impl<'a> DeltaEngine<'a> {
         }
 
         // New size table: target entries out, the re-verified ones in.
-        let mut table: Vec<(NodeId, u64)> = self.index.components().collect::<io::Result<_>>()?;
-        table.retain(|(rep, _)| !targets.contains(rep));
+        let mut table: Vec<(NodeId, u64)> = self
+            .size_table()?
+            .iter()
+            .filter(|(rep, _)| !targets.contains(rep))
+            .copied()
+            .collect();
         table.extend(new_comps.iter().copied());
         table.sort_unstable();
 
@@ -1250,7 +1516,7 @@ impl<'a> DeltaEngine<'a> {
             ios: IoSnapshot::default(),
         };
         let by_node = |node, old| changed.get(&node).copied().unwrap_or(old);
-        this.checkpoint(&[], Some(&by_node), Some(&table), dirty)?;
+        this.checkpoint(&[], Some(&by_node), Some(table), dirty)?;
         drop(sp);
         report.generation = this.generation;
         report.ios = this.env.stats().snapshot().since(&before);
@@ -1288,13 +1554,13 @@ impl<'a> DeltaEngine<'a> {
     /// renames it over the path. `relabel` maps `(node, stored label)` to
     /// the node's new label (`None`: no label changes) and `sizes` is the
     /// new size table (`None`: unchanged). Only after the rename are the
-    /// DAG's open transaction committed and the new dirty set installed.
-    /// Returns the number of label pages rewritten.
+    /// DAG's open transaction committed and the new dirty set and size
+    /// table installed. Returns the number of label pages rewritten.
     fn checkpoint(
         &mut self,
         records: &[JournalRecord],
         relabel: Option<&dyn Fn(NodeId, NodeId) -> NodeId>,
-        sizes: Option<&[(NodeId, u64)]>,
+        sizes: Option<Vec<(NodeId, u64)>>,
         dirty: BTreeSet<NodeId>,
     ) -> io::Result<u64> {
         let bytes = records.concat();
@@ -1312,7 +1578,7 @@ impl<'a> DeltaEngine<'a> {
         ));
         let cp = Checkpoint {
             relabel,
-            sizes,
+            sizes: sizes.as_deref(),
             dag: self.dag.live(),
             dirty: dirty.iter().copied(),
             generation,
@@ -1346,11 +1612,38 @@ impl<'a> DeltaEngine<'a> {
         self.index = written.open(self.env, &self.path)?;
         self.dag.commit();
         self.dirty = dirty;
+        if sizes.is_some() {
+            self.sizes = sizes;
+        }
         self.journal_len = journal_len;
         self.journal_fnv = fnv.finish();
         self.n_journal += records.len() as u64;
         self.generation = generation;
         Ok(written.label_pages)
+    }
+
+    /// The size table, `(rep, size)` ascending: the resident one, or the
+    /// checkpoint's, read in the caller's span while none is resident. A
+    /// table read here becomes resident only through the checkpoint that
+    /// commits its fold, so a failed first merge leaves the engine as it
+    /// was. A table whose representatives do not ascend strictly is
+    /// `InvalidData`.
+    fn size_table(&self) -> io::Result<Cow<'_, [(NodeId, u64)]>> {
+        if let Some(table) = &self.sizes {
+            return Ok(Cow::Borrowed(table));
+        }
+        let mut table: Vec<(NodeId, u64)> = Vec::with_capacity(self.index.n_sccs() as usize);
+        for entry in self.index.components() {
+            let (rep, size) = entry?;
+            if table.last().is_some_and(|&(prev, _)| prev >= rep) {
+                return Err(bad(
+                    "the stored size table is not sorted strictly by representative; \
+                     rebuild the artifact with `scc index build`",
+                ));
+            }
+            table.push((rep, size));
+        }
+        Ok(Cow::Owned(table))
     }
 
     /// Writes `bytes` at the journal's committed end and syncs it. On
@@ -1597,40 +1890,217 @@ mod tests {
         assert_eq!(eng.component_of(40).unwrap(), 40);
     }
 
+    /// An empty DAG over the universe `0..n`.
+    fn empty_dag(n: u64) -> DagAdj {
+        DagAdj::from_sorted(n, 0, std::iter::empty()).unwrap()
+    }
+
+    /// Every node's `(successors, predecessors)` with their counts, sorted:
+    /// the adjacency the walks and merges read, whatever holds it.
+    type Adjacency = Vec<(Vec<(NodeId, u32)>, Vec<(NodeId, u32)>)>;
+
+    fn adjacency(dag: &DagAdj) -> Adjacency {
+        (0..dag.n_nodes as NodeId)
+            .map(|x| {
+                let mut out: Vec<_> = dag.out_edges(x).collect();
+                let mut inc: Vec<_> = dag.in_edges(x).collect();
+                out.sort_unstable();
+                inc.sort_unstable();
+                (out, inc)
+            })
+            .collect()
+    }
+
     #[test]
     fn merging_a_leaf_into_a_hub_logs_work_independent_of_the_hub_degree() {
         // The DAG-side counterpart of the label-page pin: hub 0 points at
         // 1..=degree (leaf 7 among them), 7 -> x and y -> 7. Merging 7 into
-        // 0 must move the leaf's edges and leave the hub's alone.
-        let mut logged = Vec::new();
-        for degree in [50u32, 5_000] {
-            let (x, y) = (degree + 1, degree + 2);
-            let mut dag = DagAdj::new(degree as u64 + 3);
-            for d in 1..=degree {
-                dag.add(0, d, 1);
-            }
-            dag.add(7, x, 2);
-            dag.add(y, 7, 3);
-            let before = (dag.counts.clone(), dag.fwd.clone(), dag.bwd.clone());
+        // 0 must move the leaf's edges and leave the hub's alone, whether
+        // the edges sit in the overlay or in a rebuilt snapshot.
+        for snapshot in [false, true] {
+            let mut logged = Vec::new();
+            for degree in [50u32, 5_000] {
+                let (x, y) = (degree + 1, degree + 2);
+                let mut dag = empty_dag(degree as u64 + 3);
+                for d in 1..=degree {
+                    dag.add(0, d, 1);
+                }
+                dag.add(7, x, 2);
+                dag.add(y, 7, 3);
+                if snapshot {
+                    dag.rebuild();
+                }
+                let before = (dag.live().collect::<Vec<_>>(), adjacency(&dag));
 
-            dag.begin();
-            dag.remap(&HashSet::from([0, 7]), 0);
-            logged.push(dag.undo.as_ref().map_or(0, Vec::len));
-            for d in (1..=degree).filter(|&d| d != 7) {
-                assert_eq!(dag.count(0, d), 1, "hub edge 0 -> {d}, degree {degree}");
-            }
-            assert_eq!(dag.count(0, 7), 0, "the merge edge became a loop");
-            assert_eq!((dag.count(0, x), dag.count(y, 0)), (2, 3));
-            assert!(!dag.fwd.contains_key(&7) && !dag.bwd.contains_key(&7));
-            assert_eq!(dag.counts.len(), degree as usize + 1);
+                dag.begin();
+                dag.remap(&HashSet::from([0, 7]), 0);
+                logged.push(dag.undo.as_ref().map_or(0, Vec::len));
+                for d in (1..=degree).filter(|&d| d != 7) {
+                    assert_eq!(dag.count(0, d), 1, "hub edge 0 -> {d}, degree {degree}");
+                }
+                assert_eq!(dag.count(0, 7), 0, "the merge edge became a loop");
+                assert_eq!((dag.count(0, x), dag.count(y, 0)), (2, 3));
+                assert!(dag.out_edges(7).next().is_none() && dag.in_edges(7).next().is_none());
+                assert_eq!(dag.live().len(), degree as usize + 1);
 
-            dag.rollback();
-            assert_eq!((dag.counts, dag.fwd, dag.bwd), before, "degree {degree}");
+                dag.rollback();
+                let after = (dag.live().collect::<Vec<_>>(), adjacency(&dag));
+                assert_eq!(after, before, "degree {degree}, snapshot {snapshot}");
+            }
+            assert_eq!(
+                logged[0], logged[1],
+                "a merge logged the survivor's edges: {logged:?} undo entries"
+            );
         }
-        assert_eq!(
-            logged[0], logged[1],
-            "a merge logged the survivor's edges: {logged:?} undo entries"
-        );
+    }
+
+    /// The reference model of a [`DagAdj`]: the multiplicity of each edge.
+    type Model = BTreeMap<(NodeId, NodeId), u32>;
+
+    /// Everything reachable from `from` in `adj` (itself included), taking
+    /// only nodes `keep` admits beyond it.
+    fn model_walk(
+        adj: &[Vec<(NodeId, u32)>],
+        from: NodeId,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> BTreeSet<NodeId> {
+        let mut seen = BTreeSet::from([from]);
+        let mut work = vec![from];
+        while let Some(x) = work.pop() {
+            for &(y, _) in &adj[x as usize] {
+                if keep(y) && seen.insert(y) {
+                    work.push(y);
+                }
+            }
+        }
+        seen
+    }
+
+    /// Checks every query of `dag` against `model`: `live()` (order,
+    /// contents and `len()`), every node's successors and predecessors,
+    /// counts, and the three walks between random nodes.
+    fn check_against(dag: &DagAdj, model: &Model, rng: &mut impl FnMut() -> u32, what: &str) {
+        let n = dag.n_nodes as NodeId;
+        let want: Vec<CountedEdge> = model
+            .iter()
+            .map(|(&(s, d), &c)| CountedEdge::new(s, d, c))
+            .collect();
+        assert_eq!(dag.live().collect::<Vec<_>>(), want, "{what}: live()");
+        assert_eq!(dag.live().len(), want.len(), "{what}: live().len()");
+        let mut adj: Adjacency = vec![(Vec::new(), Vec::new()); n as usize];
+        for (&(s, d), &c) in model {
+            adj[s as usize].0.push((d, c));
+            adj[d as usize].1.push((s, c));
+        }
+        assert_eq!(adjacency(dag), adj, "{what}: adjacency");
+        // Every edge's count, and every pair's out of a few random sources.
+        let sources: Vec<NodeId> = (0..4).map(|_| rng() % n).collect();
+        let pairs = sources.iter().flat_map(|&s| (0..n).map(move |d| (s, d)));
+        for (s, d) in model.keys().copied().chain(pairs) {
+            let c = model.get(&(s, d)).copied().unwrap_or(0);
+            assert_eq!(dag.count(s, d), c, "{what}: count({s}, {d})");
+        }
+        let succ: Vec<_> = adj.iter().map(|a| a.0.clone()).collect();
+        let pred: Vec<_> = adj.iter().map(|a| a.1.clone()).collect();
+        for _ in 0..3 {
+            let (a, b) = (rng() % n, rng() % n);
+            let forward = model_walk(&succ, a, |_| true);
+            assert_eq!(
+                dag.reaches(a, b),
+                forward.contains(&b),
+                "{what}: reaches({a}, {b})"
+            );
+            let cone = dag.backward_cone(b);
+            let want_cone = model_walk(&pred, b, |_| true);
+            let got: BTreeSet<NodeId> = (0..n).filter(|&x| cone.contains(x)).collect();
+            assert_eq!(got, want_cone, "{what}: backward_cone({b})");
+            let within = model_walk(&succ, a, |y| want_cone.contains(&y));
+            assert_eq!(
+                dag.forward_within(a, &cone),
+                within.into_iter().collect::<Vec<_>>(),
+                "{what}: forward_within({a}, cone of {b})"
+            );
+        }
+    }
+
+    #[test]
+    fn dag_adj_matches_a_btreemap_model_under_random_transactions() {
+        const N: u32 = 40;
+        for seed in [0x9e37u64, 7] {
+            let mut x = seed;
+            let mut rng = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 16) as u32
+            };
+            let mut dag = empty_dag(N as u64);
+            let mut model = Model::new();
+            let (mut ops, mut commits, mut rollbacks, mut rebuilds) = (0, 0, 0, 0);
+            while ops < 2_500 {
+                let saved = model.clone();
+                dag.begin();
+                for _ in 0..1 + rng() % 4 {
+                    ops += 1;
+                    let kind = rng() % 8;
+                    if kind < 4 || model.is_empty() {
+                        let (s, d, c) = (rng() % N, rng() % N, 1 + rng() % 3);
+                        if s != d {
+                            dag.add(s, d, c);
+                            *model.entry((s, d)).or_insert(0) += c;
+                        }
+                    } else if kind < 6 {
+                        // Set an edge to zero or weaken it by one.
+                        let (&(s, d), &c) = model.iter().nth(rng() as usize % model.len()).unwrap();
+                        let c = if rng() % 2 == 0 { 0 } else { c - 1 };
+                        dag.set(s, d, c);
+                        if c == 0 {
+                            model.remove(&(s, d));
+                        } else {
+                            model.insert((s, d), c);
+                        }
+                    } else if kind == 6 {
+                        let members: BTreeSet<NodeId> =
+                            (0..2 + rng() % 3).map(|_| rng() % N).collect();
+                        let l = *members.iter().nth(rng() as usize % members.len()).unwrap();
+                        let group: HashSet<NodeId> = members.into_iter().collect();
+                        dag.remap(&group, l);
+                        let onto = |x: NodeId| if group.contains(&x) { l } else { x };
+                        let mut next = Model::new();
+                        for (&(s, d), &c) in &model {
+                            if onto(s) != onto(d) {
+                                *next.entry((onto(s), onto(d))).or_insert(0) += c;
+                            }
+                        }
+                        model = next;
+                    } else {
+                        let set: BTreeSet<NodeId> = (0..1 + rng() % 2).map(|_| rng() % N).collect();
+                        dag.drop_touching(&set);
+                        model.retain(|(s, d), _| !set.contains(s) && !set.contains(d));
+                    }
+                    check_against(&dag, &model, &mut rng, &format!("seed {seed:#x}, op {ops}"));
+                }
+                if rng() % 3 == 0 {
+                    dag.rollback();
+                    model = saved;
+                    rollbacks += 1;
+                } else {
+                    dag.commit();
+                    commits += 1;
+                }
+                let what = format!("seed {seed:#x}, after op {ops}");
+                check_against(&dag, &model, &mut rng, &what);
+                if rng() % 16 == 0 {
+                    dag.rebuild();
+                    rebuilds += 1;
+                    check_against(&dag, &model, &mut rng, &format!("{what}, rebuilt"));
+                }
+            }
+            assert!(
+                commits > 0 && rollbacks > 0 && rebuilds > 0,
+                "seed {seed:#x}"
+            );
+        }
     }
 
     #[test]
@@ -2063,6 +2533,70 @@ mod tests {
         let (_g4, path4) = setup(&e, "geom4", 4, &[(0, 1), (1, 0), (2, 3)]);
         let err = DeltaEngine::open(&e, &g, &path4).unwrap_err();
         assert!(err.to_string().contains("nodes"), "{err}");
+    }
+
+    /// Rewrites the artifact at `path` as a checkpoint holding `dag` and,
+    /// when given, the size table `sizes`, through the checkpoint writer:
+    /// every checksum is valid, whatever the records say.
+    fn rewrite(e: &DiskEnv, path: &Path, dag: Vec<CountedEdge>, sizes: Option<&[(NodeId, u64)]>) {
+        let index = SccIndex::open(e, path).unwrap();
+        let (n_journal, journal_fnv) = index.journal_prefix();
+        let tmp = path.with_extension("tmp");
+        let cp = Checkpoint {
+            relabel: None,
+            sizes,
+            dag: dag.into_iter(),
+            dirty: std::iter::empty(),
+            generation: 1,
+            n_journal,
+            journal_fnv,
+        };
+        index.write_checkpoint(e, path, &tmp, cp).unwrap();
+        std::fs::rename(&tmp, path).unwrap();
+        e.evict(path);
+        e.evict(&tmp);
+    }
+
+    #[test]
+    fn open_rejects_a_malformed_stored_dag_or_size_table_without_panicking() {
+        // {0,1} -> 2 -> 3, stored as (0, 2), (2, 3). Each case replaces the
+        // DAG section with checksummed records the format forbids.
+        let edges = [(0, 1), (1, 0), (0, 2), (2, 3)];
+        let cases = [
+            ("a loop", vec![CountedEdge::new(0, 0, 1)]),
+            (
+                "records out of order",
+                vec![CountedEdge::new(2, 3, 1), CountedEdge::new(0, 2, 1)],
+            ),
+            (
+                "a duplicated record",
+                vec![CountedEdge::new(0, 2, 1), CountedEdge::new(0, 2, 1)],
+            ),
+            ("a zero count", vec![CountedEdge::new(0, 2, 0)]),
+        ];
+        for (what, dag) in cases {
+            let e = env();
+            let (g, path) = setup(&e, "malformed", 4, &edges);
+            rewrite(&e, &path, dag, None);
+            // The checksums hold, so only the engine's load can tell.
+            SccIndex::open(&e, &path).unwrap();
+            let err = DeltaEngine::open(&e, &g, &path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("rebuild"), "{what}: {err}");
+        }
+
+        // A size table out of order opens (the open does not read it) and
+        // fails the first merge, which loads it; the engine is unchanged.
+        let e = env();
+        let (g, path) = setup(&e, "sizes", 4, &edges);
+        let dag = vec![CountedEdge::new(0, 2, 1), CountedEdge::new(2, 3, 1)];
+        rewrite(&e, &path, dag, Some(&[(2, 1), (0, 2), (3, 1)]));
+        let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+        let live = engine_view(&eng);
+        let err = eng.apply(&DeltaBatch::new().add(3, 0)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("rebuild"), "{err}");
+        assert_eq!(engine_view(&eng), live);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Integration gates for incremental index maintenance: the session-level
 //! `apply_delta` / `compact_index` surface, the ce-harness delta-stream
-//! differential matrix, the O(1)-page cost pins, a merge's bookkeeping
+//! differential matrix (and, ignored by default, its 2,000-step release
+//! run), the O(1)-page cost pins, a merge's bookkeeping
 //! (its report and the counts its members share with outside components),
 //! fault sweeps over a checkpointing and a journal-only apply under
 //! injected I/O faults, and a byte comparison of a checkpoint with a fresh
@@ -122,6 +123,36 @@ fn differential_matrix_200_steps_across_three_families() {
     // real dirty-marking deletions somewhere in the matrix.
     assert!(rows.iter().map(|r| r.merges).sum::<u64>() > 0);
     assert!(rows.iter().map(|r| r.dirty_marked).sum::<u64>() > 0);
+}
+
+/// Long streams, run in release by CI (`cargo test --release --test delta
+/// -- --ignored`): 2,000 steps per family at two seeds carry the engine's
+/// condensation DAG through many overlay rebuilds, and every step must
+/// still match the scratch rebuild.
+#[test]
+#[ignore = "long; CI runs it in release"]
+fn differential_matrix_2000_steps_at_two_seeds() {
+    for seed in [0x9e37, 7] {
+        let rows = contract_expand::harness::run_delta_matrix(2_000, seed).unwrap();
+        assert_eq!(rows.len(), 3, "three workload families");
+        for row in &rows {
+            assert!(row.ok(), "seed {seed:#x}: {row}");
+            assert_eq!(row.steps, 2_000);
+            assert!(
+                row.max_metadata_write_ios <= 1,
+                "seed {seed:#x}: metadata step wrote {} pages: {row}",
+                row.max_metadata_write_ios
+            );
+        }
+        assert!(
+            rows.iter().map(|r| r.merges).sum::<u64>() > 0,
+            "seed {seed:#x}"
+        );
+        assert!(
+            rows.iter().map(|r| r.dirty_marked).sum::<u64>() > 0,
+            "seed {seed:#x}"
+        );
+    }
 }
 
 #[test]
